@@ -29,8 +29,14 @@ from .graph_core import (
     GraphError,
     canonical_edge,
 )
-from .oracle import dump_decomposition, static_decomposition, static_planar
-from .oracle import validate_rotation
+from .oracle import (
+    PLANARITY_BUDGET,
+    OracleBudgetError,
+    dump_decomposition,
+    static_decomposition,
+    static_planar,
+    validate_rotation,
+)
 
 DEFAULT_DOMAIN = 16
 
@@ -151,7 +157,7 @@ def run_trace(lines, domain: int) -> tuple[list[str], int]:
             continue
         try:
             out += _run_command(eng, line.split())
-        except GraphError as exc:
+        except (GraphError, OracleBudgetError) as exc:
             out.append(f"error line {no}: {exc}")
             failed = True
     return out, 1 if failed else 0
@@ -272,8 +278,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="dynplanar",
         description="dynamic planarity engine: trace processor and fuzzer")
-    ap.add_argument("--domain", type=int, default=DEFAULT_DOMAIN,
-                    help="vertex domain size n (vertices are 0..n-1)")
+    ap.add_argument("--domain", type=int,
+                    help="vertex domain size n (vertices are 0..n-1); "
+                         f"default {DEFAULT_DOMAIN}, or {PLANARITY_BUDGET} "
+                         "with --fuzz, whose planarity oracle allows at "
+                         f"most {PLANARITY_BUDGET}")
     ap.add_argument("--trace", metavar="FILE",
                     help="trace file to replay (default: stdin)")
     ap.add_argument("--fuzz", action="store_true",
@@ -284,8 +293,15 @@ def main(argv=None) -> int:
                     help="fuzz: stop at the first violation")
     ns = ap.parse_args(argv)
 
+    domain = ns.domain
+    if domain is None:
+        domain = PLANARITY_BUDGET if ns.fuzz else DEFAULT_DOMAIN
+
     if ns.fuzz:
-        report, violations = fuzz(ns.seed, ns.domain, ns.steps,
+        if domain > PLANARITY_BUDGET:
+            ap.error(f"--fuzz needs --domain at most {PLANARITY_BUDGET}, "
+                     "the planarity oracle's budget")
+        report, violations = fuzz(ns.seed, domain, ns.steps,
                                   strict=ns.strict)
         print(report)
         return 1 if violations else 0
@@ -295,7 +311,7 @@ def main(argv=None) -> int:
             lines = fh.readlines()
     else:
         lines = sys.stdin.readlines()
-    out, code = run_trace(lines, ns.domain)
+    out, code = run_trace(lines, domain)
     for ln in out:
         print(ln)
     return code

@@ -188,14 +188,6 @@ def build_block_paths(decomp: DecompositionState, embeddings,
     return tuple(paths)
 
 
-def build_colourings(decomp: DecompositionState,
-                     embeddings) -> dict[BlockName, tuple[CoherentPath, ...]]:
-    return {
-        block.name: build_block_paths(decomp, embeddings, block)
-        for block in decomp.blocks if block.pairs
-    }
-
-
 def update_colouring(old, decomp: DecompositionState, embeddings,
                      affected) -> dict[BlockName, tuple[CoherentPath, ...]]:
     """Rebuild the colourings of affected blocks, carry the rest bitwise."""

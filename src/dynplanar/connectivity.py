@@ -2,32 +2,72 @@
 
 Each query family reduces to a table lookup against component tables of
 G, G-{x}, and G-{x,y}, rebuilt from scratch for the current edge set
-(no caching across versions). The table builder is a compiled kernel
-when available, with a pure-Python fallback (env DYNPLANAR_PURE=1 forces
-the fallback).
+(no caching across versions). The engine builds no such tables; they
+remain for the benchmark's per-layer wrappers and their tests.
 """
 from __future__ import annotations
 
-import os
-
 from .graph_core import DomainError
 
-if os.environ.get("DYNPLANAR_PURE"):
-    from . import _connkern_py as _kern
-else:
-    try:
-        from . import _connkern_cy as _kern  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _connkern_py as _kern
 
-KERNEL_COMPILED: bool = _kern.COMPILED
+def _component_masks(n: int, adj: list[int], allowed: int) -> list[int]:
+    """Component bitmask for every vertex inside `allowed` (0 outside)."""
+    out = [0] * n
+    rem = allowed
+    while rem:
+        low = rem & -rem
+        comp = low
+        frontier = low
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                b = f & -f
+                f ^= b
+                nxt |= adj[b.bit_length() - 1]
+            frontier = nxt & allowed & ~comp
+            comp |= frontier
+        m = comp
+        while m:
+            b = m & -m
+            m ^= b
+            out[b.bit_length() - 1] = comp
+        rem &= ~comp
+    return out
 
 
-def _build_tables(n: int, adj: list[int]):
-    if _kern.COMPILED and n > 64:
-        from . import _connkern_py
-        return _connkern_py.component_tables(n, adj)
-    return _kern.component_tables(n, adj)
+def component_tables(n: int, adj: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """Tables of component bitmasks for G, G-{x}, and G-{x,y} (x < y).
+
+    comp[v]              component of v in G
+    comp1[x*n + v]       component of v in G-{x}        (0 when v == x)
+    comp2[(x*n+y)*n + v] component of v in G-{x,y}, x<y (0 when v in {x,y})
+
+    Removing an isolated vertex leaves every other component as it is,
+    so its rows are copies of rows already built, with its own entry 0.
+    """
+    full = (1 << n) - 1
+    comp = _component_masks(n, adj, full)
+    comp1 = [0] * (n * n)
+    for x in range(n):
+        if adj[x]:
+            row = _component_masks(n, adj, full & ~(1 << x))
+        else:
+            row = comp[:]
+            row[x] = 0
+        comp1[x * n:(x + 1) * n] = row
+    comp2 = [0] * (n * n * n)
+    for x in range(n):
+        for y in range(x + 1, n):
+            base = (x * n + y) * n
+            if adj[x] and adj[y]:
+                row = _component_masks(n, adj, full & ~(1 << x) & ~(1 << y))
+            else:
+                lone, other = (x, y) if not adj[x] else (y, x)
+                row = comp1[other * n:(other + 1) * n]
+                row[lone] = 0
+            comp2[base:base + n] = row
+    return comp, comp1, comp2
 
 
 class ConnTables:
@@ -37,7 +77,7 @@ class ConnTables:
 
     def __init__(self, n: int, adj: list[int]):
         self.n = n
-        self.comp, self.comp1, self.comp2 = _build_tables(n, adj)
+        self.comp, self.comp1, self.comp2 = component_tables(n, adj)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> ConnTables:
@@ -92,22 +132,3 @@ class ConnTables:
                 if not (comp2[(x * n + y) * n + s] >> t & 1):
                     return False
         return True
-
-
-# Convenience single-shot forms (each builds fresh tables; fine for
-# occasional use, the engine holds one ConnTables per version instead).
-
-def connected(n: int, edges, u: int, v: int) -> bool:
-    return ConnTables.from_edges(n, edges).connected(u, v)
-
-
-def connected_avoiding(n: int, edges, u: int, v: int, x: int) -> bool:
-    return ConnTables.from_edges(n, edges).connected_avoiding(u, v, x)
-
-
-def connected_avoiding_pair(n: int, edges, u: int, v: int, x: int, y: int) -> bool:
-    return ConnTables.from_edges(n, edges).connected_avoiding_pair(u, v, x, y)
-
-
-def three_connected_pair(n: int, edges, s: int, t: int) -> bool:
-    return ConnTables.from_edges(n, edges).three_connected_pair(s, t)

@@ -14,7 +14,7 @@ a state built from a predecessor takes every block whose edge set is
 unchanged from it as it is, and the kind of every component whose
 content is unchanged.
 
-Node references used by the betweenness/path operations:
+Node references used by the path operations:
 
     BC   nodes: ("B", (a, b))  block   /  ("C", v)      cut vertex
     SPQR nodes: ("P", (s, t))  pair    /  ("S"|"R", (x, y, z)) component
@@ -359,10 +359,6 @@ class DecompositionState:
                     f"edge {(u, v)} lies inside more than its own block"
         return state
 
-    @classmethod
-    def from_graph(cls, graph) -> DecompositionState:
-        return cls.from_edges(graph.n, graph.edges)
-
     def with_edge(self, u: Vertex, v: Vertex) -> DecompositionState:
         return DecompositionState.from_edges(
             self.n, self.edges | {canonical_edge(u, v)}, self)
@@ -439,18 +435,6 @@ class DecompositionState:
 
     # ------------------------------------------------------------- BC walks
 
-    def _check_bc_node(self, x: BCNode) -> None:
-        if x not in self._bc_adj:
-            raise GraphError(f"no BC-tree node {x!r}")
-
-    def bc_between(self, x1: BCNode, x2: BCNode, x3: BCNode) -> bool:
-        for x in (x1, x2, x3):
-            self._check_bc_node(x)
-        path = _tree_path(self._bc_adj, x1, x3)
-        if path is None:
-            raise GraphError("BC-tree nodes lie in different components")
-        return x2 in path
-
     def bc_path_blocks(self, a: Vertex, b: Vertex):
         """Blocks B_0..B_r and chain vertices w_0=a,..,w_{r+1}=b between
         two connected vertices: consecutive chain vertices share B_i."""
@@ -496,25 +480,11 @@ class DecompositionState:
         blk = self.block(block_name)
         return tuple(c for c in blk.comps if pair in c.pairs)
 
-    def comps_of_vertex(self, block_name: BlockName, v: Vertex):
-        blk = self.block(block_name)
-        return tuple(c for c in blk.comps if v in c.vertices)
-
     def _check_spqr_node(self, w: SpqrNode) -> BlockName:
         try:
             return self._spqr_block[w]
         except KeyError:
             raise GraphError(f"no SPQR-tree node {w!r}") from None
-
-    def spqr_between(self, w1: SpqrNode, w2: SpqrNode, w3: SpqrNode) -> bool:
-        b1 = self._check_spqr_node(w1)
-        b2 = self._check_spqr_node(w2)
-        b3 = self._check_spqr_node(w3)
-        if not b1 == b2 == b3:
-            raise GraphError("SPQR-tree nodes lie in different blocks")
-        path = _tree_path(self._spqr_adj, w1, w3)
-        assert path is not None
-        return w2 in path
 
     def spqr_path(self, w1: SpqrNode, w2: SpqrNode) -> list[SpqrNode]:
         b1 = self._check_spqr_node(w1)

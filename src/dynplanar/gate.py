@@ -12,8 +12,7 @@ independent because the blocks only meet in cut vertices.
 from __future__ import annotations
 
 from .decomposition import Block, DecompositionState, SpqrNode
-from .graph_core import INSERT, EdgeChangeType, GraphError, Vertex, \
-    canonical_edge
+from .graph_core import GraphError, Vertex, canonical_edge
 
 
 # ------------------------------------------------------------ SPQR windows
@@ -120,10 +119,3 @@ def insert_ok(decomp: DecompositionState, embeddings, a: Vertex,
         )
     return block_insert_ok(decomp.block_of(a, b), embeddings, a, b)
 
-
-def insertable(decomp: DecompositionState, embeddings, a: Vertex, b: Vertex,
-               change: EdgeChangeType) -> bool:
-    if change.direction != INSERT:
-        raise GraphError("gate only judges insertions")
-    assert change.before_level == decomp.level_between(a, b)
-    return insert_ok(decomp, embeddings, a, b)

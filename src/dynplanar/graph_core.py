@@ -10,9 +10,8 @@ level of a vertex pair is
     2  common block, but no common rigid triconnected component
     3  common rigid triconnected component.
 
-Level computation is delegated to the decomposition state (duck-typed
-here); this module owns the taxonomy, the raw edge-set mutation, and the
-change log.
+Level computation is delegated to the decomposition state; this module
+owns the taxonomy and the raw edge-set mutation.
 """
 from __future__ import annotations
 
@@ -87,11 +86,10 @@ IMPOSSIBLE_TYPES = frozenset(
 
 @dataclass
 class DynamicGraph:
-    """Edge set plus an append-only change log."""
+    """Edge set over the vertex domain [0, n)."""
 
     n: int
     edges: set[Edge] = field(default_factory=set)
-    log: list[tuple[str, Edge]] = field(default_factory=list)
 
     def check_vertex(self, v: Vertex) -> None:
         if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.n:
@@ -118,39 +116,3 @@ class DynamicGraph:
             self.edges.remove(edge)
         else:
             raise GraphError(f"unknown direction {direction!r}")
-        self.log.append((direction, edge))
-
-    def adjacency_masks(self) -> list[int]:
-        adj = [0] * self.n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return adj
-
-
-def classify_change(decomp, graph: DynamicGraph, u: Vertex, v: Vertex,
-                    direction: str) -> EdgeChangeType:
-    """Classify an edge change against the current decomposition state.
-
-    `decomp` must expose level_between(u, v), is_separating_pair_edge
-    helpers and component lookups (see decomposition.DecompositionState).
-    Raises DuplicateEdgeError / AbsentEdgeError / DomainError without
-    mutating anything.
-    """
-    edge = graph.check_edge_vertices(u, v)
-    present = edge in graph.edges
-    if direction == INSERT:
-        if present:
-            raise DuplicateEdgeError(f"edge {edge} already present")
-        before = decomp.level_between(*edge)
-        after = decomp.predict_insert_level(*edge)
-    elif direction == DELETE:
-        if not present:
-            raise AbsentEdgeError(f"edge {edge} not present")
-        before = decomp.level_between(*edge)
-        after = decomp.predict_delete_level(*edge)
-    else:
-        raise GraphError(f"unknown direction {direction!r}")
-    ctype = EdgeChangeType(direction, before, after)
-    assert (direction, before, after) not in IMPOSSIBLE_TYPES, ctype
-    return ctype

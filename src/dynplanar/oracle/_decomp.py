@@ -7,20 +7,10 @@ differential testing and the CLI oracle subcommand.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
+from ._orakern_py import pair_labels
 from ._planar import OracleBudgetError, blocks_by_dfs
-
-if os.environ.get("DYNPLANAR_PURE"):
-    from . import _orakern_py as _kern
-else:
-    try:
-        from . import _orakern_cy as _kern  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _orakern_py as _kern
-
-KERNEL_COMPILED: bool = _kern.COMPILED
 
 DECOMPOSITION_BUDGET = 20
 
@@ -55,7 +45,7 @@ class _Conn:
 
     def __init__(self, n: int, edges: list[tuple[int, int]]):
         self.n = n
-        self.lab0, self.lab1, self.lab2 = _kern.pair_labels(n, edges)
+        self.lab0, self.lab1, self.lab2 = pair_labels(n, edges)
 
     def conn(self, u: int, v: int) -> bool:
         return u == v or self.lab0[u] == self.lab0[v]

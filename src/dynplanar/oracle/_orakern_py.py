@@ -1,11 +1,10 @@
-"""Pure-Python oracle kernel: component labels by union-find.
+"""Oracle kernel: component labels by union-find.
 
-Written independently of the engine kernel (different algorithm and
-representation) to preserve differential-testing independence.
+Written independently of the engine's connectivity code (different
+algorithm and representation) to preserve differential-testing
+independence.
 """
 from __future__ import annotations
-
-COMPILED = False
 
 
 def _labels(n: int, edges: list[tuple[int, int]], avoid: tuple[int, ...]) -> list[int]:

@@ -61,33 +61,6 @@ def cyclic_triple_query(seq, a, b, c) -> bool:
     return (ib - ia) % k < (ic - ia) % k
 
 
-def merge_rotation_schemes(orders) -> tuple:
-    """Concatenate cyclic orders, each opened at its anchor pair.
-
-    orders: list of (cyclic sequence C_i, (s_i, t_i)) where s_i is the
-    clockwise successor of t_i in C_i. The result is the cyclic order
-    s_1..t_1 s_2..t_2 ... s_k..t_k.
-    """
-    if not orders:
-        raise GraphError("nothing to merge")
-    merged: list = []
-    seen: set = set()
-    for seq, (s, t) in orders:
-        tup = tuple(seq)
-        if not tup:
-            raise GraphError("cannot merge an empty cyclic order")
-        if set(tup) & seen:
-            raise GraphError("cyclic orders to merge must be disjoint")
-        if s not in tup or t not in tup:
-            raise GraphError("anchor pair must lie in its cyclic order")
-        run = opened_at(tup, s)
-        if run[-1] != t:
-            raise GraphError("anchor pair must be cyclically consecutive")
-        merged.extend(run)
-        seen.update(tup)
-    return tuple(merged)
-
-
 # ---------------------------------------------------------------- face trace
 
 def trace_orbits(rot):
@@ -246,12 +219,6 @@ class Embedding:
         return frozenset(canonical_edge(u, v)
                          for u, seq in self.rot.items() for v in seq)
 
-    def neighbours(self, v: Vertex) -> tuple:
-        try:
-            return self.rot[v]
-        except KeyError:
-            raise GraphError(f"vertex {v} not in this component") from None
-
     def boundary(self, f: FaceId) -> tuple:
         try:
             return self.faces[f]
@@ -264,22 +231,7 @@ class Embedding:
         except KeyError:
             raise GraphError(f"no face carries dart ({u},{v})") from None
 
-    def corner_at(self, f: FaceId, v: Vertex) -> tuple[Vertex, Vertex]:
-        """(predecessor, successor) of v along face f's orbit."""
-        b = self.boundary(f)
-        if v not in b:
-            raise GraphError(f"vertex {v} not on face {f}")
-        i = b.index(v)
-        return b[i - 1], b[(i + 1) % len(b)]
-
     # -------------------------------------------------------------- queries
-
-    def rotation_query(self, v: Vertex, a: Vertex, b: Vertex, c: Vertex) -> bool:
-        seq = self.neighbours(v)
-        for x in (a, b, c):
-            if x not in seq:
-                raise GraphError(f"{x} is not a neighbour of {v}")
-        return cyclic_triple_query(seq, a, b, c)
 
     def face_query(self, a: Vertex, b: Vertex, c: Vertex):
         """Unique face carrying {a,b,c} plus whether (a,b,c) is its orbit
@@ -308,11 +260,6 @@ class Embedding:
 
     # ----------------------------------------------------------- operations
 
-    def make_outer_face(self, f: FaceId) -> None:
-        if f not in self.faces:
-            raise GraphError(f"unknown face {f}")
-        self.outer = f
-
     def flip(self) -> None:
         old_outer_boundary = self.faces[self.outer] if self.outer else None
         self.rot = {v: tuple(reversed(seq)) for v, seq in self.rot.items()}
@@ -325,38 +272,6 @@ class Embedding:
                     break
             else:
                 raise AssertionError("flipped outer face not found")
-
-    def merge_faces(self, f1: FaceId, f2: FaceId, edge: Edge) -> FaceId:
-        u, v = canonical_edge(*edge)
-        if f1 not in self.faces or f2 not in self.faces:
-            raise GraphError("merge_faces needs two existing faces")
-        if f1 == f2:
-            raise GraphError("merge_faces needs two distinct faces")
-        sides = {self._dart_face.get((u, v)), self._dart_face.get((v, u))}
-        if sides != {f1, f2}:
-            raise GraphError(
-                f"faces {f1} and {f2} are not adjacent via edge ({u},{v})")
-        keep_dart = None
-        bd = self.faces[f1]
-        k = len(bd)
-        for i in range(k):
-            d = (bd[i], bd[(i + 1) % k])
-            if d != (u, v) and d != (v, u):
-                keep_dart = d
-                break
-        assert keep_dart is not None
-        was_outer = self.outer in (f1, f2)
-        old_outer_boundary = None if was_outer or self.outer is None \
-            else self.faces[self.outer]
-        self.rot[u] = tuple(x for x in self.rot[u] if x != v)
-        self.rot[v] = tuple(x for x in self.rot[v] if x != u)
-        self._retrace()
-        merged = self.face_with_dart(*keep_dart)
-        if was_outer:
-            self.outer = merged
-        elif old_outer_boundary is not None:
-            self.outer = face_name(old_outer_boundary)
-        return merged
 
     def split_face(self, f: FaceId, u: Vertex, v: Vertex):
         """Insert edge {u,v} across face f; returns (side of (u,w,v) order,

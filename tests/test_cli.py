@@ -9,6 +9,7 @@ from dynplanar.graph_core import (
     REJECTED_NONPLANAR,
     ChangeOutcome,
 )
+from dynplanar.oracle import PLANARITY_BUDGET
 
 K5_TRACE = [
     "add 0 1", "add 0 2", "add 0 3", "add 0 4", "add 1 2",
@@ -80,6 +81,19 @@ def test_trace_output_is_deterministic():
     first = run_trace(trace, 8)
     second = run_trace(trace, 8)
     assert first == second
+
+
+def test_oracle_planar_past_its_budget_answers_error():
+    path = [f"add {v} {v + 1}" for v in range(PLANARITY_BUDGET)]
+    trace = path + ["dump", "oracle planar", "dump", "block? 0 1"]
+    out, code = run_trace(trace, 16)
+    cut = len(path)
+    first_dump = out[cut:out.index(".", cut) + 1]
+    error = out[cut + len(first_dump)]
+    assert error.startswith(f"error line {cut + 2}:")
+    rest = out[cut + len(first_dump) + 1:]
+    assert rest == first_dump + ["true"]
+    assert code == 1
 
 
 def test_main_reads_trace_file(tmp_path, capsys):
@@ -154,6 +168,21 @@ def test_fuzz_strict_stops_at_first_violation():
     strict, nstrict = fuzz(1, 6, 120, strict=True, engine_factory=LyingGate)
     assert 0 < nstrict <= nlax
     assert len(strict) <= len(lax)
+
+
+def test_fuzz_domain_past_oracle_budget_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--fuzz", "--domain", str(PLANARITY_BUDGET + 1)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "Traceback" not in err
+
+
+def test_fuzz_default_domain_is_oracle_budget(capsys):
+    assert main(["--fuzz", "--steps", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"fuzz seed=0 domain={PLANARITY_BUDGET} steps=2")
 
 
 def test_fuzz_via_main(capsys):

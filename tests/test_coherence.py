@@ -5,7 +5,6 @@ import pytest
 from dynplanar.coherence import (
     CoherentPath,
     build_block_paths,
-    build_colourings,
     colour_path,
     dump_colourings,
     is_coherent,
@@ -223,26 +222,26 @@ def test_stored_paths_are_exactly_the_maximal_coherent_ones(make) -> None:
 # ----------------------------------------------------------- update + dump
 
 
-def test_build_colourings_skips_pairless_blocks() -> None:
+def test_update_colouring_skips_pairless_blocks() -> None:
     decomp = DecompositionState.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 1)])
-    assert build_colourings(decomp, {}) == {}
+    assert update_colouring({}, decomp, {}, set()) == {}
 
 
 def test_update_colouring_carries_untouched_blocks() -> None:
     decomp, embs = k4_between_triangles()
-    old = build_colourings(decomp, embs)
+    old = update_colouring({}, decomp, embs, set())
     blk = decomp.blocks[0].name
+    assert old == {blk: build_block_paths(decomp, embs, decomp.blocks[0])}
     carried = update_colouring(old, decomp, embs, affected=set())
     assert carried[blk] is old[blk]
     rebuilt = update_colouring(old, decomp, embs, affected={blk})
     assert rebuilt[blk] == old[blk]
-    fresh = update_colouring({}, decomp, embs, affected=set())
-    assert fresh == old
+    assert rebuilt[blk] is not old[blk]
 
 
 def test_dump_colourings_frozen() -> None:
     decomp, embs = chained_wheels()
-    assert dump_colourings(build_colourings(decomp, embs)) == [
+    assert dump_colourings(update_colouring({}, decomp, embs, set())) == [
         "colourings B(0,1)",
         "path R(0,1,2) P(3,4) R(3,4,5) P(6,7) R(6,7,8) : 3=0 4=1 6=0 7=1",
     ]

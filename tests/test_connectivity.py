@@ -1,17 +1,17 @@
-"""Avoidance-connectivity relations against hand-worked cases and a reference BFS."""
+"""Avoidance-connectivity relations against hand-worked cases and a reference BFS.
+
+`ConnTables` backs the benchmark's per-layer wrappers; the engine asks
+`DecompositionState.connected` and `connected_avoiding` instead, and the
+reference search checks both.
+"""
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynplanar.connectivity import (
-    ConnTables,
-    connected,
-    connected_avoiding,
-    connected_avoiding_pair,
-    three_connected_pair,
-)
+from dynplanar.connectivity import ConnTables
+from dynplanar.decomposition import DecompositionState
 from dynplanar.graph_core import DomainError
 
 PATH = [(1, 2), (2, 3)]
@@ -23,28 +23,32 @@ K4_MINUS = [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 TWO_TRIANGLES = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
 
 
+def tables(n, edges):
+    return ConnTables.from_edges(n, edges)
+
+
 def test_connected_examples():
-    assert connected(4, PATH, 1, 3)
-    assert connected(4, PATH, 1, 1)
-    assert not connected(7, TWO_TRIANGLES, 1, 4)
+    assert tables(4, PATH).connected(1, 3)
+    assert tables(4, PATH).connected(1, 1)
+    assert not tables(7, TWO_TRIANGLES).connected(1, 4)
 
 
 def test_connected_avoiding_examples():
-    assert not connected_avoiding(4, PATH, 1, 3, 2)
-    assert connected_avoiding(4, TRIANGLE, 1, 3, 2)
-    assert connected_avoiding(5, K4, 1, 2, 4)
+    assert not tables(4, PATH).connected_avoiding(1, 3, 2)
+    assert tables(4, TRIANGLE).connected_avoiding(1, 3, 2)
+    assert tables(5, K4).connected_avoiding(1, 2, 4)
 
 
 def test_connected_avoiding_pair_examples():
-    assert not connected_avoiding_pair(5, C4, 2, 4, 1, 3)
-    assert connected_avoiding_pair(5, K4, 1, 2, 3, 4)
-    assert not connected_avoiding_pair(6, C5, 1, 3, 2, 5)
+    assert not tables(5, C4).connected_avoiding_pair(2, 4, 1, 3)
+    assert tables(5, K4).connected_avoiding_pair(1, 2, 3, 4)
+    assert not tables(6, C5).connected_avoiding_pair(1, 3, 2, 5)
 
 
 def test_three_connected_pair_examples():
-    assert three_connected_pair(5, K4, 1, 2)
-    assert not three_connected_pair(5, C4, 1, 3)
-    assert three_connected_pair(5, K4_MINUS, 3, 4)
+    assert tables(5, K4).three_connected_pair(1, 2)
+    assert not tables(5, C4).three_connected_pair(1, 3)
+    assert tables(5, K4_MINUS).three_connected_pair(3, 4)
 
 
 def test_avoided_vertex_must_differ_from_endpoints():
@@ -108,14 +112,18 @@ def small_graphs(draw):
 def test_relations_match_reference_search(case):
     n, edges = case
     t = ConnTables.from_edges(n, edges)
+    d = DecompositionState.from_edges(n, edges)
     for u in range(n):
         for v in range(n):
-            assert t.connected(u, v) == _bfs_connected(n, edges, u, v)
+            want = _bfs_connected(n, edges, u, v)
+            assert t.connected(u, v) == want
+            assert d.connected(u, v) == want
             for x in range(n):
                 if x in (u, v):
                     continue
                 got = t.connected_avoiding(u, v, x)
                 assert got == _bfs_connected(n, edges, u, v, (x,))
+                assert d.connected_avoiding(u, v, (x,)) == got
                 if got:
                     assert t.connected(u, v)
                 for y in range(x + 1, n):
@@ -123,6 +131,7 @@ def test_relations_match_reference_search(case):
                         continue
                     both = t.connected_avoiding_pair(u, v, x, y)
                     assert both == _bfs_connected(n, edges, u, v, (x, y))
+                    assert d.connected_avoiding(u, v, (x, y)) == both
                     if both:
                         assert t.connected_avoiding(u, v, x)
                         assert t.connected_avoiding(u, v, y)

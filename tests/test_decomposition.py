@@ -58,22 +58,25 @@ def test_block_name_requires_shared_block():
         bow.block_name(1, 4)
 
 
-def test_bc_betweenness_on_triangle_chain():
+def test_bc_path_on_triangle_chain():
     chain = state(8, TRIANGLE_CHAIN)
-    t1, t2, t3 = ("B", (1, 2)), ("B", (3, 4)), ("B", (5, 6))
-    c1 = ("C", 3)
-    assert chain.bc_between(t1, c1, t3)
-    assert not chain.bc_between(t1, t3, t2)
-    assert chain.bc_between(t1, t1, t3)
+    blocks, cuts = chain.bc_path_blocks(2, 7)
+    assert [b.name for b in blocks] == [(1, 2), (3, 4), (5, 6)]
+    assert cuts == [2, 3, 5, 7]
+    blocks, cuts = chain.bc_path_blocks(1, 4)
+    assert [b.name for b in blocks] == [(1, 2), (3, 4)]
+    assert cuts == [1, 3, 4]
 
 
-def test_bc_between_rejects_unknown_and_split_nodes():
+def test_bc_path_blocks_rejects_unknown_and_split_vertices():
     bow = state(6, BOWTIE)
     with pytest.raises(GraphError):
-        bow.bc_between(("B", (1, 2)), ("B", (3, 4)), ("B", (9, 9)))
+        bow.bc_path_blocks(1, 9)
+    with pytest.raises(GraphError):
+        bow.bc_path_blocks(1, 1)
     two = state(6, [(0, 1), (3, 4)])
     with pytest.raises(GraphError):
-        two.bc_between(("B", (0, 1)), ("B", (0, 1)), ("B", (3, 4)))
+        two.bc_path_blocks(0, 3)
 
 
 def test_bc_path_blocks():
@@ -103,12 +106,12 @@ def test_same_tricomp_examples():
     assert state(5, K4_MINUS).same_tricomp(1, 2, 3) is None
 
 
-def test_spqr_between_and_path_on_glued_k4s():
+def test_spqr_path_on_glued_k4s():
     glued = state(7, GLUED_K4S)
     r1, r2, p = ("R", (1, 2, 3)), ("R", (3, 4, 5)), ("P", (3, 4))
-    assert glued.spqr_between(r1, p, r2)
-    assert not glued.spqr_between(r1, r2, p)
     assert glued.spqr_path(r1, r2) == [r1, p, r2]
+    assert glued.spqr_path(r1, p) == [r1, p]
+    assert glued.spqr_path(r2, r1) == [r2, p, r1]
 
 
 def test_spqr_path_single_node():
@@ -121,8 +124,6 @@ def test_spqr_nodes_must_share_a_block():
     bow = state(6, BOWTIE)
     with pytest.raises(GraphError):
         bow.spqr_path(("S", (1, 2, 3)), ("S", (3, 4, 5)))
-    with pytest.raises(GraphError):
-        bow.spqr_between(("S", (1, 2, 3)), ("S", (1, 2, 3)), ("S", (3, 4, 5)))
     with pytest.raises(GraphError):
         bow.spqr_path(("R", (1, 2, 3)), ("S", (3, 4, 5)))
 
@@ -147,7 +148,6 @@ def test_chained_wheels_match_oracle_tree():
     oracle_path = tree_path(nodes, tedges, r_outer1, r_outer2)
     assert len(oracle_path) == 5 and oracle_path[2] == r_mid
     assert st.spqr_path(r_outer1, r_outer2) == oracle_path
-    assert st.spqr_between(r_outer1, r_mid, r_outer2)
 
 
 # -------------------------------------------------------------------- levels

@@ -6,15 +6,8 @@ import random
 import pytest
 
 from dynplanar.decomposition import DecompositionState
-from dynplanar.gate import block_insert_ok, insertable, window_path
-from dynplanar.graph_core import (
-    DELETE,
-    INSERT,
-    DynamicGraph,
-    EdgeChangeType,
-    GraphError,
-    classify_change,
-)
+from dynplanar.gate import block_insert_ok, insert_ok, window_path
+from dynplanar.graph_core import GraphError
 from dynplanar.oracle import static_planar
 from dynplanar.rotation import Embedding
 
@@ -39,22 +32,18 @@ def rigid_embeddings(decomp) -> dict:
 def verdict(n: int, edges, a: int, b: int) -> bool:
     edges = frozenset(tuple(sorted(e)) for e in edges)
     decomp = DecompositionState.from_edges(n, edges)
-    graph = DynamicGraph(n, edges)
-    change = classify_change(decomp, graph, a, b, INSERT)
-    return insertable(decomp, rigid_embeddings(decomp), a, b, change)
+    return insert_ok(decomp, rigid_embeddings(decomp), a, b)
 
 
 def sweep(n: int, edges) -> list:
     edges = frozenset(tuple(sorted(e)) for e in edges)
     decomp = DecompositionState.from_edges(n, edges)
     embs = rigid_embeddings(decomp)
-    graph = DynamicGraph(n, edges)
     bad = []
     for a, b in itertools.combinations(range(n), 2):
         if (a, b) in edges:
             continue
-        change = classify_change(decomp, graph, a, b, INSERT)
-        got = insertable(decomp, embs, a, b, change)
+        got = insert_ok(decomp, embs, a, b)
         want = static_planar(n, edges | {(a, b)})
         if got != want:
             bad.append((a, b, got, want))
@@ -157,16 +146,17 @@ def test_bridge_blocks_always_pass() -> None:
 # ------------------------------------------------------------------ guards
 
 
-def test_insertable_guards() -> None:
+def test_insert_ok_guards() -> None:
     edges = [(0, 1), (1, 2), (0, 2)]
     decomp = DecompositionState.from_edges(4, edges)
     embs = {}
     with pytest.raises(GraphError):
-        insertable(decomp, embs, 0, 1, EdgeChangeType(DELETE, 2, 1))
+        insert_ok(decomp, embs, 1, 1)
     with pytest.raises(GraphError):
-        insertable(decomp, embs, 1, 1, EdgeChangeType(INSERT, 2, 2))
+        insert_ok(decomp, embs, 0, 1)
     with pytest.raises(GraphError):
-        insertable(decomp, embs, 0, 1, EdgeChangeType(INSERT, 2, 2))
+        insert_ok(decomp, embs, 1, 0)
+    assert insert_ok(decomp, embs, 0, 3) is True
 
 
 # ------------------------------------------------------------ differential

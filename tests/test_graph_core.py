@@ -1,22 +1,24 @@
-"""Edge bookkeeping: canonical storage, change log, type taxonomy."""
+"""Edge bookkeeping: canonical storage and the change-type taxonomy."""
 from __future__ import annotations
 
 import random
 
 import pytest
 
-from dynplanar.decomposition import DecompositionState
+from dynplanar.engine import Engine
 from dynplanar.graph_core import (
+    ACCEPTED,
     DELETE,
     IMPOSSIBLE_TYPES,
     INSERT,
+    NOOP_ABSENT,
+    NOOP_DUPLICATE,
     AbsentEdgeError,
     DomainError,
     DuplicateEdgeError,
     DynamicGraph,
     EdgeChangeType,
     canonical_edge,
-    classify_change,
 )
 
 
@@ -48,7 +50,7 @@ def test_insert_then_present_delete_then_absent():
     assert g.has_edge(2, 1)
     g.apply_raw((2, 1), DELETE)
     assert not g.has_edge(1, 2)
-    assert g.log == [(INSERT, (1, 2)), (DELETE, (1, 2))]
+    assert g.edges == set()
 
 
 def test_duplicate_insert_and_absent_delete_are_distinct_errors():
@@ -59,20 +61,22 @@ def test_duplicate_insert_and_absent_delete_are_distinct_errors():
     with pytest.raises(AbsentEdgeError):
         g.apply_raw((0, 3), DELETE)
     assert g.edges == {(1, 2)}
-    assert len(g.log) == 1
 
 
 def test_edge_set_equals_fold_of_log():
     rng = random.Random(3)
     g = DynamicGraph(7)
+    log = []
     for _ in range(200):
         u, v = rng.randrange(7), rng.randrange(7)
         if u == v:
             continue
         e = canonical_edge(u, v)
-        g.apply_raw(e, DELETE if e in g.edges else INSERT)
+        direction = DELETE if e in g.edges else INSERT
+        g.apply_raw(e, direction)
+        log.append((direction, e))
     replay: set = set()
-    for direction, e in g.log:
+    for direction, e in log:
         if direction == INSERT:
             replay.add(e)
         else:
@@ -94,33 +98,36 @@ def test_impossible_type_table():
     assert len(IMPOSSIBLE_TYPES) == 6
 
 
+def engine_with(n, edges) -> Engine:
+    eng = Engine(n)
+    for e in edges:
+        assert eng.insert_edge(*e).status == ACCEPTED
+    return eng
+
+
 def test_classify_isolated_insert_is_zero_to_one():
-    g = DynamicGraph(6)
-    d = DecompositionState.from_graph(g)
-    assert str(classify_change(d, g, 1, 2, INSERT)) == "insert 0->1"
+    out = Engine(6).insert_edge(1, 2)
+    assert str(out.change_type) == "insert 0->1"
 
 
 def test_classify_missing_k4_edge_is_two_to_three():
-    g = DynamicGraph(6, {(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)})
-    d = DecompositionState.from_graph(g)
-    assert str(classify_change(d, g, 1, 2, INSERT)) == "insert 2->3"
+    eng = engine_with(6, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+    assert str(eng.insert_edge(1, 2).change_type) == "insert 2->3"
 
 
 def test_classify_cycle_chord_is_two_to_two():
-    g = DynamicGraph(6, {(1, 2), (2, 3), (3, 4), (1, 4)})
-    d = DecompositionState.from_graph(g)
-    assert str(classify_change(d, g, 1, 3, INSERT)) == "insert 2->2"
+    eng = engine_with(6, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    assert str(eng.insert_edge(1, 3).change_type) == "insert 2->2"
 
 
 def test_classify_rejects_duplicate_and_absent_without_mutation():
-    g = DynamicGraph(4, {(1, 2)})
-    d = DecompositionState.from_graph(g)
-    with pytest.raises(DuplicateEdgeError):
-        classify_change(d, g, 2, 1, INSERT)
-    with pytest.raises(AbsentEdgeError):
-        classify_change(d, g, 0, 3, DELETE)
-    assert g.edges == {(1, 2)}
-    assert g.log == []
+    eng = engine_with(4, [(1, 2)])
+    before = eng.dump()
+    assert eng.insert_edge(2, 1).status == NOOP_DUPLICATE
+    assert eng.delete_edge(0, 3).status == NOOP_ABSENT
+    assert eng.insert_edge(2, 1).change_type is None
+    assert eng.graph.edges == {(1, 2)}
+    assert eng.dump() == before
 
 
 def test_classification_reverses_and_never_hits_impossible_types():
@@ -128,19 +135,19 @@ def test_classification_reverses_and_never_hits_impossible_types():
     seen: set = set()
     for _ in range(25):
         n = rng.randint(3, 8)
-        g = DynamicGraph(n)
-        d = DecompositionState.from_graph(g)
+        eng = Engine(n)
         for _ in range(30):
             u, v = rng.randrange(n), rng.randrange(n)
             if u == v:
                 continue
-            e = canonical_edge(u, v)
-            direction = DELETE if e in g.edges else INSERT
-            ct = classify_change(d, g, u, v, direction)
+            present = eng.graph.has_edge(u, v)
+            forward = eng.delete_edge if present else eng.insert_edge
+            backward = eng.insert_edge if present else eng.delete_edge
+            out = forward(u, v)
+            if out.status != ACCEPTED:
+                continue
+            ct = out.change_type
             seen.add((ct.direction, ct.before_level, ct.after_level))
-            g.apply_raw(e, direction)
-            d = DecompositionState.from_graph(g)
-            back = classify_change(
-                d, g, u, v, DELETE if direction == INSERT else INSERT)
-            assert back == ct.reversed()
+            assert backward(u, v).change_type == ct.reversed()
+            assert forward(u, v).change_type == ct
     assert not (seen & IMPOSSIBLE_TYPES)

@@ -1,12 +1,12 @@
-"""Compiled and pure kernels must be interchangeable bit for bit."""
+"""Connectivity kernels: the engine's queries and the oracle's union-find
+kernel must describe the same components, and the table kernel holds
+past 64 vertices."""
 from __future__ import annotations
 
 import random
 
-import pytest
-
-from dynplanar import _connkern_py
 from dynplanar.connectivity import ConnTables
+from dynplanar.decomposition import DecompositionState
 from dynplanar.oracle import _orakern_py
 
 
@@ -16,73 +16,12 @@ def _random_graph(rng, n):
     return rng.sample(pool, m)
 
 
-def _adj_masks(n, edges):
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
-def test_engine_kernels_agree():
-    cy = pytest.importorskip("dynplanar._connkern_cy")
-    rng = random.Random(5)
-    for _ in range(150):
-        n = rng.randint(1, 12)
-        edges = _random_graph(rng, n)
-        adj = _adj_masks(n, edges)
-        assert cy.component_tables(n, adj) == \
-            _connkern_py.component_tables(n, adj)
-
-
-def test_engine_kernels_agree_at_domain_limit():
-    cy = pytest.importorskip("dynplanar._connkern_cy")
-    rng = random.Random(6)
-    n = 64
-    edges = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)], 180)
-    adj = _adj_masks(n, edges)
-    assert cy.component_tables(n, adj) == _connkern_py.component_tables(n, adj)
-
-
-def test_compiled_engine_kernel_rejects_oversized_domain():
-    cy = pytest.importorskip("dynplanar._connkern_cy")
-    with pytest.raises(ValueError):
-        cy.component_tables(65, [0] * 65)
-
-
 def test_conn_tables_fall_back_above_64_vertices():
+    """Bitmasks are Python ints, so the tables hold past one machine
+    word of vertices."""
     t = ConnTables.from_edges(70, [(0, 69), (65, 69)])
     assert t.connected(0, 65)
     assert not t.connected_avoiding(0, 65, 69)
-
-
-def _partition_of(labels, members):
-    groups: dict = {}
-    for v in members:
-        groups.setdefault(labels[v], set()).add(v)
-    return frozenset(frozenset(g) for g in groups.values())
-
-
-def test_oracle_kernels_agree():
-    cy = pytest.importorskip("dynplanar.oracle._orakern_cy")
-    rng = random.Random(9)
-    for _ in range(150):
-        n = rng.randint(1, 12)
-        edges = sorted(_random_graph(rng, n))
-        got = cy.pair_labels(n, edges)
-        want = _orakern_py.pair_labels(n, edges)
-        lab0a, lab1a, lab2a = got
-        lab0b, lab1b, lab2b = want
-        assert _partition_of(lab0a, range(n)) == _partition_of(lab0b, range(n))
-        for x in range(n):
-            live = [v for v in range(n) if v != x]
-            assert (_partition_of(lab1a[x * n:(x + 1) * n], live)
-                    == _partition_of(lab1b[x * n:(x + 1) * n], live))
-            for y in range(x + 1, n):
-                base = (x * n + y) * n
-                live2 = [v for v in live if v != y]
-                assert (_partition_of(lab2a[base:base + n], live2)
-                        == _partition_of(lab2b[base:base + n], live2))
 
 
 def test_engine_and_oracle_kernels_express_the_same_components():
@@ -90,13 +29,19 @@ def test_engine_and_oracle_kernels_express_the_same_components():
     for _ in range(100):
         n = rng.randint(2, 10)
         edges = sorted(_random_graph(rng, n))
-        t = ConnTables.from_edges(n, edges)
+        d = DecompositionState.from_edges(n, edges)
         lab0, lab1, lab2 = _orakern_py.pair_labels(n, edges)
         for u in range(n):
             for v in range(u + 1, n):
-                assert t.connected(u, v) == (lab0[u] == lab0[v])
+                assert d.connected(u, v) == (lab0[u] == lab0[v])
                 for x in range(n):
                     if x in (u, v):
                         continue
-                    assert t.connected_avoiding(u, v, x) == \
+                    assert d.connected_avoiding(u, v, (x,)) == \
                         (lab1[x * n + u] == lab1[x * n + v])
+                    for y in range(x + 1, n):
+                        if y in (u, v):
+                            continue
+                        base = (x * n + y) * n
+                        assert d.connected_avoiding(u, v, (x, y)) == \
+                            (lab2[base + u] == lab2[base + v])

@@ -13,7 +13,6 @@ from dynplanar.rotation import (
     euler_per_component,
     face_name,
     least_rotation,
-    merge_rotation_schemes,
     opened_at,
     opened_at_least,
     trace_orbits,
@@ -99,7 +98,6 @@ def test_k4_embedding_frozen() -> None:
     assert emb.boundary((2, 4, 3)) == (2, 4, 3)
     assert emb.face_with_dart(1, 2) == (1, 2, 3)
     assert emb.face_with_dart(2, 1) == (1, 4, 2)
-    assert emb.corner_at((1, 2, 3), 2) == (1, 3)
 
 
 def test_embedding_rejects_nonplanar_rotation() -> None:
@@ -132,11 +130,11 @@ def test_from_cycle() -> None:
 
 def test_rotation_query() -> None:
     emb = Embedding(K4_ROT)
-    assert emb.rotation_query(1, 2, 3, 4) is True
-    assert emb.rotation_query(1, 2, 4, 3) is False
+    assert cyclic_triple_query(emb.rot[1], 2, 3, 4) is True
+    assert cyclic_triple_query(emb.rot[1], 2, 4, 3) is False
     tri = Embedding.from_cycle([1, 2, 3])
     with pytest.raises(GraphError):
-        tri.rotation_query(1, 2, 3, 4)
+        cyclic_triple_query(tri.rot[1], 2, 3, 4)
 
 
 def test_face_query() -> None:
@@ -160,19 +158,16 @@ def test_common_face() -> None:
 # --------------------------------------------------------------- outer flag
 
 
-def test_make_outer_face() -> None:
+def test_outer_face_argument() -> None:
     emb = Embedding(K4_ROT, outer=(2, 4, 3))
     assert emb.outer == (2, 4, 3)
-    emb.make_outer_face((1, 2, 3))
-    assert emb.outer == (1, 2, 3)
     assert emb.rot == K4_ROT
-    emb.make_outer_face((1, 2, 3))
-    assert emb.outer == (1, 2, 3)
-    emb.make_outer_face((2, 4, 3))
-    emb.make_outer_face((1, 2, 3))
-    assert emb.outer == (1, 2, 3)
+    assert sorted(emb.faces) == K4_FACES
+    assert Embedding(K4_ROT).outer == (1, 2, 3)
+    assert Embedding(K4_ROT, outer=(1, 2, 3)) == Embedding(K4_ROT)
+    assert Embedding(K4_ROT, outer=(2, 4, 3)) != Embedding(K4_ROT)
     with pytest.raises(GraphError):
-        emb.make_outer_face((9, 9, 9))
+        Embedding(K4_ROT, outer=(9, 9, 9))
 
 
 # --------------------------------------------------------------------- flip
@@ -181,7 +176,7 @@ def test_make_outer_face() -> None:
 def test_flip_involution() -> None:
     emb = Embedding(K4_ROT)
     emb.flip()
-    assert emb.rotation_query(1, 4, 3, 2)
+    assert cyclic_triple_query(emb.rot[1], 4, 3, 2)
     assert euler_per_component(emb.rot)
     assert sorted(set(emb.boundary(f)) for f in emb.faces) == sorted(
         {1, 2, 3}.union(s) - {0} for s in ({2}, {3, 4}, {4}, {4} | {2})
@@ -197,21 +192,7 @@ def test_flip_maps_outer_to_reversed_boundary() -> None:
     assert set(emb.boundary(emb.outer)) == {2, 3, 4}
 
 
-# -------------------------------------------------------------- merge/split
-
-
-def test_merge_faces_k4() -> None:
-    emb = Embedding(K4_ROT)
-    merged = emb.merge_faces((1, 2, 3), (1, 3, 4), (1, 3))
-    assert emb.boundary(merged) == (1, 2, 3, 4)
-    assert (1, 3) not in emb.edge_set()
-    assert euler_per_component(emb.rot)
-
-
-def test_merge_faces_rejects_wrong_edge() -> None:
-    emb = Embedding(K4_ROT)
-    with pytest.raises(GraphError):
-        emb.merge_faces((1, 2, 3), (1, 3, 4), (2, 4))
+# -------------------------------------------------------------------- split
 
 
 def test_split_face_c4() -> None:
@@ -226,8 +207,9 @@ def test_split_face_c4() -> None:
 def test_split_then_merge_restores() -> None:
     c4 = Embedding.from_cycle([1, 2, 3, 4])
     f = c4.common_face({1, 2, 3, 4})
-    s1, s2 = c4.split_face(f, 1, 3)
-    c4.merge_faces(s1, s2, (1, 3))
+    c4.split_face(f, 1, 3)
+    c4 = Embedding({v: tuple(x for x in seq if {v, x} != {1, 3})
+                    for v, seq in c4.rot.items()})
     fresh = Embedding.from_cycle([1, 2, 3, 4])
     assert c4.rot == fresh.rot
     assert sorted(c4.faces) == sorted(fresh.faces)
@@ -243,8 +225,7 @@ def test_split_hexagon_sides() -> None:
 
 
 def test_split_outer_goes_to_side_face() -> None:
-    c4 = Embedding.from_cycle([1, 2, 3, 4])
-    c4.make_outer_face((1, 2, 3))
+    c4 = Embedding(Embedding.from_cycle([1, 2, 3, 4]).rot, outer=(1, 2, 3))
     side, _ = c4.split_face((1, 2, 3), 1, 3)
     assert c4.outer == side
 
@@ -257,30 +238,6 @@ def test_split_rejects_existing_edge_and_foreign_vertex() -> None:
     f = hexe.common_face(set(range(1, 7)))
     with pytest.raises(GraphError):
         hexe.split_face(f, 1, 9)
-
-
-# -------------------------------------------------------- rotation merging
-
-
-def test_merge_rotation_schemes() -> None:
-    out = merge_rotation_schemes(
-        [((10, 11, 12), (10, 12)), ((20, 21, 22), (20, 22))]
-    )
-    assert out == (10, 11, 12, 20, 21, 22)
-    assert cyclic_triple_query(out, 11, 21, 10)
-    assert merge_rotation_schemes([((5, 6, 7), (6, 5))]) == (6, 7, 5)
-    assert merge_rotation_schemes([((1, 2, 3), (2, 1))]) == (2, 3, 1)
-
-
-def test_merge_rotation_schemes_guards() -> None:
-    with pytest.raises(GraphError):
-        merge_rotation_schemes([])
-    with pytest.raises(GraphError):
-        merge_rotation_schemes([((1, 2, 3), (1, 2))])
-    with pytest.raises(GraphError):
-        merge_rotation_schemes([((1, 2, 3), (1, 3)), ((3, 4, 5), (3, 5))])
-    with pytest.raises(GraphError):
-        merge_rotation_schemes([((1, 2, 3), (1, 9))])
 
 
 # ------------------------------------------------------ canonical/serialize
