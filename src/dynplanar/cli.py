@@ -223,8 +223,13 @@ def fuzz(seed: int, domain: int, steps: int, strict: bool = False,
 
     engine_factory exists as a mutation-testing hook: handing in a
     deliberately broken engine must produce violations, which sanity
-    checks this harness.
+    checks this harness. A domain past the planarity oracle's budget is
+    refused with OracleBudgetError before any step runs.
     """
+    if domain > PLANARITY_BUDGET:
+        raise OracleBudgetError(
+            f"fuzz needs a domain of at most {PLANARITY_BUDGET}, the "
+            "planarity oracle's budget")
     rng = random.Random(seed)
     eng = engine_factory(domain)
     ops: list[tuple] = []
@@ -298,11 +303,11 @@ def main(argv=None) -> int:
         domain = PLANARITY_BUDGET if ns.fuzz else DEFAULT_DOMAIN
 
     if ns.fuzz:
-        if domain > PLANARITY_BUDGET:
-            ap.error(f"--fuzz needs --domain at most {PLANARITY_BUDGET}, "
-                     "the planarity oracle's budget")
-        report, violations = fuzz(ns.seed, domain, ns.steps,
-                                  strict=ns.strict)
+        try:
+            report, violations = fuzz(ns.seed, domain, ns.steps,
+                                      strict=ns.strict)
+        except OracleBudgetError as exc:
+            ap.error(str(exc))
         print(report)
         return 1 if violations else 0
 

@@ -125,10 +125,6 @@ class CoherentPath:
     nodes: tuple[SpqrNode, ...]
     colours: tuple[tuple[Vertex, int], ...]
 
-    @property
-    def endpoints(self) -> tuple[SpqrNode, SpqrNode]:
-        return (self.nodes[0], self.nodes[-1])
-
     def pair_nodes(self) -> tuple[SpqrNode, ...]:
         return tuple(nd for nd in self.nodes if nd[0] == "P")
 
@@ -144,14 +140,14 @@ class CoherentPath:
         return f"path {names} : {cols}"
 
 
-def _end_extendable(embeddings, comp_node: SpqrNode, comp_pairs,
-                    pair_in: Edge) -> bool:
-    for p in comp_pairs:
-        if p == pair_in:
+def _end_extendable(embeddings, tree, comp_node: SpqrNode,
+                    pair_in: SpqrNode) -> bool:
+    for pn in tree[comp_node]:
+        if pn == pair_in:
             continue
         if comp_node[0] == "S":
             return True
-        verts = set(pair_in) | set(p)
+        verts = set(pair_in[1]) | set(pn[1])
         if embeddings[comp_node].common_face(verts) is not None:
             return True
     return False
@@ -160,19 +156,17 @@ def _end_extendable(embeddings, comp_node: SpqrNode, comp_pairs,
 def maximal_coherent_paths(decomp: DecompositionState, embeddings,
                            block: Block):
     """All maximal coherent paths of the block with at least one P-node."""
-    comp_pairs = {(c.kind, c.name): sorted(c.pairs) for c in block.comps}
-    nodes = sorted(comp_pairs)
+    tree = block.tree
+    nodes = sorted((c.kind, c.name) for c in block.comps)
     out = []
     for i, x in enumerate(nodes):
         for y in nodes[i + 1:]:
             path = tuple(decomp.spqr_path(x, y))
             if not _windows_pass(embeddings, path):
                 continue
-            if _end_extendable(embeddings, path[0], comp_pairs[path[0]],
-                               path[1][1]):
+            if _end_extendable(embeddings, tree, path[0], path[1]):
                 continue
-            if _end_extendable(embeddings, path[-1], comp_pairs[path[-1]],
-                               path[-2][1]):
+            if _end_extendable(embeddings, tree, path[-1], path[-2]):
                 continue
             out.append(path)
     return out

@@ -21,7 +21,7 @@ Node references used by the path operations:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph_core import DomainError, Edge, GraphError, Vertex, canonical_edge
 
@@ -49,13 +49,20 @@ class TriComp:
 
 @dataclass(frozen=True)
 class Block:
-    """One biconnected component (a bridge counts as its own block)."""
+    """One biconnected component (a bridge counts as its own block).
+
+    `tree` is the block's SPQR tree: each node maps to its neighbours,
+    P-nodes to the components holding their pair and components to the
+    P-nodes of their pairs, both in node order. A bridge has no tree.
+    """
 
     name: BlockName
     vertices: frozenset[Vertex]
     edges: frozenset[Edge]
     pairs: frozenset[Edge]
     comps: tuple[TriComp, ...]
+    tree: dict[SpqrNode, tuple[SpqrNode, ...]] = field(
+        compare=False, repr=False)
 
     @property
     def is_bridge(self) -> bool:
@@ -200,7 +207,7 @@ def _make_block(edges: frozenset[Edge], kinds: dict) -> Block:
     svs = sorted(vset)
     name = (svs[0], svs[1])
     if len(svs) < 3:
-        return Block(name, vset, edges, frozenset(), ())
+        return Block(name, vset, edges, frozenset(), (), {})
     adj = _adjacency(vset, edges)
     found = _block_pairs(vset, edges, adj)
     pairs = frozenset(found)
@@ -235,7 +242,18 @@ def _make_block(edges: frozenset[Edge], kinds: dict) -> Block:
                 kind = "R"
         comps.append(TriComp(tuple(sorted(w)[:3]), kind, w, creal, cpairs))
     comps.sort(key=lambda c: c.name)
-    return Block(name, vset, edges, pairs, tuple(comps))
+    return Block(name, vset, edges, pairs, tuple(comps), _spqr_tree(comps))
+
+
+def _spqr_tree(comps) -> dict[SpqrNode, tuple[SpqrNode, ...]]:
+    """Adjacency of the SPQR tree whose components are `comps`."""
+    tree: dict[SpqrNode, list[SpqrNode]] = {}
+    for c in sorted(comps, key=lambda c: (c.kind, c.name)):
+        cn: SpqrNode = (c.kind, c.name)
+        tree[cn] = [("P", p) for p in sorted(c.pairs)]
+        for pn in tree[cn]:
+            tree.setdefault(pn, []).append(cn)
+    return {nd: tuple(nbrs) for nd, nbrs in tree.items()}
 
 
 # ------------------------------------------------------------- tree walking
@@ -271,7 +289,7 @@ class DecompositionState:
     __slots__ = (
         "n", "edges", "blocks", "cut_vertices", "_comp_of", "_adj",
         "_block_by_name", "_block_of_edge", "_blocks_of_vertex",
-        "_bc_adj", "_spqr_adj", "_spqr_block",
+        "_bc_adj", "_pairs",
     )
 
     def __init__(self, n: int, edges: frozenset[Edge],
@@ -300,21 +318,7 @@ class DecompositionState:
                 self._bc_adj.setdefault(cn, [])
                 self._bc_adj[bn].append(cn)
                 self._bc_adj[cn].append(bn)
-        self._spqr_adj: dict[SpqrNode, list[SpqrNode]] = {}
-        self._spqr_block: dict[SpqrNode, BlockName] = {}
-        for b in blocks:
-            for p in sorted(b.pairs):
-                pn: SpqrNode = ("P", p)
-                self._spqr_adj.setdefault(pn, [])
-                self._spqr_block[pn] = b.name
-            for c in b.comps:
-                cn = (c.kind, c.name)
-                self._spqr_adj.setdefault(cn, [])
-                self._spqr_block[cn] = b.name
-                for p in sorted(c.pairs):
-                    pn = ("P", p)
-                    self._spqr_adj[pn].append(cn)
-                    self._spqr_adj[cn].append(pn)
+        self._pairs = frozenset().union(*(b.pairs for b in blocks))
 
     # ---------------------------------------------------------- construction
 
@@ -462,7 +466,7 @@ class DecompositionState:
         if s == t:
             raise GraphError("is_separating_pair needs two distinct vertices")
         p = (s, t) if s < t else (t, s)
-        return ("P", p) in self._spqr_adj
+        return p in self._pairs
 
     def same_tricomp(self, a: Vertex, b: Vertex, c: Vertex):
         """Canonical (name, kind) of the common component, else None."""
@@ -476,24 +480,14 @@ class DecompositionState:
                     return (comp.name, comp.kind)
         return None
 
-    def comps_with_pair(self, block_name: BlockName, pair: Edge):
-        blk = self.block(block_name)
-        return tuple(c for c in blk.comps if pair in c.pairs)
-
-    def _check_spqr_node(self, w: SpqrNode) -> BlockName:
-        try:
-            return self._spqr_block[w]
-        except KeyError:
-            raise GraphError(f"no SPQR-tree node {w!r}") from None
-
     def spqr_path(self, w1: SpqrNode, w2: SpqrNode) -> list[SpqrNode]:
-        b1 = self._check_spqr_node(w1)
-        b2 = self._check_spqr_node(w2)
-        if b1 != b2:
-            raise GraphError("SPQR-tree nodes lie in different blocks")
-        path = _tree_path(self._spqr_adj, w1, w2)
-        assert path is not None
-        return path
+        """Path w1..w2 in the SPQR tree of the block holding both."""
+        for blk in self.blocks:
+            if w1 in blk.tree:
+                if w2 not in blk.tree:
+                    raise GraphError("SPQR-tree nodes lie in different blocks")
+                return _tree_path(blk.tree, w1, w2)
+        raise GraphError(f"no SPQR-tree node {w1!r}")
 
     # ---------------------------------------------------------------- levels
 

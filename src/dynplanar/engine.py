@@ -278,8 +278,7 @@ class Engine:
                 runs.append(self._run_without(work[ci].rot[x], consumed))
             rem = []
             for p in pairs[lo:hi + 1]:
-                keep = p in self.graph.edges or \
-                    len(self.decomp.comps_with_pair(block.name, p)) > 2
+                keep = p in self.graph.edges or len(block.tree[("P", p)]) > 2
                 rem.append(_partner(p, x) if keep else None)
             out: list[Vertex] = []
             if colours[x] == 0:
@@ -456,7 +455,7 @@ class Engine:
                     assert c.kind == "S", \
                         f"no embedding built or carried for {c.name}"
                     # canonical as derived: at degree 2 a flip serialises
-                    # the same, and the outer face is the least
+                    # the same
                     emb = _cycle_embedding(c)
                 comp_embs[(c.kind, c.name)] = emb
         assert used == set(built_by_key), "surgery built an orphan embedding"
@@ -464,7 +463,7 @@ class Engine:
             self.colourings, new_decomp, comp_embs, affected)
 
         block_rots = {
-            blk.name: self._assemble_block(new_decomp, comp_embs, blk)
+            blk.name: self._assemble_block(comp_embs, blk)
             if blk.name in affected else self.block_rots[blk.name]
             for blk in new_decomp.blocks if not blk.is_bridge
         }
@@ -480,28 +479,24 @@ class Engine:
     # ------------------------------------------------------------- assembly
 
     @staticmethod
-    def _assemble_block(decomp: DecompositionState, comp_embs: dict,
-                        block: Block) -> dict[Vertex, tuple]:
+    def _assemble_block(comp_embs: dict, block: Block) -> dict[Vertex, tuple]:
         """Splice the component embeddings into one block rotation.
 
-        Children are opened at the shared pair and inserted against the
-        parent's bundle entry: before it at the smaller pair vertex,
-        after it at the larger one. The bundle entry itself survives.
+        The block's SPQR tree is walked breadth first from its least
+        component. Children are opened at the shared pair and inserted
+        against the parent's bundle entry: before it at the smaller pair
+        vertex, after it at the larger one. The bundle entry itself
+        survives.
         """
-        nodes = sorted((c.kind, c.name) for c in block.comps)
-        by_node = {(c.kind, c.name): c for c in block.comps}
-        root = nodes[0]
+        root = min((c.kind, c.name) for c in block.comps)
         rot = {x: list(seq) for x, seq in comp_embs[root].rot.items()}
         seen = {root}
         queue = [root]
         while queue:
             parent = queue.pop(0)
-            for pair in sorted(by_node[parent].pairs):
-                s, t = pair
-                kids = sorted(
-                    (c.kind, c.name)
-                    for c in decomp.comps_with_pair(block.name, pair))
-                for child in kids:
+            for pnode in block.tree[parent]:
+                s, t = pair = pnode[1]
+                for child in block.tree[pnode]:
                     if child in seen:
                         continue
                     crot = comp_embs[child].rot
@@ -515,7 +510,8 @@ class Engine:
                             rot[w] = list(seq)
                     seen.add(child)
                     queue.append(child)
-        assert seen == set(nodes), "SPQR tree of the block is disconnected"
+        assert len(seen) == len(block.comps), \
+            "SPQR tree of the block is disconnected"
         out = {x: tuple(seq) for x, seq in rot.items()}
         assert euler_per_component(out), "block rotation lost planarity"
         return out

@@ -11,65 +11,34 @@ independent because the blocks only meet in cut vertices.
 """
 from __future__ import annotations
 
-from .decomposition import Block, DecompositionState, SpqrNode
+from .decomposition import Block, DecompositionState, SpqrNode, _tree_path
 from .graph_core import GraphError, Vertex, canonical_edge
 
 
 # ------------------------------------------------------------ SPQR windows
 
 
-def _block_adjacency(block: Block) -> dict:
-    adj: dict[SpqrNode, list[SpqrNode]] = {}
-    for c in block.comps:
-        cn: SpqrNode = (c.kind, c.name)
-        adj.setdefault(cn, [])
-        for p in sorted(c.pairs):
-            pn: SpqrNode = ("P", p)
-            adj.setdefault(pn, [])
-            adj[cn].append(pn)
-            adj[pn].append(cn)
-    return adj
-
-
 def window_path(block: Block, a: Vertex, b: Vertex) -> list[SpqrNode]:
     """Minimal SPQR path from the nodes holding a to the nodes holding b.
 
-    Built by a BFS from every node containing a; because nodes containing
-    a vertex form a subtree, the hit end of the path is always an S/R
-    component, never a P-node, and the flanking pairs exclude a and b.
+    The nodes holding a vertex form a subtree, so the tree path between
+    the least components holding a and b leaves a's subtree once and
+    enters b's once; trimmed to those crossings, both its ends are S/R
+    components and its flanking pairs exclude a and b.
     """
-    verts = {(c.kind, c.name): c.vertices for c in block.comps}
-    adj = _block_adjacency(block)
-    for nd in adj:
-        if nd[0] == "P":
-            verts[nd] = frozenset(nd[1])
-    sources = sorted(nd for nd in adj if a in verts[nd])
-    if not sources or not any(b in verts[nd] for nd in adj):
+    holds = {(c.kind, c.name): c.vertices for c in block.comps}
+    with_a = sorted(nd for nd, vs in holds.items() if a in vs)
+    with_b = sorted(nd for nd, vs in holds.items() if b in vs)
+    if not with_a or not with_b:
         raise GraphError(f"{a} and {b} do not span block {block.name}")
-    prev: dict[SpqrNode, SpqrNode | None] = {nd: None for nd in sources}
-    frontier = sources
-    hit = next((nd for nd in sources if b in verts[nd]), None)
-    while frontier and hit is None:
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if y in prev:
-                    continue
-                prev[y] = x
-                if b in verts[y]:
-                    hit = y
-                    break
-                nxt.append(y)
-            if hit is not None:
-                break
-        frontier = nxt
-    assert hit is not None, "vertices in one block must be SPQR-connected"
-    path = [hit]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    path.reverse()
-    assert path[0][0] != "P" and path[-1][0] != "P"
-    return path
+    both = [nd for nd in with_a if b in holds[nd]]
+    if both:
+        return both[:1]
+    path = _tree_path(block.tree, with_a[0], with_b[0])
+    comps = range(0, len(path), 2)
+    start = max(i for i in comps if a in holds[path[i]])
+    end = min(i for i in comps if b in holds[path[i]])
+    return path[start:end + 1]
 
 
 def _rigid_windows(path, u: Vertex, v: Vertex):

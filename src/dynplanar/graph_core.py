@@ -60,10 +60,6 @@ class EdgeChangeType:
     def __str__(self) -> str:
         return f"{self.direction} {self.before_level}->{self.after_level}"
 
-    def reversed(self) -> EdgeChangeType:
-        other = DELETE if self.direction == INSERT else INSERT
-        return EdgeChangeType(other, self.after_level, self.before_level)
-
 
 @dataclass(frozen=True)
 class ChangeOutcome:

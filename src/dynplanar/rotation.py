@@ -7,9 +7,7 @@ never stored independently: they are the orbits of the successor rule
 
 retraced after every structural change, so the face scheme can never
 drift from the rotation scheme. Each face keeps its orbit orientation;
-one face carries the outer flag. Moving the flag changes no stored
-triple (the drawn boundary orientations of exactly the old and new
-outer faces reverse, which is a derived notion here).
+the outer face is the one with the least name.
 
 Face names are the lexicographically least ordered vertex triple that
 occurs on the face boundary in orbit order; names are recomputed after
@@ -147,15 +145,11 @@ def _serialize(rot) -> str:
 class Embedding:
     """Rotation scheme of one connected component plus traced faces."""
 
-    __slots__ = ("rot", "faces", "outer", "_dart_face")
+    __slots__ = ("rot", "faces", "_dart_face")
 
-    def __init__(self, rot, outer: FaceId | None = None):
+    def __init__(self, rot):
         self.rot = {v: tuple(seq) for v, seq in rot.items()}
         self._retrace()
-        if outer is not None:
-            if outer not in self.faces:
-                raise GraphError(f"unknown face {outer}")
-            self.outer = outer
 
     def _retrace(self) -> None:
         rot = self.rot
@@ -189,7 +183,6 @@ class Embedding:
                 boundary_of[i] = name
         self._dart_face = {d: boundary_of[i]
                            for d, i in dart_orbit.items() if i in boundary_of}
-        self.outer = min(self.faces) if self.faces else None
 
     # ------------------------------------------------------------ structure
 
@@ -208,8 +201,12 @@ class Embedding:
         dup.rot = dict(self.rot)
         dup.faces = dict(self.faces)
         dup._dart_face = dict(self._dart_face)
-        dup.outer = self.outer
         return dup
+
+    @property
+    def outer(self) -> FaceId | None:
+        """The face with the least name; None for a tree."""
+        return min(self.faces) if self.faces else None
 
     @property
     def vertices(self) -> frozenset[Vertex]:
@@ -261,17 +258,8 @@ class Embedding:
     # ----------------------------------------------------------- operations
 
     def flip(self) -> None:
-        old_outer_boundary = self.faces[self.outer] if self.outer else None
         self.rot = {v: tuple(reversed(seq)) for v, seq in self.rot.items()}
         self._retrace()
-        if old_outer_boundary is not None:
-            target = least_rotation(tuple(reversed(old_outer_boundary)))
-            for f, bd in self.faces.items():
-                if bd == target:
-                    self.outer = f
-                    break
-            else:
-                raise AssertionError("flipped outer face not found")
 
     def split_face(self, f: FaceId, u: Vertex, v: Vertex):
         """Insert edge {u,v} across face f; returns (side of (u,w,v) order,
@@ -288,9 +276,6 @@ class Embedding:
         side = set(bd[iu + 1:iv]) if iu < iv else set(bd[iu + 1:] + bd[:iv])
         pu, su = bd[iu - 1], bd[(iu + 1) % k]
         pv, sv = bd[iv - 1], bd[(iv + 1) % k]
-        was_outer = self.outer == f
-        old_outer_boundary = None if was_outer or self.outer is None \
-            else self.faces[self.outer]
         ru = list(self.rot[u])
         j = ru.index(su)
         assert ru[(j + 1) % len(ru)] == pu, "corner disagrees with rotation"
@@ -305,10 +290,6 @@ class Embedding:
         side_face = self.face_with_dart(v, u)
         other_face = self.face_with_dart(u, v)
         assert set(self.faces[side_face]) == side | {u, v}
-        if was_outer:
-            self.outer = side_face
-        elif old_outer_boundary is not None:
-            self.outer = face_name(old_outer_boundary)
         return side_face, other_face
 
     # ------------------------------------------------------- canonical form
@@ -317,25 +298,22 @@ class Embedding:
         return _serialize(self.rot)
 
     def canonical(self) -> Embedding:
-        """Deterministic representative of the reflection pair, outer face
-        normalized to the least name."""
+        """Deterministic representative of the reflection pair."""
         flipped = {v: tuple(reversed(seq)) for v, seq in self.rot.items()}
         if _serialize(self.rot) <= _serialize(flipped):
-            out = self.copy()
-            out.outer = min(out.faces) if out.faces else None
-            return out
-        return Embedding(flipped)  # traced afresh: outer is the least face
+            return self.copy()
+        return Embedding(flipped)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Embedding):
             return NotImplemented
-        return self.rot == other.rot and self.outer == other.outer
+        return self.rot == other.rot
 
     def __hash__(self):
-        return hash((frozenset(self.rot.items()), self.outer))
+        return hash(frozenset(self.rot.items()))
 
     def __repr__(self) -> str:
-        return f"Embedding({self.serialize()!r}, outer={self.outer})"
+        return f"Embedding({self.serialize()!r})"
 
     # ----------------------------------------------------------------- dump
 
@@ -344,7 +322,8 @@ class Embedding:
         for v in sorted(self.rot):
             seq = opened_at_least(self.rot[v])
             lines.append(f"rot {v}: " + " ".join(str(x) for x in seq))
+        outer = self.outer
         for bd in sorted(self.faces.values()):
-            mark = " outer" if face_name(bd) == self.outer else ""
+            mark = " outer" if face_name(bd) == outer else ""
             lines.append("face " + " ".join(str(x) for x in bd) + mark)
         return lines

@@ -1,7 +1,14 @@
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dynplanar
 from dynplanar.cli import check_state, fuzz, main, run_trace
 from dynplanar.engine import Engine
 from dynplanar.graph_core import (
@@ -9,7 +16,7 @@ from dynplanar.graph_core import (
     REJECTED_NONPLANAR,
     ChangeOutcome,
 )
-from dynplanar.oracle import PLANARITY_BUDGET
+from dynplanar.oracle import PLANARITY_BUDGET, OracleBudgetError
 
 K5_TRACE = [
     "add 0 1", "add 0 2", "add 0 3", "add 0 4", "add 1 2",
@@ -179,6 +186,18 @@ def test_fuzz_domain_past_oracle_budget_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_fuzz_refuses_domain_past_oracle_budget_before_stepping():
+    built = []
+
+    def factory(n):
+        built.append(n)
+        return Engine(n)
+
+    with pytest.raises(OracleBudgetError):
+        fuzz(3, PLANARITY_BUDGET + 1, 1, engine_factory=factory)
+    assert built == []
+
+
 def test_fuzz_default_domain_is_oracle_budget(capsys):
     assert main(["--fuzz", "--steps", "2"]) == 0
     out = capsys.readouterr().out
@@ -191,3 +210,42 @@ def test_fuzz_via_main(capsys):
     out = capsys.readouterr().out
     assert out.startswith("fuzz seed=4 domain=6 steps=30")
     assert out.rstrip().endswith("violations 0")
+
+
+# ------------------------------------------------------------ python -O
+
+
+def test_optimised_interpreter_answers_identically(tmp_path):
+    """Stripping asserts (python -O) must not change any answer."""
+    rng = random.Random(5)
+    present: list = []
+    lines = []
+    for i in range(400):
+        if present and rng.random() < 0.4:
+            a, b = present.pop(rng.randrange(len(present)))
+            lines.append(f"del {a} {b}")
+        else:
+            a, b = sorted(rng.sample(range(9), 2))
+            present.append((a, b))
+            lines.append(f"add {a} {b}")
+        if i % 9 == 0:
+            lines.append("pair? %d %d" % tuple(rng.sample(range(9), 2)))
+        if i % 40 == 0:
+            lines.append("dump")
+    trace = tmp_path / "trace.txt"
+    trace.write_text("\n".join(lines) + "\n")
+    src = str(Path(dynplanar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "dynplanar.cli", "--domain", "9",
+             "--trace", str(trace)],
+            capture_output=True, env=env, timeout=60, check=False)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    text = outs[0].decode()
+    assert "rejected nonplanar" in text and "\ntrue\n" in text

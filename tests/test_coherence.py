@@ -167,7 +167,8 @@ def test_chain_stored_paths() -> None:
     assert len(paths) == 1
     assert paths[0].nodes == CHAIN_PATH
     assert paths[0].colours == ((3, 0), (4, 1), (6, 0), (7, 1))
-    assert paths[0].endpoints == (("R", (0, 1, 2)), ("R", (6, 7, 8)))
+    assert (paths[0].nodes[0], paths[0].nodes[-1]) == (
+        ("R", (0, 1, 2)), ("R", (6, 7, 8)))
     assert paths[0].pair_nodes() == (("P", (3, 4)), ("P", (6, 7)))
     assert paths[0].colour_of(6) == 0
     with pytest.raises(GraphError):

@@ -129,6 +129,46 @@ def test_window_path_endpoints_are_components() -> None:
         window_path(blk, 0, 99)
 
 
+def reference_window(block, a: int, b: int) -> list:
+    """Shortest path, in the component-pair incidence graph built from
+    block.comps, between the components holding a and those holding b."""
+    g = nx.Graph()
+    for c in block.comps:
+        g.add_node((c.kind, c.name))
+        g.add_edges_from(((c.kind, c.name), ("P", p)) for p in c.pairs)
+    ends_a = [(c.kind, c.name) for c in block.comps if a in c.vertices]
+    ends_b = [(c.kind, c.name) for c in block.comps if b in c.vertices]
+    paths = [nx.shortest_path(g, x, y) for x in ends_a for y in ends_b]
+    least = min(len(p) for p in paths)
+    (path,) = {tuple(p) for p in paths if len(p) == least}
+    return list(path)
+
+
+def test_window_path_matches_incidence_graph_reference() -> None:
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(60):
+        n = rng.randrange(6, 13)
+        g = nx.Graph()
+        for _ in range(rng.randrange(n, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            g.add_edge(u, v)
+            if not nx.check_planarity(g)[0]:
+                g.remove_edge(u, v)
+        decomp = DecompositionState.from_edges(n, list(g.edges))
+        for blk in decomp.blocks:
+            if blk.is_bridge:
+                continue
+            for a, b in itertools.permutations(sorted(blk.vertices), 2):
+                if tuple(sorted((a, b))) in blk.pairs:
+                    continue
+                path = window_path(blk, a, b)
+                assert path == reference_window(blk, a, b), (blk.name, a, b)
+                assert path[0][0] != "P" and path[-1][0] != "P"
+                checked += len(path) > 1
+    assert checked > 200
+
+
 def test_cross_block_conjunction_rejects() -> None:
     # bridge into a near-K5 block: the bad block alone forces rejection
     k5e = [e for e in itertools.combinations(range(5), 2) if e != (0, 1)]

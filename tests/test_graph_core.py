@@ -87,8 +87,9 @@ def test_edge_set_equals_fold_of_log():
 def test_change_type_formatting_and_reversal():
     t = EdgeChangeType(INSERT, 2, 3)
     assert str(t) == "insert 2->3"
-    assert t.reversed() == EdgeChangeType(DELETE, 3, 2)
-    assert t.reversed().reversed() == t
+    back = EdgeChangeType(DELETE, t.after_level, t.before_level)
+    assert str(back) == "delete 3->2"
+    assert back != t
 
 
 def test_impossible_type_table():
@@ -148,6 +149,8 @@ def test_classification_reverses_and_never_hits_impossible_types():
                 continue
             ct = out.change_type
             seen.add((ct.direction, ct.before_level, ct.after_level))
-            assert backward(u, v).change_type == ct.reversed()
+            back = DELETE if ct.direction == INSERT else INSERT
+            assert backward(u, v).change_type == EdgeChangeType(
+                back, ct.after_level, ct.before_level)
             assert forward(u, v).change_type == ct
     assert not (seen & IMPOSSIBLE_TYPES)

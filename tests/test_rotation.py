@@ -155,21 +155,6 @@ def test_common_face() -> None:
     assert Embedding(K4_ROT).common_face({1, 2, 3, 4}) is None
 
 
-# --------------------------------------------------------------- outer flag
-
-
-def test_outer_face_argument() -> None:
-    emb = Embedding(K4_ROT, outer=(2, 4, 3))
-    assert emb.outer == (2, 4, 3)
-    assert emb.rot == K4_ROT
-    assert sorted(emb.faces) == K4_FACES
-    assert Embedding(K4_ROT).outer == (1, 2, 3)
-    assert Embedding(K4_ROT, outer=(1, 2, 3)) == Embedding(K4_ROT)
-    assert Embedding(K4_ROT, outer=(2, 4, 3)) != Embedding(K4_ROT)
-    with pytest.raises(GraphError):
-        Embedding(K4_ROT, outer=(9, 9, 9))
-
-
 # --------------------------------------------------------------------- flip
 
 
@@ -184,12 +169,6 @@ def test_flip_involution() -> None:
     emb.flip()
     assert emb.rot == K4_ROT
     assert emb.outer == (1, 2, 3)
-
-
-def test_flip_maps_outer_to_reversed_boundary() -> None:
-    emb = Embedding(K4_ROT, outer=(2, 4, 3))
-    emb.flip()
-    assert set(emb.boundary(emb.outer)) == {2, 3, 4}
 
 
 # -------------------------------------------------------------------- split
@@ -224,12 +203,6 @@ def test_split_hexagon_sides() -> None:
     assert sides == {frozenset({2, 3}), frozenset({5, 6})}
 
 
-def test_split_outer_goes_to_side_face() -> None:
-    c4 = Embedding(Embedding.from_cycle([1, 2, 3, 4]).rot, outer=(1, 2, 3))
-    side, _ = c4.split_face((1, 2, 3), 1, 3)
-    assert c4.outer == side
-
-
 def test_split_rejects_existing_edge_and_foreign_vertex() -> None:
     emb = Embedding(K4_ROT)
     with pytest.raises(GraphError):
@@ -255,7 +228,9 @@ def test_canonical_flip_invariant() -> None:
 
 
 def test_canonical_outer_is_least_face() -> None:
-    emb = Embedding(K4_ROT, outer=(2, 4, 3)).canonical()
+    emb = Embedding(K4_ROT)
+    emb.flip()
+    emb = emb.canonical()
     assert emb.outer == min(emb.faces)
 
 
