@@ -26,6 +26,7 @@ from .graph_core import (
     NOOP_ABSENT,
     NOOP_DUPLICATE,
     REJECTED_NONPLANAR,
+    DomainError,
     GraphError,
     canonical_edge,
 )
@@ -223,9 +224,12 @@ def fuzz(seed: int, domain: int, steps: int, strict: bool = False,
 
     engine_factory exists as a mutation-testing hook: handing in a
     deliberately broken engine must produce violations, which sanity
-    checks this harness. A domain past the planarity oracle's budget is
-    refused with OracleBudgetError before any step runs.
+    checks this harness. A domain below 2 (no legal change) is refused
+    with DomainError, and one past the planarity oracle's budget with
+    OracleBudgetError, before any engine is built.
     """
+    if domain < 2:
+        raise DomainError(f"fuzz needs a domain of at least 2, got {domain}")
     if domain > PLANARITY_BUDGET:
         raise OracleBudgetError(
             f"fuzz needs a domain of at most {PLANARITY_BUDGET}, the "
@@ -301,19 +305,24 @@ def main(argv=None) -> int:
     domain = ns.domain
     if domain is None:
         domain = PLANARITY_BUDGET if ns.fuzz else DEFAULT_DOMAIN
+    if domain <= 0:
+        ap.error(f"domain size must be a positive int, got {domain}")
 
     if ns.fuzz:
         try:
             report, violations = fuzz(ns.seed, domain, ns.steps,
                                       strict=ns.strict)
-        except OracleBudgetError as exc:
+        except (DomainError, OracleBudgetError) as exc:
             ap.error(str(exc))
         print(report)
         return 1 if violations else 0
 
     if ns.trace is not None:
-        with open(ns.trace, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        try:
+            with open(ns.trace, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            ap.error(f"cannot read trace file: {exc}")
     else:
         lines = sys.stdin.readlines()
     out, code = run_trace(lines, domain)

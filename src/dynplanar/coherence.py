@@ -14,7 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import Block, BlockName, DecompositionState, SpqrNode
+from .decomposition import (
+    Block,
+    BlockName,
+    DecompositionState,
+    SpqrNode,
+    _tree_path,
+)
 from .graph_core import Edge, GraphError, Vertex
 from .rotation import Embedding
 
@@ -153,15 +159,14 @@ def _end_extendable(embeddings, tree, comp_node: SpqrNode,
     return False
 
 
-def maximal_coherent_paths(decomp: DecompositionState, embeddings,
-                           block: Block):
+def maximal_coherent_paths(embeddings, block: Block):
     """All maximal coherent paths of the block with at least one P-node."""
     tree = block.tree
     nodes = sorted((c.kind, c.name) for c in block.comps)
     out = []
     for i, x in enumerate(nodes):
         for y in nodes[i + 1:]:
-            path = tuple(decomp.spqr_path(x, y))
+            path = tuple(_tree_path(tree, x, y))
             if not _windows_pass(embeddings, path):
                 continue
             if _end_extendable(embeddings, tree, path[0], path[1]):
@@ -172,10 +177,9 @@ def maximal_coherent_paths(decomp: DecompositionState, embeddings,
     return out
 
 
-def build_block_paths(decomp: DecompositionState, embeddings,
-                      block: Block) -> tuple[CoherentPath, ...]:
+def build_block_paths(embeddings, block: Block) -> tuple[CoherentPath, ...]:
     paths = []
-    for nd in maximal_coherent_paths(decomp, embeddings, block):
+    for nd in maximal_coherent_paths(embeddings, block):
         colours = colour_path(embeddings, nd)
         paths.append(CoherentPath(nd, tuple(sorted(colours.items()))))
     paths.sort(key=lambda p: p.nodes)
@@ -190,7 +194,7 @@ def update_colouring(old, decomp: DecompositionState, embeddings,
         if not block.pairs:
             continue
         if block.name in affected or block.name not in old:
-            new[block.name] = build_block_paths(decomp, embeddings, block)
+            new[block.name] = build_block_paths(embeddings, block)
         else:
             new[block.name] = old[block.name]
     return new

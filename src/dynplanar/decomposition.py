@@ -373,7 +373,7 @@ class DecompositionState:
 
     def connected(self, u: Vertex, v: Vertex) -> bool:
         """True iff u and v lie in one component (u == u counts)."""
-        self._check_vertex(u, v)
+        self.check_vertex(u, v)
         cu = self._comp_of.get(u)
         return u == v or (cu is not None and cu == self._comp_of.get(v))
 
@@ -398,18 +398,21 @@ class DecompositionState:
 
     # ------------------------------------------------------------ vertex ops
 
-    def _check_vertex(self, *vs: Vertex) -> None:
+    def check_vertex(self, *vs: Vertex) -> None:
         for v in vs:
             if not isinstance(v, int) or isinstance(v, bool) \
                     or not 0 <= v < self.n:
                 raise DomainError(f"vertex {v!r} outside domain [0,{self.n})")
 
+    def has_edge(self, u: Vertex, v: Vertex) -> bool:
+        return canonical_edge(u, v) in self.edges
+
     def is_cut_vertex(self, w: Vertex) -> bool:
-        self._check_vertex(w)
+        self.check_vertex(w)
         return w in self.cut_vertices
 
     def same_block(self, u: Vertex, v: Vertex) -> bool:
-        self._check_vertex(u, v)
+        self.check_vertex(u, v)
         if u == v:
             raise GraphError("same_block needs two distinct vertices")
         bu = self._blocks_of_vertex.get(u, [])
@@ -434,7 +437,7 @@ class DecompositionState:
             raise GraphError(f"no block named {name}") from None
 
     def blocks_of_vertex(self, v: Vertex) -> tuple[Block, ...]:
-        self._check_vertex(v)
+        self.check_vertex(v)
         return tuple(self._blocks_of_vertex.get(v, []))
 
     # ------------------------------------------------------------- BC walks
@@ -442,7 +445,7 @@ class DecompositionState:
     def bc_path_blocks(self, a: Vertex, b: Vertex):
         """Blocks B_0..B_r and chain vertices w_0=a,..,w_{r+1}=b between
         two connected vertices: consecutive chain vertices share B_i."""
-        self._check_vertex(a, b)
+        self.check_vertex(a, b)
         if a == b or not self.connected(a, b):
             raise GraphError(f"vertices {a} and {b} must differ and connect")
         start: BCNode = ("C", a) if a in self.cut_vertices \
@@ -462,7 +465,7 @@ class DecompositionState:
     # ------------------------------------------------------------ SPQR walks
 
     def is_separating_pair(self, s: Vertex, t: Vertex) -> bool:
-        self._check_vertex(s, t)
+        self.check_vertex(s, t)
         if s == t:
             raise GraphError("is_separating_pair needs two distinct vertices")
         p = (s, t) if s < t else (t, s)
@@ -470,7 +473,7 @@ class DecompositionState:
 
     def same_tricomp(self, a: Vertex, b: Vertex, c: Vertex):
         """Canonical (name, kind) of the common component, else None."""
-        self._check_vertex(a, b, c)
+        self.check_vertex(a, b, c)
         if len({a, b, c}) != 3:
             raise GraphError("same_tricomp needs three distinct vertices")
         for blk in self._blocks_of_vertex.get(a, []):
@@ -492,7 +495,7 @@ class DecompositionState:
     # ---------------------------------------------------------------- levels
 
     def level_between(self, u: Vertex, v: Vertex) -> int:
-        self._check_vertex(u, v)
+        self.check_vertex(u, v)
         if u == v:
             raise GraphError("level_between needs two distinct vertices")
         if not self.connected(u, v):

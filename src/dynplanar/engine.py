@@ -14,9 +14,11 @@ Cycle components have a unique rotation scheme, so a new cycle's
 embedding is derived from content. Rigid components are the only ones that
 need surgery: face splits for insertions inside one component, a
 corridor merge when an insertion fuses a path of components, and entry
-projection when a deletion unfurls a component. Everything a change does
-not touch is carried over by content key, which makes the whole state a
-pure function of the edge set.
+projection when a deletion unfurls a component. Insertion surgery builds
+from the windows the gate returns, so deciding and building walk the
+state once. Everything a change does not touch is carried over by
+content key, which makes the whole state a pure function of the edge
+set, and the decomposition state holds that edge set.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .coherence import (
     update_colouring,
 )
 from .decomposition import Block, DecompositionState, SpqrNode, TriComp
-from .gate import insert_ok, window_path
+from .gate import insert_ok
 from .graph_core import (
     ACCEPTED,
     DELETE,
@@ -38,7 +40,6 @@ from .graph_core import (
     REJECTED_NONPLANAR,
     ChangeOutcome,
     DomainError,
-    DynamicGraph,
     Edge,
     EdgeChangeType,
     GraphError,
@@ -95,7 +96,6 @@ class Engine:
     def __init__(self, n: int):
         if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
             raise DomainError(f"domain size must be a positive int, got {n!r}")
-        self.graph = DynamicGraph(n)
         self.decomp = DecompositionState.from_edges(n, ())
         self.comp_embs: dict[SpqrNode, Embedding] = {}
         self.colourings: dict = {}
@@ -106,11 +106,17 @@ class Engine:
 
     # ------------------------------------------------------------- changes
 
+    @property
+    def graph(self) -> DecompositionState:
+        """The current state, which owns the domain size and edge set."""
+        return self.decomp
+
     def insert_edge(self, a: Vertex, b: Vertex) -> ChangeOutcome:
-        edge = self.graph.check_edge_vertices(a, b)
-        if edge in self.graph.edges:
+        self.decomp.check_vertex(a, b)
+        if self.decomp.has_edge(a, b):
             return ChangeOutcome(NOOP_DUPLICATE)
-        if not insert_ok(self.decomp, self.comp_embs, a, b):
+        windows = insert_ok(self.decomp, self.comp_embs, a, b)
+        if windows is None:
             return ChangeOutcome(REJECTED_NONPLANAR)
         new_decomp = self.decomp.with_edge(a, b)
         change = EdgeChangeType(
@@ -120,13 +126,13 @@ class Engine:
         )
         assert (INSERT, change.before_level, change.after_level) \
             not in IMPOSSIBLE_TYPES, change
-        built = self._insert_built(edge, change)
-        self._commit(edge, INSERT, new_decomp, built)
+        built = [self._window_built(*w) for w in self._ordered(windows)]
+        self._commit(new_decomp, built)
         return ChangeOutcome(ACCEPTED, change)
 
     def delete_edge(self, a: Vertex, b: Vertex) -> ChangeOutcome:
-        edge = self.graph.check_edge_vertices(a, b)
-        if edge not in self.graph.edges:
+        self.decomp.check_vertex(a, b)
+        if not self.decomp.has_edge(a, b):
             return ChangeOutcome(NOOP_ABSENT)
         new_decomp = self.decomp.without_edge(a, b)
         change = EdgeChangeType(
@@ -136,8 +142,8 @@ class Engine:
         )
         assert (DELETE, change.before_level, change.after_level) \
             not in IMPOSSIBLE_TYPES, change
-        built = self._delete_built(edge, new_decomp)
-        self._commit(edge, DELETE, new_decomp, built)
+        built = self._delete_built(canonical_edge(a, b), new_decomp)
+        self._commit(new_decomp, built)
         return ChangeOutcome(ACCEPTED, change)
 
     def _ordered(self, tasks: list) -> list:
@@ -149,40 +155,16 @@ class Engine:
 
     # ---------------------------------------------------- insertion surgery
 
-    def _insert_built(self, edge: Edge,
-                      change: EdgeChangeType) -> list[Embedding]:
-        a, b = edge
-        d = self.decomp
-        if change.before_level == 0:
-            return []
-        if change.before_level >= 2 and d.is_separating_pair(a, b):
-            return []  # the bundle at {a,b} gains the real edge
-        if change.before_level == 1:
-            blocks, chain = d.bc_path_blocks(a, b)
-            built: list[Embedding] = []
-            for i, blk in self._ordered(list(enumerate(blocks))):
-                built += self._block_insert(blk, chain[i], chain[i + 1])
-            return built
-        return self._block_insert(d.block_of(a, b), a, b)
-
-    def _block_insert(self, block: Block, u: Vertex,
-                      v: Vertex) -> list[Embedding]:
-        """Rigid embeddings changed by a real or virtual edge u-v."""
-        if block.is_bridge:
-            return []
-        e = canonical_edge(u, v)
-        if e in block.pairs or e in block.edges:
-            return []  # the new edge joins the bundle at {u,v}
-        path = window_path(block, u, v)
-        if len(path) == 1:
-            if path[0][0] == "S":
-                return []  # chord: both halves are cycles
-            emb = self.comp_embs[path[0]].copy()
-            f = emb.common_face({u, v})
-            assert f is not None, "gate admitted an impossible rigid insert"
-            emb.split_face(f, u, v)
-            return [emb]
-        return [self._merge_corridor(block, path, u, v)]
+    def _window_built(self, block: Block, u: Vertex, v: Vertex,
+                      path: list[SpqrNode], face) -> Embedding:
+        """The rigid embedding a gate window's real or virtual edge u-v
+        builds: a split of `face` inside one component, else the merged
+        corridor along `path`."""
+        if face is None:
+            return self._merge_corridor(block, path, u, v)
+        emb = self.comp_embs[path[0]].copy()
+        emb.split_face(face, u, v)
+        return emb
 
     def _surrogate_cycle(self, emb: Embedding, anchors: set) -> Embedding:
         """Cycle through the anchors in their order around a cycle comp.
@@ -278,7 +260,7 @@ class Engine:
                 runs.append(self._run_without(work[ci].rot[x], consumed))
             rem = []
             for p in pairs[lo:hi + 1]:
-                keep = p in self.graph.edges or len(block.tree[("P", p)]) > 2
+                keep = p in self.decomp.edges or len(block.tree[("P", p)]) > 2
                 rem.append(_partner(p, x) if keep else None)
             out: list[Vertex] = []
             if colours[x] == 0:
@@ -413,8 +395,7 @@ class Engine:
 
     # --------------------------------------------------------------- commit
 
-    def _commit(self, edge: Edge, direction: str,
-                new_decomp: DecompositionState,
+    def _commit(self, new_decomp: DecompositionState,
                 built: list[Embedding]) -> None:
         """Install the new state. Surgery's embeddings are canonicalised;
         every other component takes its carried embedding (canonical
@@ -469,7 +450,6 @@ class Engine:
         }
         graph_rot = self._assemble_graph(new_decomp, block_rots)
 
-        self.graph.apply_raw(edge, direction)
         self.decomp = new_decomp
         self.comp_embs = comp_embs
         self.colourings = colourings
@@ -516,11 +496,13 @@ class Engine:
         assert euler_per_component(out), "block rotation lost planarity"
         return out
 
-    def _assemble_graph(self, decomp: DecompositionState,
+    @staticmethod
+    def _assemble_graph(decomp: DecompositionState,
                         block_rots: dict) -> dict[Vertex, tuple]:
-        """Concatenate per-block real-edge rotations at every vertex."""
+        """Concatenate per-block real-edge rotations at every vertex that
+        lies in a block; the others have no rotation."""
         rot: dict[Vertex, tuple] = {}
-        for v in range(self.graph.n):
+        for v in sorted({x for blk in decomp.blocks for x in blk.vertices}):
             parts = []
             for blk in sorted(decomp.blocks_of_vertex(v),
                               key=lambda b: b.name):
@@ -541,7 +523,7 @@ class Engine:
     def graph_rotation_query(self, v: Vertex, a: Vertex, b: Vertex,
                              c: Vertex) -> bool:
         """Is b between a and c clockwise around v in the whole graph?"""
-        self.graph.check_vertex(v)
+        self.decomp.check_vertex(v)
         seq = self.graph_rot.get(v, ())
         for x in (a, b, c):
             if x not in seq:
@@ -589,7 +571,7 @@ class Engine:
                 words = []
                 for w in opened_at_least(rot[v]):
                     ce = canonical_edge(v, w)
-                    virtual = ce in blk.pairs and ce not in self.graph.edges
+                    virtual = ce in blk.pairs and ce not in self.decomp.edges
                     words.append(f"{w}*" if virtual else f"{w}")
                 sec.append(f"rot {v}: " + " ".join(words))
             sections.append(sec)

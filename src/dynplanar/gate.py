@@ -1,4 +1,4 @@
-"""Insertion admissibility: the test half of test-and-reject.
+"""Insertion admissibility, and the windows the admitted insert crosses.
 
 An insertion is admitted exactly when the graph stays planar. Joining
 components or trees is always safe, a chord or bundle edge inside one
@@ -8,6 +8,10 @@ endpoints linked across several components need every rigid component
 on the connecting SPQR path to expose its two flanking windows on one
 face. Cross-block insertions conjoin the per-block tests, which are
 independent because the blocks only meet in cut vertices.
+
+The walk that decides is the walk surgery follows: an admitted insert
+comes back as the windows it crosses, and the engine builds its new
+rigid embeddings from those alone.
 """
 from __future__ import annotations
 
@@ -41,50 +45,66 @@ def window_path(block: Block, a: Vertex, b: Vertex) -> list[SpqrNode]:
     return path[start:end + 1]
 
 
-def _rigid_windows(path, u: Vertex, v: Vertex):
-    """(comp node, window vertex set) for each R-node on the path."""
+def _block_windows(block: Block, embeddings, u: Vertex, v: Vertex):
+    """Windows a (virtual) edge u-v crosses in one block, None if it
+    breaks the block's planarity.
+
+    No window is needed in a bridge, next to a real edge or pair (the
+    edge joins the bundle at {u,v}) or across a cycle component (a
+    chord). Otherwise the one window is (block, u, v, path, face): the
+    SPQR path surgery fuses and, when that path is one rigid component,
+    the face the edge splits. Every rigid component on the path must
+    hold its flanking windows on one face.
+    """
+    if block.is_bridge:
+        return []
+    e = canonical_edge(u, v)
+    if e in block.edges or e in block.pairs:
+        return []
+    path = window_path(block, u, v)
+    if len(path) == 1 and path[0][0] == "S":
+        return []
     comps = path[::2]
     pairs = [set(nd[1]) for nd in path[1::2]]
+    face = None
     for i, nd in enumerate(comps):
         if nd[0] != "R":
             continue
         left = pairs[i - 1] if i > 0 else {u}
         right = pairs[i] if i < len(pairs) else {v}
-        yield nd, left | right
-
-
-def block_insert_ok(block: Block, embeddings, u: Vertex, v: Vertex) -> bool:
-    """Would a (virtual) edge u-v keep this block's embedding planar?"""
-    if block.is_bridge:
-        return True
-    e = canonical_edge(u, v)
-    if e in block.edges or e in block.pairs:
-        return True
-    path = window_path(block, u, v)
-    for nd, window in _rigid_windows(path, u, v):
-        if embeddings[nd].common_face(window) is None:
-            return False
-    return True
+        face = embeddings[nd].common_face(left | right)
+        if face is None:
+            return None
+    return [(block, u, v, path, face if len(path) == 1 else None)]
 
 
 # ------------------------------------------------------------- entry point
 
 
 def insert_ok(decomp: DecompositionState, embeddings, a: Vertex,
-              b: Vertex) -> bool:
-    """Gate verdict for inserting edge {a,b}, from the current state alone."""
+              b: Vertex):
+    """Gate verdict for inserting edge {a,b}, from the current state alone.
+
+    None when the insert breaks planarity; otherwise the list of windows
+    it crosses, one per block that needs surgery, which is empty (and so
+    falsy) for inserts that need none.
+    """
     if a == b:
         raise GraphError("self-loops are not supported")
     if canonical_edge(a, b) in decomp.edges:
         raise GraphError(f"edge {canonical_edge(a, b)} is already present")
     before = decomp.level_between(a, b)
     if before == 0:
-        return True
+        return []
     if before == 1:
         blocks, chain = decomp.bc_path_blocks(a, b)
-        return all(
-            block_insert_ok(blk, embeddings, chain[i], chain[i + 1])
-            for i, blk in enumerate(blocks)
-        )
-    return block_insert_ok(decomp.block_of(a, b), embeddings, a, b)
-
+        hops = [(blk, chain[i], chain[i + 1]) for i, blk in enumerate(blocks)]
+    else:
+        hops = [(decomp.block_of(a, b), a, b)]
+    windows = []
+    for blk, u, v in hops:
+        found = _block_windows(blk, embeddings, u, v)
+        if found is None:
+            return None
+        windows += found
+    return windows

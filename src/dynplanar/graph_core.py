@@ -1,4 +1,4 @@
-"""Dynamic undirected simple graph over a fixed vertex domain.
+"""Vertices, edges and the change taxonomy of the dynamic graph.
 
 Vertices are the integers [0, n). Edges are canonical ordered pairs
 (u, v) with u < v. Every edge change is classified into a connectivity
@@ -10,12 +10,12 @@ level of a vertex pair is
     2  common block, but no common rigid triconnected component
     3  common rigid triconnected component.
 
-Level computation is delegated to the decomposition state; this module
-owns the taxonomy and the raw edge-set mutation.
+Level computation and the edge set itself belong to the decomposition
+state; this module owns the vocabulary and the taxonomy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Vertex = int
 Edge = tuple[Vertex, Vertex]
@@ -35,14 +35,6 @@ class GraphError(ValueError):
 
 class DomainError(GraphError):
     """Vertex outside [0, n) or degenerate (self-loop) edge."""
-
-
-class DuplicateEdgeError(GraphError):
-    """Insertion of an edge that is already present."""
-
-
-class AbsentEdgeError(GraphError):
-    """Deletion of an edge that is not present."""
 
 
 def canonical_edge(u: Vertex, v: Vertex) -> Edge:
@@ -78,37 +70,3 @@ IMPOSSIBLE_TYPES = frozenset(
         (DELETE, 2, 0),
     }
 )
-
-
-@dataclass
-class DynamicGraph:
-    """Edge set over the vertex domain [0, n)."""
-
-    n: int
-    edges: set[Edge] = field(default_factory=set)
-
-    def check_vertex(self, v: Vertex) -> None:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < self.n:
-            raise DomainError(f"vertex {v!r} outside domain [0,{self.n})")
-
-    def check_edge_vertices(self, u: Vertex, v: Vertex) -> Edge:
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return canonical_edge(u, v)
-
-    def has_edge(self, u: Vertex, v: Vertex) -> bool:
-        return canonical_edge(u, v) in self.edges
-
-    def apply_raw(self, edge: Edge, direction: str) -> None:
-        """Mutate the edge set without any planarity involvement."""
-        edge = self.check_edge_vertices(*edge)
-        if direction == INSERT:
-            if edge in self.edges:
-                raise DuplicateEdgeError(f"edge {edge} already present")
-            self.edges.add(edge)
-        elif direction == DELETE:
-            if edge not in self.edges:
-                raise AbsentEdgeError(f"edge {edge} not present")
-            self.edges.remove(edge)
-        else:
-            raise GraphError(f"unknown direction {direction!r}")

@@ -10,11 +10,13 @@ import pytest
 
 import dynplanar
 from dynplanar.cli import check_state, fuzz, main, run_trace
+from dynplanar.decomposition import DecompositionState
 from dynplanar.engine import Engine
 from dynplanar.graph_core import (
     ACCEPTED,
     REJECTED_NONPLANAR,
     ChangeOutcome,
+    DomainError,
 )
 from dynplanar.oracle import PLANARITY_BUDGET, OracleBudgetError
 
@@ -140,7 +142,12 @@ def test_check_state_flags_decomposition_desync():
     eng = Engine(8)
     for ab in [(1, 2), (2, 3), (1, 3)]:
         eng.insert_edge(*ab)
-    eng.graph.edges.discard((1, 2))
+    # the path's edge set, carrying the triangle's blocks and cut vertices
+    tri = eng.decomp
+    path = DecompositionState.from_edges(8, [(2, 3), (1, 3)])
+    eng.decomp = DecompositionState(8, path.edges, tri.blocks,
+                                    tri.cut_vertices, path._comp_of,
+                                    path._adj)
     assert any("decomposition" in v for v in check_state(eng))
 
 
@@ -195,6 +202,34 @@ def test_fuzz_refuses_domain_past_oracle_budget_before_stepping():
 
     with pytest.raises(OracleBudgetError):
         fuzz(3, PLANARITY_BUDGET + 1, 1, engine_factory=factory)
+    assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--domain", "0"],
+    ["--fuzz", "--domain", "0"],
+    ["--fuzz", "--domain", "1"],
+    ["--trace", "/nonexistent/trace.txt"],
+])
+def test_bad_domain_or_trace_file_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "Traceback" not in err
+
+
+def test_fuzz_refuses_domain_below_two_before_building():
+    built = []
+
+    def factory(n):
+        built.append(n)
+        return Engine(n)
+
+    for domain in (0, 1):
+        with pytest.raises(DomainError):
+            fuzz(3, domain, 1, engine_factory=factory)
     assert built == []
 
 

@@ -163,7 +163,7 @@ def test_colours_anchor_least_pair_vertex() -> None:
 
 def test_chain_stored_paths() -> None:
     decomp, embs = chained_wheels()
-    paths = build_block_paths(decomp, embs, decomp.blocks[0])
+    paths = build_block_paths(embs, decomp.blocks[0])
     assert len(paths) == 1
     assert paths[0].nodes == CHAIN_PATH
     assert paths[0].colours == ((3, 0), (4, 1), (6, 0), (7, 1))
@@ -177,7 +177,7 @@ def test_chain_stored_paths() -> None:
 
 def test_incoherent_window_splits_stored_paths() -> None:
     decomp, embs = k4_between_triangles()
-    paths = build_block_paths(decomp, embs, decomp.blocks[0])
+    paths = build_block_paths(embs, decomp.blocks[0])
     assert [p.dump_line() for p in paths] == [
         "path R(1,2,3) P(1,2) S(1,2,8) : 1=0 2=1",
         "path R(1,2,3) P(3,4) S(3,4,9) : 3=0 4=1",
@@ -186,7 +186,7 @@ def test_incoherent_window_splits_stored_paths() -> None:
 
 def test_pinch_stored_path() -> None:
     decomp, embs = pinched_k4s()
-    paths = build_block_paths(decomp, embs, decomp.blocks[0])
+    paths = build_block_paths(embs, decomp.blocks[0])
     assert len(paths) == 1
     assert paths[0].dump_line() == \
         "path R(1,2,4) P(1,2) S(1,2,3) P(1,3) R(1,3,6) : 1=0 2=1 3=1"
@@ -214,7 +214,7 @@ def test_stored_paths_are_exactly_the_maximal_coherent_ones(make) -> None:
                 coherent.append(path)
     maximal = [p for p in coherent
                if not any(q != p and _contains(q, p) for q in coherent)]
-    stored = maximal_coherent_paths(decomp, embs, blk)
+    stored = maximal_coherent_paths(embs, blk)
     assert sorted(stored) == sorted(maximal)
     for p in stored:
         assert any(nd[0] == "P" for nd in p)
@@ -232,7 +232,7 @@ def test_update_colouring_carries_untouched_blocks() -> None:
     decomp, embs = k4_between_triangles()
     old = update_colouring({}, decomp, embs, set())
     blk = decomp.blocks[0].name
-    assert old == {blk: build_block_paths(decomp, embs, decomp.blocks[0])}
+    assert old == {blk: build_block_paths(embs, decomp.blocks[0])}
     carried = update_colouring(old, decomp, embs, affected=set())
     assert carried[blk] is old[blk]
     rebuilt = update_colouring(old, decomp, embs, affected={blk})
@@ -250,8 +250,8 @@ def test_dump_colourings_frozen() -> None:
 
 def test_coherent_path_is_hashable_value() -> None:
     decomp, embs = pinched_k4s()
-    a = build_block_paths(decomp, embs, decomp.blocks[0])
-    b = build_block_paths(decomp, embs, decomp.blocks[0])
+    a = build_block_paths(embs, decomp.blocks[0])
+    b = build_block_paths(embs, decomp.blocks[0])
     assert a == b
     assert {a[0]} == {b[0]}
     assert isinstance(a[0], CoherentPath)

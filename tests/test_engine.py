@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -237,3 +238,18 @@ def test_query_error_guards():
         eng.graph_face_query(1, 2, 2)
     with pytest.raises(DomainError):
         eng.graph_face_query(1, 2, 9)
+
+
+# --------------------------------------------------------------- cost bound
+
+
+def test_change_cost_follows_the_graph_not_the_domain():
+    """A change touches the vertices in blocks, not the whole domain:
+    a 20-edge path in a domain of a million vertices builds in well
+    under the ~20 s a per-change sweep of the domain costs."""
+    eng = Engine(10**6)
+    t0 = time.perf_counter()
+    for v in range(20):
+        assert eng.insert_edge(v, v + 1).status == ACCEPTED
+    assert time.perf_counter() - t0 < 2.0
+    assert sorted(eng.graph_rot) == list(range(21))

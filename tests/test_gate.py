@@ -6,7 +6,7 @@ import random
 import pytest
 
 from dynplanar.decomposition import DecompositionState
-from dynplanar.gate import block_insert_ok, insert_ok, window_path
+from dynplanar.gate import insert_ok, window_path
 from dynplanar.graph_core import GraphError
 from dynplanar.oracle import static_planar
 from dynplanar.rotation import Embedding
@@ -32,7 +32,7 @@ def rigid_embeddings(decomp) -> dict:
 def verdict(n: int, edges, a: int, b: int) -> bool:
     edges = frozenset(tuple(sorted(e)) for e in edges)
     decomp = DecompositionState.from_edges(n, edges)
-    return insert_ok(decomp, rigid_embeddings(decomp), a, b)
+    return insert_ok(decomp, rigid_embeddings(decomp), a, b) is not None
 
 
 def sweep(n: int, edges) -> list:
@@ -43,7 +43,7 @@ def sweep(n: int, edges) -> list:
     for a, b in itertools.combinations(range(n), 2):
         if (a, b) in edges:
             continue
-        got = insert_ok(decomp, embs, a, b)
+        got = insert_ok(decomp, embs, a, b) is not None
         want = static_planar(n, edges | {(a, b)})
         if got != want:
             bad.append((a, b, got, want))
@@ -179,8 +179,30 @@ def test_cross_block_conjunction_rejects() -> None:
 
 def test_bridge_blocks_always_pass() -> None:
     decomp = DecompositionState.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    for blk in decomp.blocks:
-        assert block_insert_ok(blk, {}, *blk.name) is True
+    for a, b in [(0, 2), (0, 3), (1, 3)]:
+        assert insert_ok(decomp, {}, a, b) == []
+
+
+def test_insert_ok_returns_the_windows_surgery_builds() -> None:
+    decomp = DecompositionState.from_edges(11, CHAIN_WHEELS)
+    embs = rigid_embeddings(decomp)
+    blk = decomp.blocks[0]
+    # across the chain: one corridor along the whole window path
+    assert insert_ok(decomp, embs, 1, 10) == [
+        (blk, 1, 10, window_path(blk, 1, 10), None)]
+    # inside one wheel: the face of that wheel holding both rim vertices
+    ((got_blk, u, v, path, face),) = insert_ok(decomp, embs, 1, 3)
+    assert (got_blk, u, v, path) == (blk, 1, 3, [("R", (0, 1, 2))])
+    assert set(embs[path[0]].boundary(face)) >= {1, 3}
+    # an edge at a virtual pair joins its bundle, and a chord of a cycle
+    # needs no surgery
+    glued = DecompositionState.from_edges(
+        7, [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+            (1, 5), (1, 6), (2, 5), (2, 6), (5, 6)])
+    assert (1, 2) in glued.blocks[0].pairs
+    assert insert_ok(glued, rigid_embeddings(glued), 1, 2) == []
+    cycle = DecompositionState.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert insert_ok(cycle, {}, 0, 2) == []
 
 
 # ------------------------------------------------------------------ guards
@@ -196,7 +218,7 @@ def test_insert_ok_guards() -> None:
         insert_ok(decomp, embs, 0, 1)
     with pytest.raises(GraphError):
         insert_ok(decomp, embs, 1, 0)
-    assert insert_ok(decomp, embs, 0, 3) is True
+    assert insert_ok(decomp, embs, 0, 3) == []
 
 
 # ------------------------------------------------------------ differential

@@ -13,10 +13,7 @@ from dynplanar.graph_core import (
     INSERT,
     NOOP_ABSENT,
     NOOP_DUPLICATE,
-    AbsentEdgeError,
     DomainError,
-    DuplicateEdgeError,
-    DynamicGraph,
     EdgeChangeType,
     canonical_edge,
 )
@@ -33,55 +30,57 @@ def test_canonical_edge_rejects_self_loop():
 
 
 def test_vertex_domain_checks():
-    g = DynamicGraph(4)
+    eng = Engine(4)
     with pytest.raises(DomainError):
-        g.apply_raw((1, 7), INSERT)
+        eng.insert_edge(1, 7)
     with pytest.raises(DomainError):
-        g.apply_raw((-1, 2), INSERT)
+        eng.delete_edge(-1, 2)
     with pytest.raises(DomainError):
-        g.check_vertex(True)
+        eng.insert_edge(True, 2)
     with pytest.raises(DomainError):
-        g.check_vertex("1")
+        eng.graph.check_vertex("1")
+    assert eng.graph.edges == frozenset()
 
 
 def test_insert_then_present_delete_then_absent():
-    g = DynamicGraph(4)
-    g.apply_raw((1, 2), INSERT)
-    assert g.has_edge(2, 1)
-    g.apply_raw((2, 1), DELETE)
-    assert not g.has_edge(1, 2)
-    assert g.edges == set()
+    eng = Engine(4)
+    assert eng.insert_edge(1, 2).status == ACCEPTED
+    assert eng.graph.has_edge(2, 1)
+    assert eng.delete_edge(2, 1).status == ACCEPTED
+    assert not eng.graph.has_edge(1, 2)
+    assert eng.graph.edges == frozenset()
 
 
 def test_duplicate_insert_and_absent_delete_are_distinct_errors():
-    g = DynamicGraph(4)
-    g.apply_raw((1, 2), INSERT)
-    with pytest.raises(DuplicateEdgeError):
-        g.apply_raw((2, 1), INSERT)
-    with pytest.raises(AbsentEdgeError):
-        g.apply_raw((0, 3), DELETE)
-    assert g.edges == {(1, 2)}
+    eng = Engine(4)
+    eng.insert_edge(1, 2)
+    assert eng.insert_edge(2, 1).status == NOOP_DUPLICATE
+    assert eng.delete_edge(0, 3).status == NOOP_ABSENT
+    assert eng.graph.edges == {(1, 2)}
 
 
 def test_edge_set_equals_fold_of_log():
     rng = random.Random(3)
-    g = DynamicGraph(7)
+    eng = Engine(7)
     log = []
     for _ in range(200):
         u, v = rng.randrange(7), rng.randrange(7)
         if u == v:
             continue
         e = canonical_edge(u, v)
-        direction = DELETE if e in g.edges else INSERT
-        g.apply_raw(e, direction)
-        log.append((direction, e))
+        if e in eng.graph.edges:
+            out = eng.delete_edge(u, v)
+        else:
+            out = eng.insert_edge(u, v)
+        if out.status == ACCEPTED:
+            log.append((out.change_type.direction, e))
     replay: set = set()
     for direction, e in log:
         if direction == INSERT:
             replay.add(e)
         else:
             replay.remove(e)
-    assert replay == g.edges
+    assert replay == eng.graph.edges
 
 
 def test_change_type_formatting_and_reversal():
