@@ -161,6 +161,11 @@ def run_trace(lines, domain: int) -> tuple[list[str], int]:
         except (GraphError, OracleBudgetError) as exc:
             out.append(f"error line {no}: {exc}")
             failed = True
+        except AssertionError as exc:
+            # every engine assert fires before a change is committed
+            msg = str(exc) or "assertion failed"
+            out.append(f"error line {no}: internal error: {msg}")
+            failed = True
     return out, 1 if failed else 0
 
 

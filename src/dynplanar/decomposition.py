@@ -287,26 +287,21 @@ class DecompositionState:
     """Snapshot of blocks, cut vertices, pairs, and triconnected comps."""
 
     __slots__ = (
-        "n", "edges", "blocks", "cut_vertices", "_comp_of", "_adj",
-        "_block_by_name", "_block_of_edge", "_blocks_of_vertex",
-        "_bc_adj", "_pairs",
+        "n", "edges", "blocks", "cut_vertices", "_comp_of",
+        "_block_by_name", "_blocks_of_vertex", "_bc_adj", "_pairs",
     )
 
     def __init__(self, n: int, edges: frozenset[Edge],
                  blocks: tuple[Block, ...], cut_vertices: frozenset[Vertex],
-                 comp_of: dict[Vertex, int], adj: dict[Vertex, set[Vertex]]):
+                 comp_of: dict[Vertex, int]):
         self.n = n
         self.edges = edges
         self.blocks = blocks
         self.cut_vertices = cut_vertices
         self._comp_of = comp_of
-        self._adj = adj
         self._block_by_name = {b.name: b for b in blocks}
-        self._block_of_edge: dict[Edge, Block] = {}
         self._blocks_of_vertex: dict[Vertex, list[Block]] = {}
         for b in blocks:
-            for e in b.edges:
-                self._block_of_edge[e] = b
             for v in b.vertices:
                 self._blocks_of_vertex.setdefault(v, []).append(b)
         self._bc_adj: dict[BCNode, list[BCNode]] = {}
@@ -349,7 +344,7 @@ class DecompositionState:
                 blk = _make_block(bedges, kinds)
             blocks.append(blk)
         blocks.sort(key=lambda b: b.name)
-        state = cls(n, eset, tuple(blocks), frozenset(cuts), comp_of, adj)
+        state = cls(n, eset, tuple(blocks), frozenset(cuts), comp_of)
 
         if __debug__:
             by_membership = {v for v in active
@@ -359,8 +354,8 @@ class DecompositionState:
             for u, v in eset:
                 inside = [b for b in state._blocks_of_vertex[u]
                           if v in b.vertices]
-                assert inside == [state._block_of_edge[(u, v)]], \
-                    f"edge {(u, v)} lies inside more than its own block"
+                assert len(inside) == 1 and (u, v) in inside[0].edges, \
+                    f"edge {(u, v)} lies in other than exactly one block"
         return state
 
     def with_edge(self, u: Vertex, v: Vertex) -> DecompositionState:
@@ -376,25 +371,6 @@ class DecompositionState:
         self.check_vertex(u, v)
         cu = self._comp_of.get(u)
         return u == v or (cu is not None and cu == self._comp_of.get(v))
-
-    def connected_avoiding(self, u: Vertex, v: Vertex, avoid) -> bool:
-        """True iff u reaches v in the graph minus the vertices `avoid`."""
-        if u in avoid or v in avoid:
-            raise DomainError("avoided vertices coincide with an endpoint")
-        if u == v:
-            return True
-        seen = set(avoid)
-        seen.add(u)
-        stack = [u]
-        adj = self._adj
-        while stack:
-            for y in adj.get(stack.pop(), ()):
-                if y == v:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return False
 
     # ------------------------------------------------------------ vertex ops
 

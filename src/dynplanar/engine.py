@@ -14,11 +14,15 @@ Cycle components have a unique rotation scheme, so a new cycle's
 embedding is derived from content. Rigid components are the only ones that
 need surgery: face splits for insertions inside one component, a
 corridor merge when an insertion fuses a path of components, and entry
-projection when a deletion unfurls a component. Insertion surgery builds
-from the windows the gate returns, so deciding and building walk the
-state once. Everything a change does not touch is carried over by
-content key, which makes the whole state a pure function of the edge
-set, and the decomposition state holds that edge set.
+projection when a deletion unfurls a component. A corridor merge is the
+splice that assembles blocks, applied along the window path once the
+two-colouring has fixed each component's flip; a projection reads the
+far side of each new pair off the new block's SPQR tree. Insertion
+surgery builds from the windows the gate returns, so deciding and
+building walk the state once. Everything a change does not touch is
+carried over by content key, which makes the whole state a pure
+function of the edge set, and the decomposition state holds that edge
+set.
 """
 from __future__ import annotations
 
@@ -86,6 +90,41 @@ def _embedding_key(emb: Embedding) -> ContentKey:
 def _partner(pair: Edge, x: Vertex) -> Vertex:
     assert x in pair
     return pair[1] if pair[0] == x else pair[0]
+
+
+def _splice(rot: dict, crot: dict, s: Vertex, t: Vertex) -> None:
+    """2-sum the rotation scheme crot into rot along their virtual edge s-t.
+
+    The child is opened at the shared pair and inserted against the
+    parent's bundle entry: before it at s, after it at t, so it lands in
+    the parent's face that traverses t -> s. The bundle entry survives.
+    """
+    i = rot[s].index(t)
+    rot[s][i:i] = opened_at(crot[s], t)[1:]
+    j = rot[t].index(s)
+    rot[t][j + 1:j + 1] = opened_at(crot[t], s)[1:]
+    for w, seq in crot.items():
+        if w != s and w != t:
+            assert w not in rot, "spliced components overlap off the pair"
+            rot[w] = list(seq)
+
+
+def _far_sides(block: Block, comp: TriComp, pairs) -> dict[Edge, set]:
+    """For each pair of comp, the vertices off the pair in the components
+    beyond its P-node in the block's SPQR tree."""
+    verts = {(c.kind, c.name): c.vertices for c in block.comps}
+    out: dict[Edge, set] = {}
+    for pair in pairs:
+        seen = {(comp.kind, comp.name)}
+        stack = [("P", pair)]
+        far: set[Vertex] = set()
+        while stack:
+            nd = stack.pop()
+            seen.add(nd)
+            far |= verts.get(nd, set())
+            stack += [m for m in block.tree[nd] if m not in seen]
+        out[pair] = far - set(pair)
+    return out
 
 
 # ------------------------------------------------------------------- engine
@@ -203,10 +242,11 @@ class Engine:
         """Fuse the components along the window path with the edge u-v.
 
         Components are oriented so every window face traverses its left
-        seam pair top to bottom; then each shared vertex concatenates its
-        per-component rotation runs, colour-0 vertices in reverse path
-        order and colour-1 vertices in path order, with the surviving
-        bundle entry between adjacent runs.
+        seam pair top to bottom and its right one bottom to top. Each is
+        then spliced into the rotation built so far at its left pair, as
+        blocks are assembled, which lands it in the window face; pairs
+        the corridor dissolves lose their virtual entries, and u-v goes
+        in at the window-face corners of u and v.
         """
         comps = path[::2]
         pairs = [nd[1] for nd in path[1::2]]
@@ -220,8 +260,6 @@ class Engine:
         def bottom(p: Edge) -> Vertex:
             return _partner(p, top(p))
 
-        work: list[Embedding] = []
-        glue: list[tuple] = []
         for i, nd in enumerate(comps):
             left = set(pairs[i - 1]) if i > 0 else {u}
             right = set(pairs[i]) if i < len(pairs) else {v}
@@ -235,56 +273,26 @@ class Engine:
                 j = bd.index(bottom(pairs[i]))
                 assert bd[(j + 1) % len(bd)] == top(pairs[i]), \
                     "right seam disagrees with the colouring"
-            work.append(emb)
-            glue.append(bd)
-
-        merged: dict[Vertex, list[Vertex]] = {}
-        for i, emb in enumerate(work):
-            for x, seq in emb.rot.items():
-                if x in pair_verts or x in (u, v):
-                    continue
-                assert x not in merged, "corridor comps overlap off the pairs"
-                merged[x] = list(seq)
-
-        for x in pair_verts:
-            at = [i for i, p in enumerate(pairs) if x in p]
-            lo, hi = at[0], at[-1]
-            assert at == list(range(lo, hi + 1)), "pair run not contiguous"
-            runs = []
-            for ci in range(lo, hi + 2):
-                consumed = []
-                if ci > lo:
-                    consumed.append(_partner(pairs[ci - 1], x))
-                if ci <= hi:
-                    consumed.append(_partner(pairs[ci], x))
-                runs.append(self._run_without(work[ci].rot[x], consumed))
-            rem = []
-            for p in pairs[lo:hi + 1]:
-                keep = p in self.decomp.edges or len(block.tree[("P", p)]) > 2
-                rem.append(_partner(p, x) if keep else None)
-            out: list[Vertex] = []
-            if colours[x] == 0:
-                for ci in range(hi + 1, lo - 1, -1):
-                    out += runs[ci - lo]
-                    if ci > lo and rem[ci - 1 - lo] is not None:
-                        out.append(rem[ci - 1 - lo])
+            if i == 0:
+                rot = {x: list(seq) for x, seq in emb.rot.items()}
+                first_bd = bd
             else:
-                for ci in range(lo, hi + 2):
-                    out += runs[ci - lo]
-                    if ci <= hi and rem[ci - lo] is not None:
-                        out.append(rem[ci - lo])
-            merged[x] = out
+                _splice(rot, emb.rot, *want)
 
-        for x, other, bd in ((u, v, glue[0]), (v, u, glue[-1])):
-            pred, succ = bd[bd.index(x) - 1], bd[(bd.index(x) + 1) % len(bd)]
-            seq = list(work[0 if x == u else -1].rot[x])
-            j = seq.index(succ)
-            assert seq[(j + 1) % len(seq)] == pred, \
+        for p in pairs:
+            if p not in self.decomp.edges and len(block.tree[("P", p)]) == 2:
+                s, t = p
+                rot[s].remove(t)
+                rot[t].remove(s)
+        for x, other, bd in ((u, v, first_bd), (v, u, bd)):
+            k = bd.index(x)
+            seq = rot[x]
+            j = seq.index(bd[(k + 1) % len(bd)])
+            assert seq[(j + 1) % len(seq)] == bd[k - 1], \
                 "corner disagrees with rotation"
             seq.insert(j + 1, other)
-            merged[x] = seq
 
-        emb = Embedding(merged)
+        emb = Embedding(rot)
         f_uv = emb.face_with_dart(u, v)
         f_vu = emb.face_with_dart(v, u)
         assert f_uv != f_vu
@@ -296,21 +304,6 @@ class Engine:
             (tops <= side_vu and bots <= side_uv), \
             "colour classes must split across the new edge"
         return emb
-
-    @staticmethod
-    def _run_without(seq: tuple, consumed: list[Vertex]) -> list[Vertex]:
-        """Linear run left when the consumed entries leave the cyclic order."""
-        if len(consumed) == 1:
-            return list(opened_at(seq, consumed[0])[1:])
-        c0, c1 = consumed
-        k = len(seq)
-        i0, i1 = seq.index(c0), seq.index(c1)
-        if (i0 + 1) % k == i1:
-            first = c0
-        else:
-            assert (i1 + 1) % k == i0, "pinch entries must sit side by side"
-            first = c1
-        return list(opened_at(seq, first)[2:])
 
     # ----------------------------------------------------- deletion surgery
 
@@ -336,62 +329,47 @@ class Engine:
 
         Entries for the deleted edge vanish; entries whose edge survives
         in the successor stay; every other entry collapses into the
-        bundle entry of the successor pair whose far side it points at.
+        bundle entry of the successor pair whose far side it points at,
+        read off the successor's block tree.
         """
         old = self.comp_embs[(comp.kind, comp.name)]
         da, db = deleted
         out: list[Embedding] = []
-        cands = [W for blk in new_decomp.blocks for W in blk.comps
+        # a rigid skeleton less one edge stays biconnected, so the
+        # successors lie in the one new block holding all of comp
+        cands = [(blk, W)
+                 for blk in new_decomp.blocks_of_vertex(min(comp.vertices))
+                 for W in blk.comps
                  if W.kind == "R" and W.vertices <= comp.vertices]
-        for W in cands:
+        for blk, W in cands:
             ew = frozenset(W.real_edges | W.pairs)
-            newpairs = W.pairs - comp.pairs
-            rot: dict[Vertex, tuple] = {}
+            far = _far_sides(blk, W, W.pairs - comp.pairs)
+            rot: dict[Vertex, list] = {}
             for x in sorted(W.vertices):
-                toks: list[tuple] = []
+                # a bundle entry stands for a run of entries; it is the
+                # only entry that can repeat, so runs merge on repeats
+                entries = rot[x] = []
                 for w in old.rot[x]:
                     if {x, w} == {da, db}:
                         continue
-                    ce = canonical_edge(x, w)
-                    if ce in newpairs:
-                        toks.append(("bundle", _partner(ce, x)))
-                    elif ce in ew:
-                        toks.append(("keep", w))
+                    if canonical_edge(x, w) in ew:
+                        hits = [w]
                     else:
-                        y = self._far_pair(x, w, W, newpairs, new_decomp)
-                        if y is not None:
-                            toks.append(("bundle", y))
-                kept: list[tuple] = []
-                for t in toks:
-                    if t[0] == "bundle" and kept and kept[-1] == t:
-                        continue
-                    kept.append(t)
-                if len(kept) > 1 and kept[0][0] == "bundle" \
-                        and kept[0] == kept[-1]:
-                    kept.pop()
-                entries = tuple(w for _, w in kept)
+                        hits = [_partner(p, x) for p, side in far.items()
+                                if x in p and w in side]
+                        assert len(hits) <= 1, \
+                            f"entry {w} at {x} matches two far sides"
+                    if hits and (not entries or entries[-1] != hits[0]):
+                        entries.append(hits[0])
+                if len(entries) > 1 and entries[0] == entries[-1]:
+                    entries.pop()
                 assert len(set(entries)) == len(entries), \
                     f"bundle segment split at vertex {x}"
-                rot[x] = entries
             emb = Embedding(rot)
             assert emb.vertices == W.vertices and emb.edge_set() == ew, \
                 f"projection of {comp.name} misses component {W.name}"
             out.append(emb)
         return out
-
-    @staticmethod
-    def _far_pair(x: Vertex, w: Vertex, W: TriComp, newpairs,
-                  new_decomp: DecompositionState) -> Vertex | None:
-        """Partner of the new pair at x whose far side holds w, if any."""
-        hits = []
-        for p in sorted(newpairs):
-            if x not in p:
-                continue
-            z = min(W.vertices - set(p))
-            if not new_decomp.connected_avoiding(w, z, p):
-                hits.append(_partner(p, x))
-        assert len(hits) <= 1, f"entry {w} at {x} matches two far sides"
-        return hits[0] if hits else None
 
     # --------------------------------------------------------------- commit
 
@@ -463,10 +441,8 @@ class Engine:
         """Splice the component embeddings into one block rotation.
 
         The block's SPQR tree is walked breadth first from its least
-        component. Children are opened at the shared pair and inserted
-        against the parent's bundle entry: before it at the smaller pair
-        vertex, after it at the larger one. The bundle entry itself
-        survives.
+        component, and each child is spliced in at its pair, smaller
+        vertex first.
         """
         root = min((c.kind, c.name) for c in block.comps)
         rot = {x: list(seq) for x, seq in comp_embs[root].rot.items()}
@@ -475,19 +451,11 @@ class Engine:
         while queue:
             parent = queue.pop(0)
             for pnode in block.tree[parent]:
-                s, t = pair = pnode[1]
+                s, t = pnode[1]
                 for child in block.tree[pnode]:
                     if child in seen:
                         continue
-                    crot = comp_embs[child].rot
-                    i = rot[s].index(t)
-                    rot[s][i:i] = opened_at(crot[s], t)[1:]
-                    j = rot[t].index(s)
-                    rot[t][j + 1:j + 1] = opened_at(crot[t], s)[1:]
-                    for w, seq in crot.items():
-                        if w not in pair:
-                            assert w not in rot
-                            rot[w] = list(seq)
+                    _splice(rot, comp_embs[child].rot, s, t)
                     seen.add(child)
                     queue.append(child)
         assert len(seen) == len(block.comps), \

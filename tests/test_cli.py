@@ -105,6 +105,26 @@ def test_oracle_planar_past_its_budget_answers_error():
     assert code == 1
 
 
+def test_internal_assert_answers_error_and_keeps_state(monkeypatch):
+    """A failing engine assert answers an internal error line; it fires
+    before the change commits, so the next dump equals the one before."""
+    assemble = Engine._assemble_graph
+
+    def failing(decomp, block_rots):
+        if len(decomp.edges) >= 3:
+            raise AssertionError("injected fault")
+        return assemble(decomp, block_rots)
+
+    monkeypatch.setattr(Engine, "_assemble_graph", staticmethod(failing))
+    trace = ["add 1 2", "add 2 3", "dump", "add 1 3", "dump"]
+    out, code = run_trace(trace, 8)
+    end = out.index(".")
+    first_dump = out[2:end + 1]
+    assert out[end + 1] == "error line 4: internal error: injected fault"
+    assert out[end + 2:] == first_dump
+    assert code == 1
+
+
 def test_main_reads_trace_file(tmp_path, capsys):
     p = tmp_path / "t.txt"
     p.write_text("add 1 2\nadd 1 2\n", encoding="utf-8")
@@ -146,8 +166,7 @@ def test_check_state_flags_decomposition_desync():
     tri = eng.decomp
     path = DecompositionState.from_edges(8, [(2, 3), (1, 3)])
     eng.decomp = DecompositionState(8, path.edges, tri.blocks,
-                                    tri.cut_vertices, path._comp_of,
-                                    path._adj)
+                                    tri.cut_vertices, path._comp_of)
     assert any("decomposition" in v for v in check_state(eng))
 
 

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
 import pytest
 
-from dynplanar.engine import Engine
+from dynplanar.engine import Engine, insert_ok
 from dynplanar.graph_core import (
     ACCEPTED,
     NOOP_ABSENT,
@@ -20,6 +21,7 @@ from dynplanar.oracle import (
     static_planar,
     validate_rotation,
 )
+from dynplanar.rotation import Embedding
 
 K4_ORDER = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
@@ -180,6 +182,28 @@ def test_subupdate_order_is_immaterial():
         assert eng.dump() == base
 
 
+def test_two_insertion_windows_commute():
+    """One insert crossing a rigid corridor in one block and splitting a
+    rigid face in the next builds, in either order of its two windows,
+    the state a fresh engine builds from the final edge set."""
+    k4s = [(1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+           (1, 5), (1, 6), (2, 5), (2, 6), (5, 6)]
+    wheel = [(0, r) for r in range(6, 11)] + \
+        [(6, 7), (7, 8), (8, 9), (9, 10), (6, 10)]
+    base = build(11, k4s + wheel)
+    windows = insert_ok(base.decomp, base.comp_embs, 3, 8)
+    assert [(w[3], w[4] is None) for w in windows] == [
+        ([("R", (1, 2, 3)), ("P", (1, 2)), ("R", (1, 2, 5))], True),
+        ([("R", (0, 6, 7))], False),
+    ]
+    want = build(11, sorted(base.graph.edges | {(3, 8)})).dump()
+    for perm in itertools.permutations(range(len(windows))):
+        eng = build(11, k4s + wheel)
+        eng._subupdate_order = lambda ts, perm=perm: [ts[i] for i in perm]
+        assert eng.insert_edge(3, 8).status == ACCEPTED
+        assert eng.dump() == want
+
+
 # -------------------------------------------------------------- oracle sync
 
 def test_trajectory_matches_static_oracles():
@@ -204,6 +228,63 @@ def test_trajectory_matches_static_oracles():
         for emb in eng.comp_embs.values():
             assert validate_rotation(emb.edge_set(), emb.rot)
         assert validate_rotation(eng.graph.edges, eng.graph_rot)
+
+
+class CorridorCounting(Engine):
+    """Engine that records how many pairs each corridor merge fuses."""
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.corridor_pairs: list[int] = []
+
+    def _merge_corridor(self, block, path, u, v):
+        self.corridor_pairs.append(len(path) // 2)
+        return super()._merge_corridor(block, path, u, v)
+
+
+def test_rigid_embeddings_match_networkx_at_every_size(capsys):
+    """A rigid skeleton has one embedding up to mirror, so after every
+    change each R component's embedding is networkx's embedding of its
+    skeleton (real and virtual edges), canonicalised; no size budget."""
+    nx = pytest.importorskip("networkx")
+    want: dict = {}
+    checks = mismatches = 0
+    corridors: list[int] = []
+    for seed in range(20):
+        rng = random.Random(7000 + seed)
+        n = rng.randint(20, 45)
+        eng = CorridorCounting(n)
+        for _ in range(200):
+            edges = sorted(eng.graph.edges)
+            if edges and rng.random() < 0.3:
+                eng.delete_edge(*edges[rng.randrange(len(edges))])
+            else:
+                a = rng.randrange(n)
+                b = (a + rng.randint(1, 5)) % n
+                if not eng.graph.has_edge(a, b):
+                    eng.insert_edge(a, b)
+            for blk in eng.decomp.blocks:
+                for c in blk.comps:
+                    if c.kind != "R":
+                        continue
+                    skeleton = c.real_edges | c.pairs
+                    key = (c.vertices, skeleton)
+                    if key not in want:
+                        ok, pe = nx.check_planarity(nx.Graph(sorted(skeleton)))
+                        assert ok
+                        rot = {x: pe.neighbors_cw_order(x) for x in pe}
+                        want[key] = Embedding(rot).canonical().serialize()
+                    checks += 1
+                    got = eng.comp_embs[(c.kind, c.name)].serialize()
+                    mismatches += got != want[key]
+        corridors += eng.corridor_pairs
+    multi = sum(k >= 2 for k in corridors)
+    with capsys.disabled():
+        print(f"\nrigid embeddings: {checks} checks of {len(want)} "
+              f"skeletons, {mismatches} mismatches; {len(corridors)} "
+              f"corridors, {multi} with two or more pairs")
+    assert mismatches == 0
+    assert multi >= 20
 
 
 # ------------------------------------------------------------ graph queries
