@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 
 from .coherence import is_coherent
@@ -125,10 +126,10 @@ def _run_command(eng: Engine, words: list[str]) -> list[str]:
         return ["true" if verdict else "false"]
     if len(args) != arity[op]:
         raise GraphError(f"{op} takes {arity[op]} arguments")
-    try:
-        vals = [int(x) for x in args]
-    except ValueError:
-        raise GraphError("vertex tokens must be decimal integers") from None
+    # int() also takes "+5", "1_0" and non-ASCII digits
+    if not all(re.fullmatch("-?[0-9]+", x) for x in args):
+        raise GraphError("vertex tokens must be decimal integers")
+    vals = [int(x) for x in args]
 
     if op in ("add", "del"):
         return [_answer_change(eng, op, *vals)]

@@ -12,17 +12,17 @@ accepted change:
 
 Cycle components have a unique rotation scheme, so a new cycle's
 embedding is derived from content. Rigid components are the only ones that
-need surgery: face splits for insertions inside one component, a
-corridor merge when an insertion fuses a path of components, and entry
-projection when a deletion unfurls a component. A corridor merge is the
-splice that assembles blocks, applied along the window path once the
-two-colouring has fixed each component's flip; a projection reads the
-far side of each new pair off the new block's SPQR tree. Insertion
-surgery builds from the windows the gate returns, so deciding and
-building walk the state once. Everything a change does not touch is
-carried over by content key, which makes the whole state a pure
-function of the edge set, and the decomposition state holds that edge
-set.
+need surgery: a corridor merge when an insertion crosses a window path,
+and entry projection when a deletion unfurls a component. A corridor
+merge is the splice that assembles blocks, applied along the window path
+once the two-colouring has fixed each component's flip; a face split is
+the corridor of one rigid component, which has no pairs and so no flip.
+A projection reads the far side of each new pair off the new block's
+SPQR tree. Insertion surgery builds from the windows the gate returns,
+so deciding and building walk the state once. Everything a change does
+not touch is carried over by content key, which makes the whole state a
+pure function of the edge set, and the decomposition state holds that
+edge set.
 """
 from __future__ import annotations
 
@@ -90,6 +90,11 @@ def _embedding_key(emb: Embedding) -> ContentKey:
 def _partner(pair: Edge, x: Vertex) -> Vertex:
     assert x in pair
     return pair[1] if pair[0] == x else pair[0]
+
+
+def _traverses(bd: tuple, x: Vertex, y: Vertex) -> bool:
+    """Does the cyclic face boundary bd step from x straight to y?"""
+    return bd[(bd.index(x) + 1) % len(bd)] == y
 
 
 def _splice(rot: dict, crot: dict, s: Vertex, t: Vertex) -> None:
@@ -165,7 +170,7 @@ class Engine:
         )
         assert (INSERT, change.before_level, change.after_level) \
             not in IMPOSSIBLE_TYPES, change
-        built = [self._window_built(*w) for w in self._ordered(windows)]
+        built = [self._merge_corridor(*w) for w in self._ordered(windows)]
         self._commit(new_decomp, built)
         return ChangeOutcome(ACCEPTED, change)
 
@@ -194,17 +199,6 @@ class Engine:
 
     # ---------------------------------------------------- insertion surgery
 
-    def _window_built(self, block: Block, u: Vertex, v: Vertex,
-                      path: list[SpqrNode], face) -> Embedding:
-        """The rigid embedding a gate window's real or virtual edge u-v
-        builds: a split of `face` inside one component, else the merged
-        corridor along `path`."""
-        if face is None:
-            return self._merge_corridor(block, path, u, v)
-        emb = self.comp_embs[path[0]].copy()
-        emb.split_face(face, u, v)
-        return emb
-
     def _surrogate_cycle(self, emb: Embedding, anchors: set) -> Embedding:
         """Cycle through the anchors in their order around a cycle comp.
 
@@ -217,40 +211,25 @@ class Engine:
         assert len(order) == len(anchors) >= 3
         return Embedding.from_cycle(order)
 
-    def _oriented_glue_boundary(self, emb: Embedding, anchors: set,
-                                want: tuple[Vertex, Vertex]) -> tuple:
-        """Boundary of the face consumed by the corridor, oriented so the
-        seam pair is traversed want[0] -> want[1]; flips emb if needed."""
-
-        def scan():
-            for _, bdy in sorted(emb.faces.items()):
-                if anchors <= set(bdy):
-                    i = bdy.index(want[0])
-                    if bdy[(i + 1) % len(bdy)] == want[1]:
-                        return bdy
-            return None
-
-        bd = scan()
-        if bd is None:
-            emb.flip()
-            bd = scan()
-        assert bd is not None, "window face lost its seam orientation"
-        return bd
-
-    def _merge_corridor(self, block: Block, path: list[SpqrNode], u: Vertex,
-                        v: Vertex) -> Embedding:
+    def _merge_corridor(self, block: Block, u: Vertex, v: Vertex,
+                        path: list[SpqrNode]) -> Embedding:
         """Fuse the components along the window path with the edge u-v.
 
-        Components are oriented so every window face traverses its left
-        seam pair top to bottom and its right one bottom to top. Each is
-        then spliced into the rotation built so far at its left pair, as
-        blocks are assembled, which lands it in the window face; pairs
-        the corridor dissolves lose their virtual entries, and u-v goes
-        in at the window-face corners of u and v.
+        Each component's window face is the face holding its anchors (u
+        or v, and its flanking pairs): the only one in a rigid component,
+        the least one of a cycle. A component whose window face crosses
+        its seam the wrong way is taken flipped, so every window face
+        traverses its left seam pair top to bottom and its right one
+        bottom to top. Each is then spliced into the rotation built so
+        far at its left pair, as blocks are assembled, which lands it in
+        the window face; pairs the corridor dissolves lose their virtual
+        entries, and u-v goes in at the window-face corners of u and v.
+        A path of one rigid component has no pairs and so no flip: that
+        is a face split.
         """
         comps = path[::2]
         pairs = [nd[1] for nd in path[1::2]]
-        colours = colour_path(self.comp_embs, path)
+        colours = colour_path(self.comp_embs, path) if pairs else {}
         pair_verts = {x for p in pairs for x in p}
         assert u not in pair_verts and v not in pair_verts
 
@@ -260,19 +239,25 @@ class Engine:
         def bottom(p: Edge) -> Vertex:
             return _partner(p, top(p))
 
+        window_verts: set[Vertex] = set()
         for i, nd in enumerate(comps):
-            left = set(pairs[i - 1]) if i > 0 else {u}
-            right = set(pairs[i]) if i < len(pairs) else {v}
+            anchors = (set(pairs[i - 1]) if i > 0 else {u}) | \
+                (set(pairs[i]) if i < len(pairs) else {v})
             emb = self.comp_embs[nd]
-            emb = self._surrogate_cycle(emb, left | right) \
-                if nd[0] == "S" else emb.copy()
-            want = (bottom(pairs[0]), top(pairs[0])) if i == 0 \
-                else (top(pairs[i - 1]), bottom(pairs[i - 1]))
-            bd = self._oriented_glue_boundary(emb, left | right, want)
-            if 0 < i < len(comps) - 1:
-                j = bd.index(bottom(pairs[i]))
-                assert bd[(j + 1) % len(bd)] == top(pairs[i]), \
-                    "right seam disagrees with the colouring"
+            if nd[0] == "S":
+                emb = self._surrogate_cycle(emb, anchors)
+            bd = emb.boundary(emb.common_face(anchors))
+            window_verts |= set(bd)
+            if pairs:
+                want = (bottom(pairs[0]), top(pairs[0])) if i == 0 \
+                    else (top(pairs[i - 1]), bottom(pairs[i - 1]))
+                if not _traverses(bd, *want):
+                    emb, bd = emb.flipped(), bd[::-1]
+                assert _traverses(bd, *want), \
+                    "window face lost its seam orientation"
+                if 0 < i < len(comps) - 1:
+                    assert _traverses(bd, bottom(pairs[i]), top(pairs[i])), \
+                        "right seam disagrees with the colouring"
             if i == 0:
                 rot = {x: list(seq) for x, seq in emb.rot.items()}
                 first_bd = bd
@@ -293,15 +278,17 @@ class Engine:
             seq.insert(j + 1, other)
 
         emb = Embedding(rot)
-        f_uv = emb.face_with_dart(u, v)
-        f_vu = emb.face_with_dart(v, u)
-        assert f_uv != f_vu
-        side_uv = set(emb.boundary(f_uv))
-        side_vu = set(emb.boundary(f_vu))
+        sides = [set(bd) for bd in emb.faces.values()
+                 if u in bd and _traverses(bd, u, v)
+                 or v in bd and _traverses(bd, v, u)]
+        assert len(sides) == 2, "the new edge must border two faces"
+        side_a, side_b = sides
+        assert side_a | side_b == window_verts and side_a & side_b == {u, v}, \
+            "the new edge must split the window faces into two arcs"
         tops = {x for x in pair_verts if colours[x] == 0}
         bots = pair_verts - tops
-        assert (tops <= side_uv and bots <= side_vu) or \
-            (tops <= side_vu and bots <= side_uv), \
+        assert (tops <= side_a and bots <= side_b) or \
+            (tops <= side_b and bots <= side_a), \
             "colour classes must split across the new edge"
         return emb
 

@@ -10,8 +10,10 @@ face. Cross-block insertions conjoin the per-block tests, which are
 independent because the blocks only meet in cut vertices.
 
 The walk that decides is the walk surgery follows: an admitted insert
-comes back as the windows it crosses, and the engine builds its new
-rigid embeddings from those alone.
+comes back as the windows it crosses, each a block, the endpoints in it
+and the SPQR path between them, and the engine builds its new rigid
+embeddings from those alone. A face split is the window whose path is
+one rigid component.
 """
 from __future__ import annotations
 
@@ -51,10 +53,10 @@ def _block_windows(block: Block, embeddings, u: Vertex, v: Vertex):
 
     No window is needed in a bridge, next to a real edge or pair (the
     edge joins the bundle at {u,v}) or across a cycle component (a
-    chord). Otherwise the one window is (block, u, v, path, face): the
-    SPQR path surgery fuses and, when that path is one rigid component,
-    the face the edge splits. Every rigid component on the path must
-    hold its flanking windows on one face.
+    chord). Otherwise the one window is (block, u, v, path): the SPQR
+    path surgery fuses, which for a face split is one rigid component.
+    Every rigid component on the path must hold its flanking windows on
+    one face.
     """
     if block.is_bridge:
         return []
@@ -66,16 +68,14 @@ def _block_windows(block: Block, embeddings, u: Vertex, v: Vertex):
         return []
     comps = path[::2]
     pairs = [set(nd[1]) for nd in path[1::2]]
-    face = None
     for i, nd in enumerate(comps):
         if nd[0] != "R":
             continue
         left = pairs[i - 1] if i > 0 else {u}
         right = pairs[i] if i < len(pairs) else {v}
-        face = embeddings[nd].common_face(left | right)
-        if face is None:
+        if embeddings[nd].common_face(left | right) is None:
             return None
-    return [(block, u, v, path, face if len(path) == 1 else None)]
+    return [(block, u, v, path)]
 
 
 # ------------------------------------------------------------- entry point

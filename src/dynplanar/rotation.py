@@ -5,13 +5,14 @@ never stored independently: they are the orbits of the successor rule
 
     next(u -> v) = (v, clockwise-predecessor of u at v)
 
-retraced after every structural change, so the face scheme can never
-drift from the rotation scheme. Each face keeps its orbit orientation;
-the outer face is the one with the least name.
+traced once when the embedding is built. An embedding is a value: no
+method changes it, and a changed rotation scheme is a new embedding,
+so the face scheme can never drift from the rotation scheme. Each face
+keeps its orbit orientation; the outer face is the one with the least
+name.
 
 Face names are the lexicographically least ordered vertex triple that
-occurs on the face boundary in orbit order; names are recomputed after
-every operation.
+occurs on the face boundary in orbit order.
 """
 from __future__ import annotations
 
@@ -62,11 +63,8 @@ def cyclic_triple_query(seq, a, b, c) -> bool:
 # ---------------------------------------------------------------- face trace
 
 def trace_orbits(rot):
-    """Face orbits of a rotation scheme, as normalized boundary tuples.
-
-    Returns (orbits, dart_orbit) where orbits[i] is the vertex cycle of
-    orbit i in trace orientation (least rotation) and dart_orbit maps
-    each dart (u, v) to its orbit index.
+    """Face orbits of a rotation scheme, as normalized boundary tuples:
+    the vertex cycle of each orbit in trace orientation (least rotation).
     """
     prev: dict[Vertex, dict[Vertex, Vertex]] = {}
     for v, seq in rot.items():
@@ -79,20 +77,20 @@ def trace_orbits(rot):
         if v not in prev or u not in prev[v]:
             raise GraphError(f"dart ({u},{v}) has no reverse incidence")
     orbits: list[tuple] = []
-    dart_orbit: dict[tuple, int] = {}
+    seen: set[tuple] = set()
     for u0, v0 in darts:
-        if (u0, v0) in dart_orbit:
+        if (u0, v0) in seen:
             continue
         cycle = []
         u, v = u0, v0
         while True:
             cycle.append(u)
-            dart_orbit[(u, v)] = len(orbits)
+            seen.add((u, v))
             u, v = v, prev[v][u]
             if (u, v) == (u0, v0):
                 break
         orbits.append(least_rotation(cycle))
-    return orbits, dart_orbit
+    return orbits
 
 
 def face_name(boundary) -> FaceId:
@@ -123,7 +121,7 @@ def euler_per_component(rot) -> bool:
                 if y not in comp_of:
                     comp_of[y] = s
                     stack.append(y)
-    orbits, _ = trace_orbits(rot)
+    orbits = trace_orbits(rot)
     for root in set(comp_of.values()):
         vs = sum(1 for v in comp_of if comp_of[v] == root)
         es = sum(len(seq) for v, seq in rot.items()
@@ -145,14 +143,10 @@ def _serialize(rot) -> str:
 class Embedding:
     """Rotation scheme of one connected component plus traced faces."""
 
-    __slots__ = ("rot", "faces", "_dart_face")
+    __slots__ = ("rot", "faces")
 
     def __init__(self, rot):
-        self.rot = {v: tuple(seq) for v, seq in rot.items()}
-        self._retrace()
-
-    def _retrace(self) -> None:
-        rot = self.rot
+        rot = self.rot = {v: tuple(seq) for v, seq in rot.items()}
         if not rot:
             raise GraphError("embedding needs at least one edge")
         seen = set()
@@ -165,7 +159,7 @@ class Embedding:
             stack.extend(rot[x])
         if seen != set(rot):
             raise GraphError("embedding rotation scheme is not connected")
-        orbits, dart_orbit = trace_orbits(rot)
+        orbits = trace_orbits(rot)
         vs = len(rot)
         es = sum(len(seq) for seq in rot.values()) // 2
         if vs - es + len(orbits) != 2:
@@ -173,16 +167,12 @@ class Embedding:
                 f"rotation scheme is not planar: V-E+F = "
                 f"{vs}-{es}+{len(orbits)}")
         self.faces = {}
-        boundary_of: dict[int, FaceId] = {}
-        for i, b in enumerate(orbits):
+        for b in orbits:
             if len(b) >= 3 and len(set(b)) == len(b):
                 name = face_name(b)
                 if name in self.faces:
                     raise GraphError(f"face name collision at {name}")
                 self.faces[name] = b
-                boundary_of[i] = name
-        self._dart_face = {d: boundary_of[i]
-                           for d, i in dart_orbit.items() if i in boundary_of}
 
     # ------------------------------------------------------------ structure
 
@@ -194,14 +184,6 @@ class Embedding:
         k = len(vs)
         rot = {vs[i]: (vs[(i + 1) % k], vs[(i - 1) % k]) for i in range(k)}
         return cls(rot)
-
-    def copy(self) -> Embedding:
-        """Independent copy; faces are copied, not retraced."""
-        dup = Embedding.__new__(Embedding)
-        dup.rot = dict(self.rot)
-        dup.faces = dict(self.faces)
-        dup._dart_face = dict(self._dart_face)
-        return dup
 
     @property
     def outer(self) -> FaceId | None:
@@ -221,12 +203,6 @@ class Embedding:
             return self.faces[f]
         except KeyError:
             raise GraphError(f"unknown face {f}") from None
-
-    def face_with_dart(self, u: Vertex, v: Vertex) -> FaceId:
-        try:
-            return self._dart_face[(u, v)]
-        except KeyError:
-            raise GraphError(f"no face carries dart ({u},{v})") from None
 
     # -------------------------------------------------------------- queries
 
@@ -257,40 +233,10 @@ class Embedding:
 
     # ----------------------------------------------------------- operations
 
-    def flip(self) -> None:
-        self.rot = {v: tuple(reversed(seq)) for v, seq in self.rot.items()}
-        self._retrace()
-
-    def split_face(self, f: FaceId, u: Vertex, v: Vertex):
-        """Insert edge {u,v} across face f; returns (side of (u,w,v) order,
-        other side)."""
-        bd = self.boundary(f)
-        if u == v:
-            raise GraphError("split_face needs two distinct vertices")
-        if u not in bd or v not in bd:
-            raise GraphError(f"vertices ({u},{v}) not both on face {f}")
-        if canonical_edge(u, v) in self.edge_set():
-            raise GraphError(f"edge ({u},{v}) is already present")
-        k = len(bd)
-        iu, iv = bd.index(u), bd.index(v)
-        side = set(bd[iu + 1:iv]) if iu < iv else set(bd[iu + 1:] + bd[:iv])
-        pu, su = bd[iu - 1], bd[(iu + 1) % k]
-        pv, sv = bd[iv - 1], bd[(iv + 1) % k]
-        ru = list(self.rot[u])
-        j = ru.index(su)
-        assert ru[(j + 1) % len(ru)] == pu, "corner disagrees with rotation"
-        ru.insert(j + 1, v)
-        self.rot[u] = tuple(ru)
-        rv = list(self.rot[v])
-        j = rv.index(sv)
-        assert rv[(j + 1) % len(rv)] == pv, "corner disagrees with rotation"
-        rv.insert(j + 1, u)
-        self.rot[v] = tuple(rv)
-        self._retrace()
-        side_face = self.face_with_dart(v, u)
-        other_face = self.face_with_dart(u, v)
-        assert set(self.faces[side_face]) == side | {u, v}
-        return side_face, other_face
+    def flipped(self) -> Embedding:
+        """The mirror image: every rotation and face orbit reversed."""
+        return Embedding({v: tuple(reversed(seq))
+                          for v, seq in self.rot.items()})
 
     # ------------------------------------------------------- canonical form
 
@@ -301,16 +247,8 @@ class Embedding:
         """Deterministic representative of the reflection pair."""
         flipped = {v: tuple(reversed(seq)) for v, seq in self.rot.items()}
         if _serialize(self.rot) <= _serialize(flipped):
-            return self.copy()
+            return self
         return Embedding(flipped)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Embedding):
-            return NotImplemented
-        return self.rot == other.rot
-
-    def __hash__(self):
-        return hash(frozenset(self.rot.items()))
 
     def __repr__(self) -> str:
         return f"Embedding({self.serialize()!r})"

@@ -74,14 +74,21 @@ def test_dump_is_terminated_by_dot():
 
 def test_parse_errors_carry_line_numbers_and_continue():
     trace = ["add 1 2", "frobnicate", "add 1", "add x y",
-             "rot? 9 1 2 3", "", "# note", "add 2 3"]
-    out, code = run_trace(trace, 8)
+             "rot? 9 1 2 3", "", "# note", "add 2 3",
+             "add 1_0 2", "add \u0663 4", "add +5 6", "add -1 6"]
+    out, code = run_trace(trace, 12)
     assert out[0] == "accepted 0->1"
     assert out[1].startswith("error line 2:")
     assert out[2].startswith("error line 3:")
     assert out[3].startswith("error line 4:")
     assert out[4].startswith("error line 5:")
     assert out[5] == "accepted 0->1"
+    for i, no in enumerate((9, 10, 11), start=6):
+        assert out[i] == f"error line {no}: vertex tokens must be decimal " \
+            "integers"
+    assert out[9].startswith("error line 12:")
+    assert "decimal" not in out[9]
+    assert len(out) == 10
     assert code == 1
 
 

@@ -192,9 +192,9 @@ def test_two_insertion_windows_commute():
         [(6, 7), (7, 8), (8, 9), (9, 10), (6, 10)]
     base = build(11, k4s + wheel)
     windows = insert_ok(base.decomp, base.comp_embs, 3, 8)
-    assert [(w[3], w[4] is None) for w in windows] == [
-        ([("R", (1, 2, 3)), ("P", (1, 2)), ("R", (1, 2, 5))], True),
-        ([("R", (0, 6, 7))], False),
+    assert [w[3] for w in windows] == [
+        [("R", (1, 2, 3)), ("P", (1, 2)), ("R", (1, 2, 5))],
+        [("R", (0, 6, 7))],
     ]
     want = build(11, sorted(base.graph.edges | {(3, 8)})).dump()
     for perm in itertools.permutations(range(len(windows))):
@@ -202,6 +202,22 @@ def test_two_insertion_windows_commute():
         eng._subupdate_order = lambda ts, perm=perm: [ts[i] for i in perm]
         assert eng.insert_edge(3, 8).status == ACCEPTED
         assert eng.dump() == want
+
+
+def test_rim_chord_splits_the_wheel_face_into_its_two_arcs():
+    """A face split is the corridor of one rigid component: a rim chord
+    of a wheel leaves the two rim arcs, each closed by the chord, as
+    faces of the wheel's R component."""
+    rim = [(r, r % 6 + 1) for r in range(1, 7)]
+    eng = build(7, [(0, r) for r in range(1, 7)] + rim)
+    (node,) = eng.comp_embs
+    assert [w[3] for w in insert_ok(eng.decomp, eng.comp_embs, 1, 4)] \
+        == [[node]]
+    assert eng.insert_edge(1, 4).status == ACCEPTED
+    (emb,) = eng.comp_embs.values()
+    assert len(emb.faces) == 8
+    assert {frozenset(bd) for bd in emb.faces.values() if len(bd) > 3} \
+        == {frozenset({1, 2, 3, 4}), frozenset({1, 4, 5, 6})}
 
 
 # -------------------------------------------------------------- oracle sync
@@ -237,9 +253,9 @@ class CorridorCounting(Engine):
         super().__init__(n)
         self.corridor_pairs: list[int] = []
 
-    def _merge_corridor(self, block, path, u, v):
+    def _merge_corridor(self, block, u, v, path):
         self.corridor_pairs.append(len(path) // 2)
-        return super()._merge_corridor(block, path, u, v)
+        return super()._merge_corridor(block, u, v, path)
 
 
 def test_rigid_embeddings_match_networkx_at_every_size(capsys):
@@ -278,11 +294,13 @@ def test_rigid_embeddings_match_networkx_at_every_size(capsys):
                     got = eng.comp_embs[(c.kind, c.name)].serialize()
                     mismatches += got != want[key]
         corridors += eng.corridor_pairs
+    splits = corridors.count(0)
     multi = sum(k >= 2 for k in corridors)
     with capsys.disabled():
         print(f"\nrigid embeddings: {checks} checks of {len(want)} "
-              f"skeletons, {mismatches} mismatches; {len(corridors)} "
-              f"corridors, {multi} with two or more pairs")
+              f"skeletons, {mismatches} mismatches; {splits} face splits, "
+              f"{len(corridors) - splits} corridors, {multi} with two or "
+              f"more pairs")
     assert mismatches == 0
     assert multi >= 20
 

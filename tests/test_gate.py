@@ -189,11 +189,9 @@ def test_insert_ok_returns_the_windows_surgery_builds() -> None:
     blk = decomp.blocks[0]
     # across the chain: one corridor along the whole window path
     assert insert_ok(decomp, embs, 1, 10) == [
-        (blk, 1, 10, window_path(blk, 1, 10), None)]
-    # inside one wheel: the face of that wheel holding both rim vertices
-    ((got_blk, u, v, path, face),) = insert_ok(decomp, embs, 1, 3)
-    assert (got_blk, u, v, path) == (blk, 1, 3, [("R", (0, 1, 2))])
-    assert set(embs[path[0]].boundary(face)) >= {1, 3}
+        (blk, 1, 10, window_path(blk, 1, 10))]
+    # inside one wheel: a face split, whose window path is that wheel
+    assert insert_ok(decomp, embs, 1, 3) == [(blk, 1, 3, [("R", (0, 1, 2))])]
     # an edge at a virtual pair joins its bundle, and a chord of a cycle
     # needs no surgery
     glued = DecompositionState.from_edges(

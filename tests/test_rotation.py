@@ -67,10 +67,8 @@ def test_face_name() -> None:
 
 
 def test_trace_orbits_k4() -> None:
-    orbits, dart_orbit = trace_orbits(K4_ROT)
+    orbits = trace_orbits(K4_ROT)
     assert sorted(orbits) == [(1, 2, 3), (1, 3, 4), (1, 4, 2), (2, 4, 3)]
-    assert orbits[dart_orbit[(1, 2)]] == (1, 2, 3)
-    assert orbits[dart_orbit[(2, 1)]] == (1, 4, 2)
 
 
 def test_trace_orbits_rejects_malformed() -> None:
@@ -96,8 +94,6 @@ def test_k4_embedding_frozen() -> None:
     assert sorted(emb.faces) == K4_FACES
     assert emb.outer == (1, 2, 3)
     assert emb.boundary((2, 4, 3)) == (2, 4, 3)
-    assert emb.face_with_dart(1, 2) == (1, 2, 3)
-    assert emb.face_with_dart(2, 1) == (1, 4, 2)
 
 
 def test_embedding_rejects_nonplanar_rotation() -> None:
@@ -160,57 +156,16 @@ def test_common_face() -> None:
 
 def test_flip_involution() -> None:
     emb = Embedding(K4_ROT)
-    emb.flip()
-    assert cyclic_triple_query(emb.rot[1], 4, 3, 2)
-    assert euler_per_component(emb.rot)
-    assert sorted(set(emb.boundary(f)) for f in emb.faces) == sorted(
-        {1, 2, 3}.union(s) - {0} for s in ({2}, {3, 4}, {4}, {4} | {2})
-    ) or len(emb.faces) == 4
-    emb.flip()
+    mirror = emb.flipped()
     assert emb.rot == K4_ROT
-    assert emb.outer == (1, 2, 3)
-
-
-# -------------------------------------------------------------------- split
-
-
-def test_split_face_c4() -> None:
-    c4 = Embedding.from_cycle([1, 2, 3, 4])
-    f = c4.common_face({1, 2, 3, 4})
-    side, other = c4.split_face(f, 1, 3)
-    assert (side, other) == ((1, 2, 3), (1, 3, 4))
-    assert (1, 3) in c4.edge_set()
-    assert euler_per_component(c4.rot)
-
-
-def test_split_then_merge_restores() -> None:
-    c4 = Embedding.from_cycle([1, 2, 3, 4])
-    f = c4.common_face({1, 2, 3, 4})
-    c4.split_face(f, 1, 3)
-    c4 = Embedding({v: tuple(x for x in seq if {v, x} != {1, 3})
-                    for v, seq in c4.rot.items()})
-    fresh = Embedding.from_cycle([1, 2, 3, 4])
-    assert c4.rot == fresh.rot
-    assert sorted(c4.faces) == sorted(fresh.faces)
-
-
-def test_split_hexagon_sides() -> None:
-    hexe = Embedding.from_cycle([1, 2, 3, 4, 5, 6])
-    f = hexe.common_face(set(range(1, 7)))
-    sa, sb = hexe.split_face(f, 1, 4)
-    sides = {frozenset(hexe.boundary(sa)) - {1, 4},
-             frozenset(hexe.boundary(sb)) - {1, 4}}
-    assert sides == {frozenset({2, 3}), frozenset({5, 6})}
-
-
-def test_split_rejects_existing_edge_and_foreign_vertex() -> None:
-    emb = Embedding(K4_ROT)
-    with pytest.raises(GraphError):
-        emb.split_face((1, 2, 3), 1, 2)
-    hexe = Embedding.from_cycle([1, 2, 3, 4, 5, 6])
-    f = hexe.common_face(set(range(1, 7)))
-    with pytest.raises(GraphError):
-        hexe.split_face(f, 1, 9)
+    assert sorted(emb.faces) == K4_FACES
+    assert cyclic_triple_query(mirror.rot[1], 4, 3, 2)
+    assert euler_per_component(mirror.rot)
+    assert sorted(mirror.faces.values()) == sorted(
+        least_rotation(bd[::-1]) for bd in emb.faces.values())
+    back = mirror.flipped()
+    assert back.rot == K4_ROT
+    assert back.outer == (1, 2, 3)
 
 
 # ------------------------------------------------------ canonical/serialize
@@ -218,19 +173,14 @@ def test_split_rejects_existing_edge_and_foreign_vertex() -> None:
 
 def test_canonical_flip_invariant() -> None:
     a = Embedding(K4_ROT).canonical()
-    b = Embedding(K4_ROT)
-    b.flip()
-    b = b.canonical()
+    b = Embedding(K4_ROT).flipped().canonical()
     assert a.rot == b.rot
     assert a.outer == b.outer
-    assert a == b
-    assert hash(a) == hash(b)
+    assert a.canonical() is a
 
 
 def test_canonical_outer_is_least_face() -> None:
-    emb = Embedding(K4_ROT)
-    emb.flip()
-    emb = emb.canonical()
+    emb = Embedding(K4_ROT).flipped().canonical()
     assert emb.outer == min(emb.faces)
 
 
@@ -252,13 +202,6 @@ def test_dump_lines_k4() -> None:
     ]
 
 
-def test_copy_is_independent() -> None:
-    emb = Embedding(K4_ROT)
-    dup = emb.copy()
-    dup.flip()
-    assert emb.rot == K4_ROT
-
-
 # ----------------------------------------------------------------- wheels
 
 
@@ -269,9 +212,9 @@ def test_wheel_embeddings(k: int) -> None:
     rim = emb.common_face(set(range(1, k + 1)))
     assert rim is not None
     assert set(emb.boundary(rim)) == set(range(1, k + 1))
-    emb.flip()
-    assert euler_per_component(emb.rot)
-    assert len(emb.faces) == k + 1
+    mirror = emb.flipped()
+    assert euler_per_component(mirror.rot)
+    assert len(mirror.faces) == k + 1
 
 
 # -------------------------------------------------------------- properties
@@ -298,10 +241,7 @@ def test_any_tree_rotation_is_planar(rot) -> None:
     assert emb.faces == {}
     assert emb.outer is None
     assert euler_per_component(emb.rot)
-    before = dict(emb.rot)
-    emb.flip()
-    emb.flip()
-    assert emb.rot == before
+    assert emb.flipped().flipped().rot == emb.rot
 
 
 @given(st.integers(min_value=0, max_value=10**6))
