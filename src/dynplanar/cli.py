@@ -313,6 +313,8 @@ def main(argv=None) -> int:
         domain = PLANARITY_BUDGET if ns.fuzz else DEFAULT_DOMAIN
     if domain <= 0:
         ap.error(f"domain size must be a positive int, got {domain}")
+    if ns.steps < 0:
+        ap.error(f"fuzz steps must be a non-negative int, got {ns.steps}")
 
     if ns.fuzz:
         try:

@@ -332,17 +332,16 @@ class DecompositionState:
         raw_blocks, cuts, _ = _lowpoint(adj, adj)
 
         known = {b.edges: b for b in carry_from.blocks} if carry_from else {}
-        kinds = None
-        blocks: list[Block] = []
-        for raw in raw_blocks:
-            bedges = frozenset((u, v) if u < v else (v, u) for u, v in raw)
-            blk = known.get(bedges)
-            if blk is None:
-                if kinds is None:
-                    kinds = {c.content_key(): c.kind
-                             for b in known.values() for c in b.comps}
-                blk = _make_block(bedges, kinds)
-            blocks.append(blk)
+        block_edges = [frozenset((u, v) if u < v else (v, u) for u, v in raw)
+                       for raw in raw_blocks]
+        # a component lies in one block, so only a replaced block can
+        # hold the content of a component built here
+        kept = set(block_edges)
+        kinds = {c.content_key(): c.kind
+                 for bedges, b in known.items() if bedges not in kept
+                 for c in b.comps}
+        blocks = [known.get(bedges) or _make_block(bedges, kinds)
+                  for bedges in block_edges]
         blocks.sort(key=lambda b: b.name)
         state = cls(n, eset, tuple(blocks), frozenset(cuts), comp_of)
 

@@ -8,7 +8,10 @@ accepted change:
   2. one embedding per triconnected component,
   3. the coherent-path two-colourings per block,
   4. one rotation scheme per non-bridge block,
-  5. the whole-graph rotation scheme.
+  5. the whole-graph rotation scheme, concatenated at each vertex from
+     per-block real-edge rotations (the block rotation less its virtual
+     entries). A block the change keeps carries its real-edge rotation;
+     every other block derives its own once.
 
 Cycle components have a unique rotation scheme, so a new cycle's
 embedding is derived from content. Rigid components are the only ones that
@@ -114,6 +117,22 @@ def _splice(rot: dict, crot: dict, s: Vertex, t: Vertex) -> None:
             rot[w] = list(seq)
 
 
+def _real_rotation(block: Block, block_rot: dict | None
+                   ) -> dict[Vertex, tuple]:
+    """The block's rotation filtered to its real edges, each vertex's
+    entries opened at the least one; a bridge has one at each end."""
+    if block.is_bridge:
+        (u, v), = block.edges
+        return {u: (v,), v: (u,)}
+    out: dict[Vertex, tuple] = {}
+    for x, seq in block_rot.items():
+        entries = tuple(w for w in seq
+                        if ((x, w) if x < w else (w, x)) in block.edges)
+        assert entries, "block holds a vertex with no real edge"
+        out[x] = opened_at_least(entries)
+    return out
+
+
 def _far_sides(block: Block, comp: TriComp, pairs) -> dict[Edge, set]:
     """For each pair of comp, the vertices off the pair in the components
     beyond its P-node in the block's SPQR tree."""
@@ -144,6 +163,7 @@ class Engine:
         self.comp_embs: dict[SpqrNode, Embedding] = {}
         self.colourings: dict = {}
         self.block_rots: dict = {}
+        self.real_rots: dict = {}
         self.graph_rot: dict[Vertex, tuple] = {}
         # Test hook: permutes the order of independent sub-updates.
         self._subupdate_order = None
@@ -371,9 +391,13 @@ class Engine:
             key = _embedding_key(emb)
             assert key not in built_by_key, "duplicate built embedding"
             built_by_key[key] = emb
+        # a component has three or more vertices and blocks share at most
+        # one, so a component of a replaced block is found only there
+        kept = {blk.name: blk for blk in new_decomp.blocks}
         carried = {
             _content_key(c): self.comp_embs[(c.kind, c.name)]
-            for blk in self.decomp.blocks for c in blk.comps
+            for blk in self.decomp.blocks if kept.get(blk.name) is not blk
+            for c in blk.comps
         }
         old_blocks = {blk.name: blk for blk in self.decomp.blocks}
         comp_embs: dict[SpqrNode, Embedding] = {}
@@ -413,12 +437,19 @@ class Engine:
             if blk.name in affected else self.block_rots[blk.name]
             for blk in new_decomp.blocks if not blk.is_bridge
         }
-        graph_rot = self._assemble_graph(new_decomp, block_rots)
+        real_rots = {
+            blk.name: self.real_rots[blk.name]
+            if old_blocks.get(blk.name) is blk
+            else _real_rotation(blk, block_rots.get(blk.name))
+            for blk in new_decomp.blocks
+        }
+        graph_rot = self._assemble_graph(new_decomp, real_rots)
 
         self.decomp = new_decomp
         self.comp_embs = comp_embs
         self.colourings = colourings
         self.block_rots = block_rots
+        self.real_rots = real_rots
         self.graph_rot = graph_rot
 
     # ------------------------------------------------------------- assembly
@@ -453,23 +484,15 @@ class Engine:
 
     @staticmethod
     def _assemble_graph(decomp: DecompositionState,
-                        block_rots: dict) -> dict[Vertex, tuple]:
-        """Concatenate per-block real-edge rotations at every vertex that
-        lies in a block; the others have no rotation."""
+                        real_rots: dict) -> dict[Vertex, tuple]:
+        """Concatenate the per-block real-edge rotations at every vertex
+        that lies in a block, in block-name order; the others have no
+        rotation. The parts are stored per block, so an edit of a past
+        graph rotation never reaches a later one."""
         rot: dict[Vertex, tuple] = {}
-        for v in sorted({x for blk in decomp.blocks for x in blk.vertices}):
-            parts = []
-            for blk in sorted(decomp.blocks_of_vertex(v),
-                              key=lambda b: b.name):
-                if blk.is_bridge:
-                    parts.append((next(iter(blk.vertices - {v})),))
-                    continue
-                entries = tuple(w for w in block_rots[blk.name][v]
-                                if canonical_edge(v, w) in decomp.edges)
-                assert entries, "block holds a vertex with no real edge"
-                parts.append(opened_at_least(entries))
-            if parts:
-                rot[v] = tuple(x for part in parts for x in part)
+        for blk in decomp.blocks:  # in name order
+            for v, part in real_rots[blk.name].items():
+                rot[v] = rot[v] + part if v in rot else part
         assert euler_per_component(rot), "graph rotation lost planarity"
         return rot
 

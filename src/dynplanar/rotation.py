@@ -62,16 +62,23 @@ def cyclic_triple_query(seq, a, b, c) -> bool:
 
 # ---------------------------------------------------------------- face trace
 
-def trace_orbits(rot):
-    """Face orbits of a rotation scheme, as normalized boundary tuples:
-    the vertex cycle of each orbit in trace orientation (least rotation).
-    """
+def _predecessors(rot):
+    """Per vertex, each neighbour's clockwise predecessor; GraphError on
+    a repeated entry or a loop."""
     prev: dict[Vertex, dict[Vertex, Vertex]] = {}
     for v, seq in rot.items():
         tup = tuple(seq)
         if len(tup) != len(set(tup)) or v in tup:
             raise GraphError(f"malformed rotation at vertex {v}")
-        prev[v] = {tup[i]: tup[i - 1] for i in range(len(tup))}
+        prev[v] = dict(zip(tup, tup[-1:] + tup[:-1]))
+    return prev
+
+
+def trace_orbits(rot):
+    """Face orbits of a rotation scheme, as normalized boundary tuples:
+    the vertex cycle of each orbit in trace orientation (least rotation).
+    """
+    prev = _predecessors(rot)
     darts = sorted((u, v) for u, seq in rot.items() for v in seq)
     for u, v in darts:
         if v not in prev or u not in prev[v]:
@@ -108,28 +115,45 @@ def face_name(boundary) -> FaceId:
 
 
 def euler_per_component(rot) -> bool:
-    """V - E + F = 2 for every connected component of the rotation scheme."""
-    comp_of: dict[Vertex, Vertex] = {}
-    for s in sorted(rot):
-        if s in comp_of:
+    """V - E + F = 2 for every connected component of the rotation scheme.
+
+    Faces are only counted: each component's darts are walked once with
+    a visited set, and every dart is checked for its reverse on the way.
+    """
+    prev = _predecessors(rot)
+    placed: set[Vertex] = set()
+    seen: set[tuple] = set()
+    ok = True
+    for s in rot:
+        if s in placed:
             continue
-        comp_of[s] = s
+        placed.add(s)
         stack = [s]
+        vs = darts = fs = 0
         while stack:
             x = stack.pop()
+            vs += 1
             for y in rot[x]:
-                if y not in comp_of:
-                    comp_of[y] = s
+                darts += 1
+                if y not in placed:
+                    placed.add(y)
                     stack.append(y)
-    orbits = trace_orbits(rot)
-    for root in set(comp_of.values()):
-        vs = sum(1 for v in comp_of if comp_of[v] == root)
-        es = sum(len(seq) for v, seq in rot.items()
-                 if comp_of[v] == root) // 2
-        fs = sum(1 for b in orbits if comp_of[b[0]] == root)
-        if vs - es + fs != 2:
-            return False
-    return True
+                if (x, y) in seen:
+                    continue
+                fs += 1
+                u, v = x, y
+                while True:
+                    seen.add((u, v))
+                    try:
+                        u, v = v, prev[v][u]
+                    except KeyError:
+                        raise GraphError(
+                            f"dart ({u},{v}) has no reverse incidence") \
+                            from None
+                    if u == x and v == y:
+                        break
+        ok = ok and vs - darts // 2 + fs == 2
+    return ok
 
 
 def _serialize(rot) -> str:

@@ -246,6 +246,19 @@ def test_bad_domain_or_trace_file_is_usage_error(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_negative_fuzz_steps_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--fuzz", "--steps", "-3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "steps" in err
+    assert "Traceback" not in err
+    assert main(["--fuzz", "--domain", "6", "--steps", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("fuzz seed=0 domain=6 steps=0")
+    assert out.rstrip().endswith("violations 0")
+
+
 def test_fuzz_refuses_domain_below_two_before_building():
     built = []
 

@@ -220,6 +220,30 @@ def test_rim_chord_splits_the_wheel_face_into_its_two_arcs():
         == {frozenset({1, 2, 3, 4}), frozenset({1, 4, 5, 6})}
 
 
+def test_shared_rim_edge_change_rebuilds_the_graph_rotation():
+    """Two wheels glued along the rim edge 1-2, plus a bridge 3-8. The
+    shared edge is a real edge and a separating pair; deleting or
+    re-inserting it keeps the block's components and pairs but changes
+    its real edges, so the graph rotation at 1 and 2 must change."""
+    wheels = [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (3, 4), (1, 4),
+              (5, 1), (5, 2), (5, 6), (5, 7), (2, 6), (6, 7), (1, 7),
+              (1, 2), (3, 8)]
+    eng = build(9, wheels)
+
+    def shape(blk):
+        return blk.pairs, {c.content_key() for c in blk.comps}
+
+    for change in (eng.delete_edge, eng.insert_edge):
+        before = eng.decomp.block_of(1, 3)
+        assert change(1, 2).status == ACCEPTED
+        after = eng.decomp.block_of(1, 3)
+        assert after.edges != before.edges
+        assert shape(after) == shape(before)
+        fresh = build(9, sorted(eng.graph.edges))
+        assert eng.graph_rot == fresh.graph_rot
+        assert validate_rotation(eng.graph.edges, eng.graph_rot)
+
+
 # -------------------------------------------------------------- oracle sync
 
 def test_trajectory_matches_static_oracles():

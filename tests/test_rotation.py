@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynplanar.graph_core import GraphError
+from dynplanar.oracle import validate_rotation
 from dynplanar.rotation import (
     Embedding,
     cyclic_triple_query,
@@ -84,6 +85,63 @@ def test_euler_per_component() -> None:
     assert euler_per_component(K4_ROT)
     k5 = {v: tuple(sorted(set(range(5)) - {v})) for v in range(5)}
     assert not euler_per_component(k5)
+
+
+MALFORMED = [
+    {1: (2, 2), 2: (1, 1)},
+    {1: (1, 2), 2: (1,)},
+    {1: (2,), 2: (3,), 3: (2,)},
+]
+
+
+@pytest.mark.parametrize("rot", MALFORMED)
+def test_euler_per_component_rejects_malformed(rot) -> None:
+    with pytest.raises(GraphError):
+        euler_per_component(rot)
+
+
+def random_scheme(rng: random.Random, parts: int) -> tuple[set, dict]:
+    """Edges and a rotation scheme of `parts` disjoint components,
+    each a wheel kept planar or shuffled, or a random connected graph
+    with shuffled rotations."""
+    edges: set = set()
+    rot: dict = {}
+    base = 0
+    for _ in range(parts):
+        if rng.random() < 0.5:
+            k = rng.randint(3, 6)
+            part = {v: list(ns) for v, ns in wheel_rot(k).items()}
+            if rng.random() < 0.5:
+                for ns in part.values():
+                    rng.shuffle(ns)
+        else:
+            n = rng.randint(2, 7)
+            part = {v: [] for v in range(n)}
+            pairs = [(u, v) for v in range(1, n) for u in range(v)]
+            chosen = {(rng.randrange(v), v) for v in range(1, n)}
+            chosen |= set(rng.sample(pairs, rng.randint(0, len(pairs))))
+            for u, v in chosen:
+                part[u].append(v)
+                part[v].append(u)
+            for ns in part.values():
+                rng.shuffle(ns)
+        for v, ns in part.items():
+            rot[base + v] = tuple(base + w for w in ns)
+            edges |= {(base + v, base + w) for w in ns if v < w}
+        base += len(part)
+    return edges, rot
+
+
+def test_euler_per_component_agrees_with_the_oracle() -> None:
+    verdicts = {(True, False): 0, (True, True): 0,
+                (False, False): 0, (False, True): 0}
+    for seed in range(400):
+        parts = 1 + seed % 3
+        edges, rot = random_scheme(random.Random(seed), parts)
+        got = euler_per_component(rot)
+        assert got == validate_rotation(edges, rot), (seed, rot)
+        verdicts[got, parts > 1] += 1
+    assert min(verdicts.values()) >= 20, verdicts
 
 
 # ------------------------------------------------------- embedding structure
