@@ -12,7 +12,14 @@ dump byte-stable, so two states over the same edge set dump identically.
 A block's pairs and components depend only on the block's own edges, so
 a state built from a predecessor takes every block whose edge set is
 unchanged from it as it is, and the kind of every component whose
-content is unchanged.
+content is unchanged. When the two edge sets differ in one edge that
+lies inside one rigid component of its block and is no pair there, the
+new block is derived from the old one: an edge inside one rigid
+skeleton leaves the SPQR tree's shape alone (Di Battista and Tamassia),
+so only that component gains or loses the edge, a deletion provided the
+component stays triconnected. Every other new block is built from its
+edges. Cut vertices alone come from a lowpoint search that collects no
+blocks.
 
 Node references used by the path operations:
 
@@ -130,6 +137,56 @@ def _lowpoint(adj, allowed):
     return blocks, cuts, trees
 
 
+def _cut_vertices(adj, vertices, x):
+    """Cut vertices and DFS-tree count of the graph adj induces on
+    `vertices` less x (x need not be a vertex).
+
+    `_lowpoint`'s search for callers that read no blocks: it keeps no
+    edge stack, and x is marked seen at a number no lowpoint can take,
+    so no copy of `vertices` leaves it out. Nor does it skip the edge to
+    a vertex's DFS parent p: that edge lowers the lowpoint to p's
+    number at most, which still marks p as a cut vertex.
+    """
+    disc: dict = {x: len(vertices)}
+    low: dict[Vertex, int] = {}
+    cuts: set[Vertex] = set()
+    trees = count = 0
+    for root in vertices:
+        if root in disc:
+            continue
+        trees += 1
+        disc[root] = low[root] = count
+        count += 1
+        root_kids = 0
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            v, nbrs = stack[-1]
+            for w in nbrs:
+                if w not in disc:
+                    if w in vertices:
+                        disc[w] = low[w] = count
+                        count += 1
+                        stack.append((w, iter(adj[w])))
+                        break
+                elif disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                p = stack[-1][0]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    if p == root:
+                        root_kids += 1
+                    else:
+                        cuts.add(p)
+        if root_kids >= 2:
+            cuts.add(root)
+    return cuts, trees
+
+
 def _components(adj, vertices, banned=()):
     """Vertex sets of the components adj induces on vertices - banned."""
     seen = set(banned)
@@ -163,7 +220,7 @@ def _graph_three_connected(vertices, adj) -> bool:
     if len(vertices) < 4:
         return False
     for x in vertices:
-        _, cuts, trees = _lowpoint(adj, vertices - {x})
+        cuts, trees = _cut_vertices(adj, vertices, x)
         if cuts or trees != 1:
             return False
     return True
@@ -189,13 +246,14 @@ def _block_pairs(vertices, edges, adj) -> dict[Edge, list[set[Vertex]]]:
     found: dict[Edge, list[set[Vertex]]] = {}
     branch = sorted(v for v in vertices if len(adj[v]) >= 3)
     for i, s in enumerate(branch[:-1]):
-        _, cuts, _ = _lowpoint(adj, vertices - {s})
+        cuts, _ = _cut_vertices(adj, vertices, s)
         for t in branch[i + 1:]:
             if t not in cuts:
                 continue
             parts = _components(adj, vertices, (s, t))
             if (s, t) in edges or len(parts) >= 3 or any(
-                    not _lowpoint(adj, part | {s, t})[1] for part in parts):
+                    not _cut_vertices(adj, part | {s, t}, None)[0]
+                    for part in parts):
                 found[(s, t)] = parts
     return found
 
@@ -243,6 +301,46 @@ def _make_block(edges: frozenset[Edge], kinds: dict) -> Block:
         comps.append(TriComp(tuple(sorted(w)[:3]), kind, w, creal, cpairs))
     comps.sort(key=lambda c: c.name)
     return Block(name, vset, edges, pairs, tuple(comps), _spqr_tree(comps))
+
+
+def _derived_block(old: DecompositionState, eset: frozenset[Edge]
+                   ) -> Block | None:
+    """The block of `eset` that holds the one edge by which `eset` and
+    `old.edges` differ, derived from its predecessor B; None when they
+    differ in other than one edge or B's SPQR tree may change shape.
+
+    The edge u-v must lie inside one rigid component C of B and be no
+    pair of B. An insertion then keeps every pair (an edge inside one
+    rigid skeleton leaves the SPQR tree's shape alone), and so does a
+    deletion after which C stays triconnected; C alone gains or loses
+    the edge, and B's name, pairs, other components and tree are kept.
+    """
+    diff = eset ^ old.edges
+    if len(diff) != 1:
+        return None
+    (e,) = diff
+    u, v = e
+    blk = next((b for b in old._blocks_of_vertex.get(u, ())
+                if v in b.vertices), None)
+    if blk is None or e in blk.pairs:
+        return None
+    comp = next((c for c in blk.comps if c.kind == "R"
+                 and u in c.vertices and v in c.vertices), None)
+    if comp is None:
+        return None
+    assert e in eset or e in comp.real_edges, "deleted edge is not real"
+    real = comp.real_edges ^ diff
+    if e in eset:
+        assert _graph_three_connected(
+            comp.vertices, _adjacency(comp.vertices, real | comp.pairs)), \
+            f"component {sorted(comp.vertices)} lost rigidity on insert"
+    elif not _graph_three_connected(
+            comp.vertices, _adjacency(comp.vertices, real | comp.pairs)):
+        return None
+    comps = tuple(TriComp(c.name, "R", c.vertices, real, c.pairs)
+                  if c is comp else c for c in blk.comps)
+    return Block(blk.name, blk.vertices, blk.edges ^ diff, blk.pairs, comps,
+                 blk.tree)
 
 
 def _spqr_tree(comps) -> dict[SpqrNode, tuple[SpqrNode, ...]]:
@@ -334,9 +432,13 @@ class DecompositionState:
         known = {b.edges: b for b in carry_from.blocks} if carry_from else {}
         block_edges = [frozenset((u, v) if u < v else (v, u) for u, v in raw)
                        for raw in raw_blocks]
+        kept = set(block_edges)
+        derived = _derived_block(carry_from, eset) if carry_from else None
+        if derived is not None:
+            assert derived.edges in kept, "derived block is no block"
+            known[derived.edges] = derived
         # a component lies in one block, so only a replaced block can
         # hold the content of a component built here
-        kept = set(block_edges)
         kinds = {c.content_key(): c.kind
                  for bedges, b in known.items() if bedges not in kept
                  for c in b.comps}

@@ -493,6 +493,8 @@ class Engine:
         for blk in decomp.blocks:  # in name order
             for v, part in real_rots[blk.name].items():
                 rot[v] = rot[v] + part if v in rot else part
+        assert sum(map(len, rot.values())) == 2 * len(decomp.edges), \
+            "graph rotation misses an edge"
         assert euler_per_component(rot), "graph rotation lost planarity"
         return rot
 

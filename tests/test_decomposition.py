@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from dynplanar.decomposition import DecompositionState
-from dynplanar.graph_core import DomainError, GraphError
+from dynplanar import decomposition
+from dynplanar.decomposition import DecompositionState, _make_block
+from dynplanar.engine import Engine
+from dynplanar.graph_core import ACCEPTED, DomainError, GraphError
 from dynplanar.oracle import (
     dump_decomposition,
     spqr_nodes_and_edges,
@@ -216,3 +218,93 @@ def test_dump_is_a_function_of_the_edge_set():
             state(n, set(edges) | {pool[0]}).dump()
         assert state(n, edges).without_edge(*pool[0]).dump() == \
             state(n, set(edges) - {pool[0]}).dump()
+
+
+# ------------------------------------------------------------ derived blocks
+
+def triangulated_grid(rows, cols):
+    """A rows x cols grid, vertex i*cols+j at row i and column j, with
+    (+1, +1) diagonals: its edges and its interior (off-rim) edges."""
+    edges, interior = [], []
+    for i in range(rows):
+        for j in range(cols):
+            for di, dj in ((0, 1), (1, 0), (1, 1)):
+                if i + di >= rows or j + dj >= cols:
+                    continue
+                e = (i * cols + j, (i + di) * cols + j + dj)
+                edges.append(e)
+                if not ((di == 0 and i in (0, rows - 1))
+                        or (dj == 0 and j in (0, cols - 1))):
+                    interior.append(e)
+    return edges, interior
+
+
+def test_derived_blocks_equal_blocks_built_from_scratch(monkeypatch):
+    """Every block derived from its predecessor equals the block built
+    from its edge set alone, SPQR tree included."""
+    derived = {"ins": 0, "del": 0}
+    real = decomposition._derived_block
+
+    def checked(old, eset):
+        blk = real(old, eset)
+        if blk is not None:
+            derived["ins" if len(eset) > len(old.edges) else "del"] += 1
+            fresh = _make_block(blk.edges, {})
+            assert blk == fresh and blk.tree == fresh.tree, sorted(blk.edges)
+        return blk
+
+    monkeypatch.setattr(decomposition, "_derived_block", checked)
+    for n in (8, 12, 16, 20, 24):
+        rng = random.Random(n)
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        st = state(n, rng.sample(pool, 2 * n))
+        for _ in range(60):
+            e = rng.choice(sorted(st.edges)) \
+                if len(st.edges) > 2 * n or rng.random() < 0.4 \
+                else rng.choice([p for p in pool if p not in st.edges])
+            st = st.without_edge(*e) if e in st.edges else st.with_edge(*e)
+            assert st.blocks == state(n, st.edges).blocks
+    edges, interior = triangulated_grid(5, 6)
+    st = state(30, edges)
+    for e in interior:
+        st = st.without_edge(*e)
+        assert st.blocks == state(30, st.edges).blocks
+        st = st.with_edge(*e)
+        assert st.blocks == state(30, st.edges).blocks
+    assert derived["ins"] >= 50 and derived["del"] >= 50, derived
+
+
+def test_grid_changes_inside_the_rigid_component_search_no_pairs(
+        monkeypatch):
+    """On a triangulated 5x6 grid, deleting and re-inserting an interior
+    edge away from the corners keeps the one rigid component rigid, so
+    no separating-pair search runs; deleting 0-7 drops vertex 0 to
+    degree two, which makes {1, 6} a pair, so the search runs. Either
+    way the engine ends as a fresh engine loaded with its edges."""
+    calls = []
+    search = decomposition._block_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    edges, _ = triangulated_grid(5, 6)
+    eng = Engine(30)
+    for e in edges:
+        assert eng.insert_edge(*e).status == ACCEPTED
+    monkeypatch.setattr(decomposition, "_block_pairs", counted)
+
+    def searches(*changes):
+        calls.clear()
+        for change, u, v in changes:
+            assert change(u, v).status == ACCEPTED
+        made = len(calls)
+        fresh = Engine(30)
+        for e in sorted(eng.graph.edges):
+            fresh.insert_edge(*e)
+        assert eng.dump() == fresh.dump()
+        return made
+
+    assert searches((eng.delete_edge, 8, 15), (eng.insert_edge, 8, 15)) == 0
+    assert searches((eng.delete_edge, 0, 7)) > 0
+    assert eng.graph.is_separating_pair(1, 6)

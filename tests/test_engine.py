@@ -21,9 +21,10 @@ from dynplanar.oracle import (
     static_planar,
     validate_rotation,
 )
-from dynplanar.rotation import Embedding
+from dynplanar.rotation import Embedding, euler_per_component
 
 K4_ORDER = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+K4_ORDER_0 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def build(n: int, edges) -> Engine:
@@ -242,6 +243,24 @@ def test_shared_rim_edge_change_rebuilds_the_graph_rotation():
         fresh = build(9, sorted(eng.graph.edges))
         assert eng.graph_rot == fresh.graph_rot
         assert validate_rotation(eng.graph.edges, eng.graph_rot)
+
+
+def test_graph_assembly_catches_a_missing_edge():
+    """K4 plus a pendant edge, with both entries of 0-1 left out of the
+    K4 block's real-edge rotation: what is left is still a planar
+    rotation scheme, so only the edge count can tell."""
+    eng = build(5, K4_ORDER_0 + [(3, 4)])
+    real_rots = dict(eng.real_rots)
+    real_rots[(0, 1)] = {
+        x: tuple(w for w in seq if {x, w} != {0, 1})
+        for x, seq in real_rots[(0, 1)].items()}
+    short = {x: seq + real_rots[(3, 4)].get(x, ())
+             for x, seq in real_rots[(0, 1)].items()}
+    short[4] = real_rots[(3, 4)][4]
+    assert euler_per_component(short)
+    assert Engine._assemble_graph(eng.decomp, eng.real_rots) == eng.graph_rot
+    with pytest.raises(AssertionError, match="misses an edge"):
+        Engine._assemble_graph(eng.decomp, real_rots)
 
 
 # -------------------------------------------------------------- oracle sync

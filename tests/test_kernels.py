@@ -1,12 +1,18 @@
 """Connectivity kernels: the engine's queries and the oracle's union-find
-kernel must describe the same components, and the table kernel holds
-past 64 vertices."""
+kernel must describe the same components, the table kernel holds past
+64 vertices, and the cut-vertex search agrees with the lowpoint search
+that collects blocks."""
 from __future__ import annotations
 
 import random
 
 from dynplanar.connectivity import ConnTables
-from dynplanar.decomposition import DecompositionState
+from dynplanar.decomposition import (
+    DecompositionState,
+    _adjacency,
+    _cut_vertices,
+    _lowpoint,
+)
 from dynplanar.oracle import _orakern_py
 
 
@@ -34,3 +40,18 @@ def test_engine_and_oracle_kernels_express_the_same_components():
         for u in range(n):
             for v in range(u + 1, n):
                 assert d.connected(u, v) == (lab0[u] == lab0[v])
+
+
+def test_cut_vertex_search_agrees_with_the_lowpoint_search():
+    """Same cut set and DFS-tree count as `_lowpoint`, with each vertex
+    left out in turn and with an induced vertex subset left whole."""
+    rng = random.Random(9)
+    for _ in range(2000):
+        n = rng.randint(2, 14)
+        vertices = frozenset(range(n))
+        adj = _adjacency(vertices, _random_graph(rng, n))
+        for x in vertices:
+            assert _cut_vertices(adj, vertices, x) == \
+                _lowpoint(adj, vertices - {x})[1:]
+        part = frozenset(rng.sample(sorted(vertices), rng.randint(1, n)))
+        assert _cut_vertices(adj, part, None) == _lowpoint(adj, part)[1:]
