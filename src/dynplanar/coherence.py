@@ -33,16 +33,18 @@ def node_label(node: SpqrNode) -> str:
 # ------------------------------------------------------------- window tests
 
 
-def _windows_pass(embeddings, path) -> bool:
-    """Every R-node with two on-path pairs has them on a common face."""
+def _windows_pass(embeddings, path, ends=((), ())) -> bool:
+    """Every R-node has its two flanks on a common face: the on-path
+    pairs beside it or, at an end of the path, the vertices `ends` gives
+    for that end. An R-node with an empty flank is not tested."""
     for i, node in enumerate(path):
         if node[0] != "R":
             continue
-        flanks = [path[j] for j in (i - 1, i + 1) if 0 <= j < len(path)]
-        if len(flanks) < 2:
+        left = path[i - 1][1] if i > 0 else ends[0]
+        right = path[i + 1][1] if i + 1 < len(path) else ends[1]
+        if not left or not right:
             continue
-        verts = set(flanks[0][1]) | set(flanks[1][1])
-        if embeddings[node].common_face(verts) is None:
+        if embeddings[node].common_face({*left, *right}) is None:
             return False
     return True
 

@@ -320,8 +320,7 @@ def _derived_block(old: DecompositionState, eset: frozenset[Edge]
         return None
     (e,) = diff
     u, v = e
-    blk = next((b for b in old._blocks_of_vertex.get(u, ())
-                if v in b.vertices), None)
+    blk = old._shared_block(u, v)
     if blk is None or e in blk.pairs:
         return None
     comp = next((c for c in blk.comps if c.kind == "R"
@@ -488,24 +487,26 @@ class DecompositionState:
         self.check_vertex(w)
         return w in self.cut_vertices
 
+    def _shared_block(self, u: Vertex, v: Vertex) -> Block | None:
+        """The block holding both u and v (two blocks share at most one
+        vertex), None when no block does."""
+        for blk in self._blocks_of_vertex.get(u, ()):
+            if v in blk.vertices:
+                return blk
+        return None
+
     def same_block(self, u: Vertex, v: Vertex) -> bool:
         self.check_vertex(u, v)
         if u == v:
             raise GraphError("same_block needs two distinct vertices")
-        bu = self._blocks_of_vertex.get(u, [])
-        bv = self._blocks_of_vertex.get(v, [])
-        return any(b1 is b2 for b1 in bu for b2 in bv)
-
-    def block_name(self, u: Vertex, v: Vertex) -> BlockName:
-        if not self.same_block(u, v):
-            raise GraphError(f"vertices {u} and {v} share no block")
-        for b in self._blocks_of_vertex[u]:
-            if v in b.vertices:
-                return b.name
-        raise AssertionError("unreachable")
+        return self._shared_block(u, v) is not None
 
     def block_of(self, u: Vertex, v: Vertex) -> Block:
-        return self._block_by_name[self.block_name(u, v)]
+        self.check_vertex(u, v)
+        blk = self._shared_block(u, v) if u != v else None
+        if blk is None:
+            raise GraphError(f"vertices {u} and {v} share no block")
+        return blk
 
     def block(self, name: BlockName) -> Block:
         try:
@@ -553,7 +554,8 @@ class DecompositionState:
         self.check_vertex(a, b, c)
         if len({a, b, c}) != 3:
             raise GraphError("same_tricomp needs three distinct vertices")
-        for blk in self._blocks_of_vertex.get(a, []):
+        blk = self._shared_block(a, b)
+        if blk is not None:
             for comp in blk.comps:
                 if a in comp.vertices and b in comp.vertices \
                         and c in comp.vertices:
@@ -577,16 +579,13 @@ class DecompositionState:
             raise GraphError("level_between needs two distinct vertices")
         if not self.connected(u, v):
             return 0
-        best = 1
-        for blk in self._blocks_of_vertex.get(u, []):
-            if v not in blk.vertices or blk.is_bridge:
-                continue
-            best = 2
-            for comp in blk.comps:
-                if comp.kind == "R" and u in comp.vertices \
-                        and v in comp.vertices:
-                    return 3
-        return best
+        blk = self._shared_block(u, v)
+        if blk is None or blk.is_bridge:
+            return 1
+        for comp in blk.comps:
+            if comp.kind == "R" and u in comp.vertices and v in comp.vertices:
+                return 3
+        return 2
 
     def predict_insert_level(self, u: Vertex, v: Vertex) -> int:
         return self.with_edge(u, v).level_between(u, v)

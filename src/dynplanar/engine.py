@@ -18,8 +18,9 @@ embedding is derived from content. Rigid components are the only ones that
 need surgery: a corridor merge when an insertion crosses a window path,
 and entry projection when a deletion unfurls a component. A corridor
 merge is the splice that assembles blocks, applied along the window path
-once the two-colouring has fixed each component's flip; a face split is
-the corridor of one rigid component, which has no pairs and so no flip.
+to rotation schemes once the two-colouring has fixed each one's flip; it
+builds one embedding, the fused component. A face split is the corridor
+of one rigid component, which has no pairs and so no flip.
 A projection reads the far side of each new pair off the new block's
 SPQR tree. Insertion surgery builds from the windows the gate returns,
 so deciding and building walk the state once. Everything a change does
@@ -219,33 +220,23 @@ class Engine:
 
     # ---------------------------------------------------- insertion surgery
 
-    def _surrogate_cycle(self, emb: Embedding, anchors: set) -> Embedding:
-        """Cycle through the anchors in their order around a cycle comp.
-
-        Bypassed arcs become cycle components of their own; those are
-        derived from content after the change, so only the shortcut
-        cycle is needed here.
-        """
-        bd = emb.boundary(min(emb.faces))
-        order = [x for x in bd if x in anchors]
-        assert len(order) == len(anchors) >= 3
-        return Embedding.from_cycle(order)
-
     def _merge_corridor(self, block: Block, u: Vertex, v: Vertex,
                         path: list[SpqrNode]) -> Embedding:
         """Fuse the components along the window path with the edge u-v.
 
-        Each component's window face is the face holding its anchors (u
-        or v, and its flanking pairs): the only one in a rigid component,
-        the least one of a cycle. A component whose window face crosses
-        its seam the wrong way is taken flipped, so every window face
-        traverses its left seam pair top to bottom and its right one
-        bottom to top. Each is then spliced into the rotation built so
-        far at its left pair, as blocks are assembled, which lands it in
-        the window face; pairs the corridor dissolves lose their virtual
-        entries, and u-v goes in at the window-face corners of u and v.
-        A path of one rigid component has no pairs and so no flip: that
-        is a face split.
+        Each component gives a rotation scheme and its window face, the
+        face holding its anchors (u or v, and its flanking pairs): a rigid
+        component its stored rotation and the one such face, a cycle the
+        cycle through its anchors in their order around it (the arcs it
+        bypasses are derived from content after the change). A scheme
+        whose window face crosses its seam the wrong way is mirrored, so
+        every window face traverses its left seam pair top to bottom and
+        its right one bottom to top. Each is spliced into the rotation
+        built so far at its left pair, as blocks are assembled, which
+        lands it in the window face; pairs the corridor dissolves lose
+        their virtual entries, and u-v goes in at the window-face corners
+        of u and v. Only the fused rotation becomes an embedding. A path
+        of one rigid component has no pairs and so no flip: a face split.
         """
         comps = path[::2]
         pairs = [nd[1] for nd in path[1::2]]
@@ -265,24 +256,30 @@ class Engine:
                 (set(pairs[i]) if i < len(pairs) else {v})
             emb = self.comp_embs[nd]
             if nd[0] == "S":
-                emb = self._surrogate_cycle(emb, anchors)
-            bd = emb.boundary(emb.common_face(anchors))
+                bd = tuple(x for x in emb.boundary(emb.outer) if x in anchors)
+                k = len(bd)
+                assert k == len(anchors) >= 3
+                crot = {bd[j]: (bd[(j + 1) % k], bd[j - 1]) for j in range(k)}
+            else:
+                crot = emb.rot
+                bd = emb.boundary(emb.common_face(anchors))
             window_verts |= set(bd)
             if pairs:
                 want = (bottom(pairs[0]), top(pairs[0])) if i == 0 \
                     else (top(pairs[i - 1]), bottom(pairs[i - 1]))
                 if not _traverses(bd, *want):
-                    emb, bd = emb.flipped(), bd[::-1]
+                    crot = {x: seq[::-1] for x, seq in crot.items()}
+                    bd = bd[::-1]
                 assert _traverses(bd, *want), \
                     "window face lost its seam orientation"
                 if 0 < i < len(comps) - 1:
                     assert _traverses(bd, bottom(pairs[i]), top(pairs[i])), \
                         "right seam disagrees with the colouring"
             if i == 0:
-                rot = {x: list(seq) for x, seq in emb.rot.items()}
+                rot = {x: list(seq) for x, seq in crot.items()}
                 first_bd = bd
             else:
-                _splice(rot, emb.rot, *want)
+                _splice(rot, crot, *want)
 
         for p in pairs:
             if p not in self.decomp.edges and len(block.tree[("P", p)]) == 2:

@@ -17,6 +17,7 @@ one rigid component.
 """
 from __future__ import annotations
 
+from .coherence import _windows_pass
 from .decomposition import Block, DecompositionState, SpqrNode, _tree_path
 from .graph_core import GraphError, Vertex, canonical_edge
 
@@ -56,7 +57,7 @@ def _block_windows(block: Block, embeddings, u: Vertex, v: Vertex):
     chord). Otherwise the one window is (block, u, v, path): the SPQR
     path surgery fuses, which for a face split is one rigid component.
     Every rigid component on the path must hold its flanking windows on
-    one face.
+    one face: the path is coherent, with u and v as its end windows.
     """
     if block.is_bridge:
         return []
@@ -66,15 +67,8 @@ def _block_windows(block: Block, embeddings, u: Vertex, v: Vertex):
     path = window_path(block, u, v)
     if len(path) == 1 and path[0][0] == "S":
         return []
-    comps = path[::2]
-    pairs = [set(nd[1]) for nd in path[1::2]]
-    for i, nd in enumerate(comps):
-        if nd[0] != "R":
-            continue
-        left = pairs[i - 1] if i > 0 else {u}
-        right = pairs[i] if i < len(pairs) else {v}
-        if embeddings[nd].common_face(left | right) is None:
-            return None
+    if not _windows_pass(embeddings, path, ({u}, {v})):
+        return None
     return [(block, u, v, path)]
 
 

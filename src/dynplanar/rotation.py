@@ -12,7 +12,9 @@ keeps its orbit orientation; the outer face is the one with the least
 name.
 
 Face names are the lexicographically least ordered vertex triple that
-occurs on the face boundary in orbit order.
+occurs on the face boundary in orbit order. Of an embedding and its
+mirror, the canonical one serialises to the lesser string, which one
+vertex decides.
 """
 from __future__ import annotations
 
@@ -268,11 +270,16 @@ class Embedding:
         return _serialize(self.rot)
 
     def canonical(self) -> Embedding:
-        """Deterministic representative of the reflection pair."""
-        flipped = {v: tuple(reversed(seq)) for v, seq in self.rot.items()}
-        if _serialize(self.rot) <= _serialize(flipped):
-            return self
-        return Embedding(flipped)
+        """The one of the reflection pair that serialises to the lesser
+        string. Rotations of one or two entries read alike both ways, so
+        the pair's serialisations first differ, at equal lengths, in the
+        segment of the least vertex of degree three or more."""
+        rot = self.rot
+        w = min((v for v, seq in rot.items() if len(seq) >= 3), default=None)
+        if w is not None and \
+                _serialize({w: rot[w]}) > _serialize({w: rot[w][::-1]}):
+            return self.flipped()
+        return self
 
     def __repr__(self) -> str:
         return f"Embedding({self.serialize()!r})"

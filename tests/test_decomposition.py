@@ -49,15 +49,15 @@ def test_same_block_examples():
 
 def test_block_name_examples():
     bow = state(6, BOWTIE)
-    assert bow.block_name(2, 3) == (1, 2)
-    assert bow.block_name(4, 5) == (3, 4)
-    assert state(10, [(5, 7), (7, 9), (5, 9)]).block_name(7, 9) == (5, 7)
+    assert bow.block_of(2, 3).name == (1, 2)
+    assert bow.block_of(4, 5).name == (3, 4)
+    assert state(10, [(5, 7), (7, 9), (5, 9)]).block_of(7, 9).name == (5, 7)
 
 
 def test_block_name_requires_shared_block():
     bow = state(6, BOWTIE)
     with pytest.raises(GraphError):
-        bow.block_name(1, 4)
+        bow.block_of(1, 4).name
 
 
 def test_bc_path_on_triangle_chain():

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from dynplanar import rotation
 from dynplanar.engine import Engine, insert_ok
 from dynplanar.graph_core import (
     ACCEPTED,
@@ -289,6 +290,19 @@ def test_trajectory_matches_static_oracles():
         assert validate_rotation(eng.graph.edges, eng.graph_rot)
 
 
+def churn_step(eng: Engine, rng: random.Random) -> None:
+    """One seeded change: delete a present edge, or insert one between
+    vertices at most five apart around the domain."""
+    edges = sorted(eng.graph.edges)
+    if edges and rng.random() < 0.3:
+        eng.delete_edge(*edges[rng.randrange(len(edges))])
+    else:
+        a = rng.randrange(eng.graph.n)
+        b = (a + rng.randint(1, 5)) % eng.graph.n
+        if not eng.graph.has_edge(a, b):
+            eng.insert_edge(a, b)
+
+
 class CorridorCounting(Engine):
     """Engine that records how many pairs each corridor merge fuses."""
 
@@ -314,14 +328,7 @@ def test_rigid_embeddings_match_networkx_at_every_size(capsys):
         n = rng.randint(20, 45)
         eng = CorridorCounting(n)
         for _ in range(200):
-            edges = sorted(eng.graph.edges)
-            if edges and rng.random() < 0.3:
-                eng.delete_edge(*edges[rng.randrange(len(edges))])
-            else:
-                a = rng.randrange(n)
-                b = (a + rng.randint(1, 5)) % n
-                if not eng.graph.has_edge(a, b):
-                    eng.insert_edge(a, b)
+            churn_step(eng, rng)
             for blk in eng.decomp.blocks:
                 for c in blk.comps:
                     if c.kind != "R":
@@ -346,6 +353,40 @@ def test_rigid_embeddings_match_networkx_at_every_size(capsys):
               f"more pairs")
     assert mismatches == 0
     assert multi >= 20
+
+
+def test_surgery_builds_one_embedding_per_window(monkeypatch):
+    """A corridor merge works on rotation schemes: cycle components and
+    mirrored components enter as rotations, so it traces faces once,
+    for the fused embedding it returns."""
+    traces = through_cycle = multi = 0
+    per_window: list[int] = []
+    trace = rotation.trace_orbits
+    merge = Engine._merge_corridor
+
+    def counting_trace(rot):
+        nonlocal traces
+        traces += 1
+        return trace(rot)
+
+    def counting_merge(self, block, u, v, path):
+        nonlocal through_cycle, multi
+        before = traces
+        emb = merge(self, block, u, v, path)
+        per_window.append(traces - before)
+        through_cycle += any(nd[0] == "S" for nd in path)
+        multi += len(path) // 2 >= 2
+        return emb
+
+    monkeypatch.setattr(rotation, "trace_orbits", counting_trace)
+    monkeypatch.setattr(Engine, "_merge_corridor", counting_merge)
+    for seed in range(30):
+        rng = random.Random(9000 + seed)
+        eng = Engine(12)
+        for _ in range(150):
+            churn_step(eng, rng)
+    assert set(per_window) == {1}
+    assert through_cycle >= 20 and multi >= 20
 
 
 # ------------------------------------------------------------ graph queries

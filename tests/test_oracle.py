@@ -1,10 +1,13 @@
 """Reference implementations: planarity, rotation validity, decomposition."""
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
+import dynplanar
 from dynplanar.oracle import (
     OracleBudgetError,
     dump_decomposition,
@@ -236,3 +239,43 @@ def test_tree_path_helper():
     a, b = ("R", (1, 2, 3)), ("R", (3, 4, 5))
     assert tree_path(nodes, edges, a, b) == [a, ("P", (3, 4)), b]
     assert tree_path(nodes, edges, a, a) == [a]
+
+
+# ------------------------------------------------------------- independence
+
+
+def imported_names(path: Path, package: str) -> set[str]:
+    """Dotted names a module's imports name, relative ones resolved
+    against its package; `from m import x` names both m and m.x."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            base = parts[:len(parts) + 1 - node.level] if node.level else []
+            mod = ".".join(base + ([node.module] if node.module else []))
+            names.add(mod)
+            names |= {f"{mod}.{alias.name}" for alias in node.names}
+    return names
+
+
+def within(name: str, package: str) -> bool:
+    return name == package or name.startswith(package + ".")
+
+
+def test_only_the_cli_imports_the_oracle():
+    """The oracle is the independent check: no engine module may import
+    it, and it imports nothing of the package outside itself."""
+    src = Path(dynplanar.__file__).parent
+    importers = {
+        p.name for p in src.glob("*.py")
+        if any(within(n, "dynplanar.oracle")
+               for n in imported_names(p, "dynplanar"))}
+    assert importers <= {"cli.py"}
+    leaks = {
+        p.name: sorted(n for n in imported_names(p, "dynplanar.oracle")
+                       if within(n, "dynplanar")
+                       and not within(n, "dynplanar.oracle"))
+        for p in (src / "oracle").glob("*.py")}
+    assert not any(leaks.values()), leaks

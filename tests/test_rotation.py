@@ -10,6 +10,7 @@ from dynplanar.graph_core import GraphError
 from dynplanar.oracle import validate_rotation
 from dynplanar.rotation import (
     Embedding,
+    _serialize,
     cyclic_triple_query,
     euler_per_component,
     face_name,
@@ -240,6 +241,56 @@ def test_canonical_flip_invariant() -> None:
 def test_canonical_outer_is_least_face() -> None:
     emb = Embedding(K4_ROT).flipped().canonical()
     assert emb.outer == min(emb.faces)
+
+
+def whole_scheme_rule(emb: Embedding) -> dict:
+    """The scheme or its mirror, whichever serialises to the lesser string."""
+    mirror = {v: seq[::-1] for v, seq in emb.rot.items()}
+    return emb.rot if _serialize(emb.rot) <= _serialize(mirror) else mirror
+
+
+def numeric_canonical(emb: Embedding) -> Embedding:
+    """canonical() deciding at the same vertex, but by label value."""
+    branch = [v for v, seq in emb.rot.items() if len(seq) >= 3]
+    if not branch:
+        return emb
+    seq = emb.rot[min(branch)]
+    if opened_at_least(seq) <= opened_at_least(seq[::-1]):
+        return emb
+    return emb.flipped()
+
+
+def connected_planar_schemes(count: int, seed: int) -> list[dict]:
+    """networkx embeddings of seeded random connected planar graphs
+    (a random tree plus random edges) over labels 0..119."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k = rng.randint(3, 14)
+        labels = rng.sample(range(120), k)
+        g = nx.Graph()
+        g.add_edges_from((labels[i], labels[rng.randrange(i)])
+                         for i in range(1, k))
+        extra = rng.randint(0, k)
+        g.add_edges_from(rng.sample(labels, 2) for _ in range(extra))
+        ok, pe = nx.check_planarity(g)
+        if ok:
+            out.append({x: tuple(pe.neighbors_cw_order(x)) for x in pe})
+    return out
+
+
+def test_canonical_matches_the_whole_scheme_rule() -> None:
+    """Deciding at one vertex picks what comparing both whole
+    serialisations picks, labels compared as strings (10 before 9)."""
+    embs = [e for rot in connected_planar_schemes(2000, seed=10)
+            for e in (Embedding(rot), Embedding(rot).flipped())]
+
+    def mismatches(canon) -> int:
+        return sum(canon(e).rot != whole_scheme_rule(e) for e in embs)
+
+    assert mismatches(Embedding.canonical) == 0
+    assert mismatches(numeric_canonical) > 0
 
 
 def test_serialize_format() -> None:
