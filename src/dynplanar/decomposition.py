@@ -329,11 +329,8 @@ def _derived_block(old: DecompositionState, eset: frozenset[Edge]
         return None
     assert e in eset or e in comp.real_edges, "deleted edge is not real"
     real = comp.real_edges ^ diff
-    if e in eset:
-        assert _graph_three_connected(
-            comp.vertices, _adjacency(comp.vertices, real | comp.pairs)), \
-            f"component {sorted(comp.vertices)} lost rigidity on insert"
-    elif not _graph_three_connected(
+    # an added edge cannot lower C's connectivity, so only a deletion asks
+    if e not in eset and not _graph_three_connected(
             comp.vertices, _adjacency(comp.vertices, real | comp.pairs)):
         return None
     comps = tuple(TriComp(c.name, "R", c.vertices, real, c.pairs)
@@ -600,11 +597,9 @@ class DecompositionState:
         node_lines = [f"node B({b.name[0]},{b.name[1]})" for b in self.blocks]
         node_lines += [f"node C({v})" for v in self.cut_vertices]
         lines += sorted(node_lines)
-        edge_lines = []
-        for b in self.blocks:
-            for v in self.cut_vertices:
-                if v in b.vertices:
-                    edge_lines.append(f"edge B({b.name[0]},{b.name[1]}) C({v})")
+        edge_lines = [f"edge B({bn[1][0]},{bn[1][1]}) C({cn[1]})"
+                      for bn, nbrs in self._bc_adj.items() if bn[0] == "B"
+                      for cn in nbrs]
         lines += sorted(edge_lines)
         sections = []
         for b in self.blocks:

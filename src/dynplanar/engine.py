@@ -13,20 +13,21 @@ accepted change:
      entries). A block the change keeps carries its real-edge rotation;
      every other block derives its own once.
 
-Cycle components have a unique rotation scheme, so a new cycle's
-embedding is derived from content. Rigid components are the only ones that
-need surgery: a corridor merge when an insertion crosses a window path,
-and entry projection when a deletion unfurls a component. A corridor
-merge is the splice that assembles blocks, applied along the window path
-to rotation schemes once the two-colouring has fixed each one's flip; it
-builds one embedding, the fused component. A face split is the corridor
-of one rigid component, which has no pairs and so no flip.
-A projection reads the far side of each new pair off the new block's
-SPQR tree. Insertion surgery builds from the windows the gate returns,
-so deciding and building walk the state once. Everything a change does
-not touch is carried over by content key, which makes the whole state a
-pure function of the edge set, and the decomposition state holds that
-edge set.
+One rule, in `Engine._commit`, decides each new component's embedding:
+a component whose block the change kept or whose content key is
+unchanged carries it; a new cycle derives its unique rotation scheme
+from content; a rigid component whose content key the predecessor lacks
+is built by surgery and canonicalised. An insert builds it by merging
+the corridor of the one window whose two endpoints it holds; a delete
+projects the one old rigid component whose vertex set contains it (a
+deletion merges only cycles). A corridor merge is the splice that
+assembles blocks, applied along the window path to rotation schemes
+once the two-colouring has fixed each one's flip. A face split is the
+corridor of one rigid component, which has no pairs and so no flip. A
+projection reads the far side of each new pair off the new block's SPQR
+tree. The gate returns the windows, so deciding and building walk the
+state once. Carrying by content key makes the whole state a pure
+function of the edge set, which the decomposition state holds.
 """
 from __future__ import annotations
 
@@ -191,8 +192,7 @@ class Engine:
         )
         assert (INSERT, change.before_level, change.after_level) \
             not in IMPOSSIBLE_TYPES, change
-        built = [self._merge_corridor(*w) for w in self._ordered(windows)]
-        self._commit(new_decomp, built)
+        self._commit(new_decomp, windows)
         return ChangeOutcome(ACCEPTED, change)
 
     def delete_edge(self, a: Vertex, b: Vertex) -> ChangeOutcome:
@@ -207,8 +207,7 @@ class Engine:
         )
         assert (DELETE, change.before_level, change.after_level) \
             not in IMPOSSIBLE_TYPES, change
-        built = self._delete_built(canonical_edge(a, b), new_decomp)
-        self._commit(new_decomp, built)
+        self._commit(new_decomp, deleted=canonical_edge(a, b))
         return ChangeOutcome(ACCEPTED, change)
 
     def _ordered(self, tasks: list) -> list:
@@ -311,83 +310,56 @@ class Engine:
 
     # ----------------------------------------------------- deletion surgery
 
-    def _delete_built(self, edge: Edge,
-                      new_decomp: DecompositionState) -> list[Embedding]:
-        a, b = edge
-        d = self.decomp
-        if d.is_separating_pair(a, b):
-            return []  # the bundle loses its real edge; cycles re-derive
-        block = d.block_of(a, b)
-        if block.is_bridge:
-            return []
-        built: list[Embedding] = []
-        comps = sorted(block.comps, key=lambda c: (c.kind, c.name))
-        for comp in self._ordered(comps):
-            if comp.kind == "R":
-                built += self._project_rigid(comp, edge, new_decomp)
-        return built
+    def _project_rigid(self, source: TriComp, comp: TriComp, block: Block,
+                       deleted: Edge) -> Embedding:
+        """Project the embedding of the old rigid component `source` onto
+        the new rigid component `comp` of `block`, which it contains.
 
-    def _project_rigid(self, comp: TriComp, deleted: Edge,
-                       new_decomp: DecompositionState) -> list[Embedding]:
-        """Project a rigid component's embedding onto its successors.
-
-        Entries for the deleted edge vanish; entries whose edge survives
-        in the successor stay; every other entry collapses into the
-        bundle entry of the successor pair whose far side it points at,
-        read off the successor's block tree.
+        A deletion never merges rigid components, so `source` is the one
+        old rigid component whose vertex set holds comp's. Entries for the
+        deleted edge vanish; entries whose edge survives in comp stay;
+        every other entry collapses into the bundle entry of the new pair
+        whose far side it points at, read off the block's SPQR tree.
         """
-        old = self.comp_embs[(comp.kind, comp.name)]
+        old = self.comp_embs[(source.kind, source.name)]
         da, db = deleted
-        out: list[Embedding] = []
-        # a rigid skeleton less one edge stays biconnected, so the
-        # successors lie in the one new block holding all of comp
-        cands = [(blk, W)
-                 for blk in new_decomp.blocks_of_vertex(min(comp.vertices))
-                 for W in blk.comps
-                 if W.kind == "R" and W.vertices <= comp.vertices]
-        for blk, W in cands:
-            ew = frozenset(W.real_edges | W.pairs)
-            far = _far_sides(blk, W, W.pairs - comp.pairs)
-            rot: dict[Vertex, list] = {}
-            for x in sorted(W.vertices):
-                # a bundle entry stands for a run of entries; it is the
-                # only entry that can repeat, so runs merge on repeats
-                entries = rot[x] = []
-                for w in old.rot[x]:
-                    if {x, w} == {da, db}:
-                        continue
-                    if canonical_edge(x, w) in ew:
-                        hits = [w]
-                    else:
-                        hits = [_partner(p, x) for p, side in far.items()
-                                if x in p and w in side]
-                        assert len(hits) <= 1, \
-                            f"entry {w} at {x} matches two far sides"
-                    if hits and (not entries or entries[-1] != hits[0]):
-                        entries.append(hits[0])
-                if len(entries) > 1 and entries[0] == entries[-1]:
-                    entries.pop()
-                assert len(set(entries)) == len(entries), \
-                    f"bundle segment split at vertex {x}"
-            emb = Embedding(rot)
-            assert emb.vertices == W.vertices and emb.edge_set() == ew, \
-                f"projection of {comp.name} misses component {W.name}"
-            out.append(emb)
-        return out
+        ew = comp.real_edges | comp.pairs
+        far = _far_sides(block, comp, comp.pairs - source.pairs)
+        rot: dict[Vertex, list] = {}
+        for x in sorted(comp.vertices):
+            # a bundle entry stands for a run of entries; it is the only
+            # entry that can repeat, so runs merge on repeats
+            entries = rot[x] = []
+            for w in old.rot[x]:
+                if {x, w} == {da, db}:
+                    continue
+                if canonical_edge(x, w) in ew:
+                    hits = [w]
+                else:
+                    hits = [_partner(p, x) for p, side in far.items()
+                            if x in p and w in side]
+                    assert len(hits) <= 1, \
+                        f"entry {w} at {x} matches two far sides"
+                if hits and (not entries or entries[-1] != hits[0]):
+                    entries.append(hits[0])
+            if len(entries) > 1 and entries[0] == entries[-1]:
+                entries.pop()
+            assert len(set(entries)) == len(entries), \
+                f"bundle segment split at vertex {x}"
+        return Embedding(rot)
 
     # --------------------------------------------------------------- commit
 
-    def _commit(self, new_decomp: DecompositionState,
-                built: list[Embedding]) -> None:
-        """Install the new state. Surgery's embeddings are canonicalised;
-        every other component takes its carried embedding (canonical
-        already) or, for a new cycle, the one derived from content. Only
-        blocks whose shape changed get new colourings and rotations."""
-        built_by_key: dict[ContentKey, Embedding] = {}
-        for emb in built:
-            key = _embedding_key(emb)
-            assert key not in built_by_key, "duplicate built embedding"
-            built_by_key[key] = emb
+    def _commit(self, new_decomp: DecompositionState, windows=(),
+                deleted: Edge | None = None) -> None:
+        """Install the new state, deciding where each component's
+        embedding comes from: carried when its block is kept or its
+        content key is unchanged, derived from content for a new cycle,
+        and for a rigid component the predecessor lacks, built by surgery
+        from its one source and canonicalised. That source is the window
+        whose two endpoints it holds, or the old rigid component that
+        contains it. Only blocks whose shape changed get new colourings
+        and rotations."""
         # a component has three or more vertices and blocks share at most
         # one, so a component of a replaced block is found only there
         kept = {blk.name: blk for blk in new_decomp.blocks}
@@ -398,7 +370,7 @@ class Engine:
         }
         old_blocks = {blk.name: blk for blk in self.decomp.blocks}
         comp_embs: dict[SpqrNode, Embedding] = {}
-        used = set()
+        created: list[tuple[Block, TriComp]] = []
         affected = set()
         for blk in new_decomp.blocks:
             old = old_blocks.get(blk.name)
@@ -413,19 +385,32 @@ class Engine:
                 affected.add(blk.name)
             for c in blk.comps:
                 key = _content_key(c)
-                if c.kind == "R" and key in built_by_key:
-                    emb = built_by_key[key].canonical()
-                    used.add(key)
-                elif key in carried:
-                    emb = carried[key]
-                else:
-                    assert c.kind == "S", \
-                        f"no embedding built or carried for {c.name}"
+                if key in carried:
+                    comp_embs[(c.kind, c.name)] = carried[key]
+                elif c.kind == "S":
                     # canonical as derived: at degree 2 a flip serialises
                     # the same
-                    emb = _cycle_embedding(c)
-                comp_embs[(c.kind, c.name)] = emb
-        assert used == set(built_by_key), "surgery built an orphan embedding"
+                    comp_embs[(c.kind, c.name)] = _cycle_embedding(c)
+                else:
+                    created.append((blk, c))
+
+        if deleted is None:
+            assert len(created) == len(windows), \
+                "a window fused other than one component"
+        else:  # only the deleted edge's block is replaced
+            rigid = [c for c in self.decomp.block_of(*deleted).comps
+                     if c.kind == "R"]
+        for blk, c in self._ordered(created):
+            if deleted is None:
+                found = [w for w in windows if {w[1], w[2]} <= c.vertices]
+            else:
+                found = [s for s in rigid if c.vertices <= s.vertices]
+            assert len(found) == 1, f"no one source for component {c.name}"
+            emb = self._merge_corridor(*found[0]) if deleted is None \
+                else self._project_rigid(found[0], c, blk, deleted)
+            assert _embedding_key(emb) == _content_key(c), \
+                f"surgery built another component than {c.name}"
+            comp_embs[(c.kind, c.name)] = emb.canonical()
         colourings = update_colouring(
             self.colourings, new_decomp, comp_embs, affected)
 

@@ -206,6 +206,88 @@ def test_two_insertion_windows_commute():
         assert eng.dump() == want
 
 
+def _wheel(hub: int, rim: list[int]) -> list[tuple[int, int]]:
+    return [(hub, r) for r in rim] + \
+        [(r, rim[(i + 1) % len(rim)]) for i, r in enumerate(rim)]
+
+
+def test_two_deletion_projections_commute():
+    """Two 5-wheels joined in a ring by 3-7 and 1-9 form one block: each
+    wheel is a rigid component with a virtual chord, 1-3 or 7-9, on the
+    ring's cycle. Deleting 3-7 creates two rigid components, the wheels
+    without their chords, and neither holds both 3 and 7. In either
+    order of the two projections the engine ends as a fresh engine."""
+    ring = _wheel(0, [1, 2, 3, 4, 5]) + _wheel(6, [7, 8, 9, 10, 11]) + \
+        [(3, 7), (1, 9)]
+    want = build(12, sorted(set(ring) - {(3, 7)})).dump()
+    for perm in ((0, 1), (1, 0)):
+        eng = build(12, ring)
+        tasks = []
+
+        def order(ts, perm=perm):
+            tasks.append(ts)
+            return [ts[i] for i in perm]
+
+        eng._subupdate_order = order
+        assert eng.delete_edge(3, 7).status == ACCEPTED
+        (created,) = tasks
+        assert len(created) == 2
+        assert all(not {3, 7} <= c.vertices and c.kind == "R"
+                   for _, c in created)
+        assert eng.dump() == want
+
+
+def _rigid_keys(eng: Engine) -> set:
+    return {(c.vertices, c.real_edges | c.pairs)
+            for blk in eng.decomp.blocks for c in blk.comps if c.kind == "R"}
+
+
+def test_delete_projects_only_the_rigid_components_it_creates(monkeypatch):
+    """A delete builds one embedding per rigid component whose content
+    the state before it lacks, and carries every other one. On the glued
+    wheels below, deleting the spoke 0-3 re-splits the first wheel into
+    a K4 and a cycle and leaves the second wheel as it was: one
+    projection. Over seeded churn the count per delete is the number of
+    new rigid content keys."""
+    projections = 0
+    project = Engine._project_rigid
+
+    def counting(self, *args):
+        nonlocal projections
+        projections += 1
+        return project(self, *args)
+
+    monkeypatch.setattr(Engine, "_project_rigid", counting)
+    wheels = [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3), (3, 4), (1, 4),
+              (5, 1), (5, 2), (5, 6), (5, 7), (2, 6), (6, 7), (1, 7),
+              (1, 2)]
+    eng = build(8, wheels)
+    assert eng.delete_edge(0, 3).status == ACCEPTED
+    assert projections == 1
+    assert eng.dump() == build(8, sorted(eng.graph.edges)).dump()
+
+    deletes = created = 0
+    for seed in range(20):
+        rng = random.Random(8000 + seed)
+        eng = Engine(12)
+        for _ in range(150):
+            edges = sorted(eng.graph.edges)
+            if not edges or rng.random() >= 0.3:
+                a = rng.randrange(12)
+                b = (a + rng.randint(1, 5)) % 12
+                if not eng.graph.has_edge(a, b):
+                    eng.insert_edge(a, b)
+                continue
+            before = _rigid_keys(eng)
+            projections = 0
+            assert eng.delete_edge(*rng.choice(edges)).status == ACCEPTED
+            new = len(_rigid_keys(eng) - before)
+            assert projections == new
+            deletes += 1
+            created += new
+    assert deletes >= 200 and created >= 50, (deletes, created)
+
+
 def test_rim_chord_splits_the_wheel_face_into_its_two_arcs():
     """A face split is the corridor of one rigid component: a rim chord
     of a wheel leaves the two rim arcs, each closed by the chord, as
