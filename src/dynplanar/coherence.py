@@ -22,7 +22,7 @@ from .decomposition import (
     _tree_path,
 )
 from .graph_core import Edge, GraphError, Vertex
-from .rotation import Embedding
+from .rotation import Embedding, crossing
 
 
 def node_label(node: SpqrNode) -> str:
@@ -70,24 +70,12 @@ def _mates(emb: Embedding, pair_prev: Edge, pair_next: Edge) -> dict:
     splits the boundary into two arcs, and the endpoints of each arc share
     a colour. A vertex shared by both pairs is its own singleton arc.
     """
-    face = emb.common_face(set(pair_prev) | set(pair_next))
-    assert face is not None, "window face missing during colouring"
-    bd = emb.boundary(face)
-    k = len(bd)
-
-    def edge_pos(pair: Edge) -> int:
-        for i in range(k):
-            if {bd[i], bd[(i + 1) % k]} == set(pair):
-                return i
-        raise AssertionError(f"pair {pair} is not a window boundary edge")
-
-    ip = edge_pos(pair_prev)
-    inx = edge_pos(pair_next)
-    assert ip != inx, "path pairs must be distinct"
-    mates = {
-        bd[inx]: bd[(ip + 1) % k],
-        bd[(inx + 1) % k]: bd[ip],
-    }
+    bd = emb.common_face(set(pair_prev) | set(pair_next))
+    assert bd is not None, "window face missing during colouring"
+    prev, nxt = crossing(bd, pair_prev), crossing(bd, pair_next)
+    assert prev and nxt, "a path pair is not a window boundary edge"
+    assert set(prev) != set(nxt), "path pairs must be distinct"
+    mates = {nxt[0]: prev[1], nxt[1]: prev[0]}
     assert set(mates) == set(pair_next)
     assert set(mates.values()) == set(pair_prev)
     for v, w in mates.items():

@@ -511,10 +511,6 @@ class DecompositionState:
         except KeyError:
             raise GraphError(f"no block named {name}") from None
 
-    def blocks_of_vertex(self, v: Vertex) -> tuple[Block, ...]:
-        self.check_vertex(v)
-        return tuple(self._blocks_of_vertex.get(v, []))
-
     # ------------------------------------------------------------- BC walks
 
     def bc_path_blocks(self, a: Vertex, b: Vertex):

@@ -57,6 +57,7 @@ from .graph_core import (
 )
 from .rotation import (
     Embedding,
+    crossing,
     cyclic_triple_query,
     euler_per_component,
     opened_at,
@@ -76,12 +77,7 @@ def _cycle_embedding(comp: TriComp) -> Embedding:
         nbrs.setdefault(v, []).append(u)
     assert all(len(ws) == 2 for ws in nbrs.values()), \
         f"component {comp.name} is not a cycle"
-    start = min(nbrs)
-    order = [start, min(nbrs[start])]
-    while len(order) < len(nbrs):
-        w1, w2 = nbrs[order[-1]]
-        order.append(w2 if w1 == order[-2] else w1)
-    return Embedding.from_cycle(order)
+    return Embedding(nbrs)
 
 
 def _content_key(comp: TriComp) -> ContentKey:
@@ -95,11 +91,6 @@ def _embedding_key(emb: Embedding) -> ContentKey:
 def _partner(pair: Edge, x: Vertex) -> Vertex:
     assert x in pair
     return pair[1] if pair[0] == x else pair[0]
-
-
-def _traverses(bd: tuple, x: Vertex, y: Vertex) -> bool:
-    """Does the cyclic face boundary bd step from x straight to y?"""
-    return bd[(bd.index(x) + 1) % len(bd)] == y
 
 
 def _splice(rot: dict, crot: dict, s: Vertex, t: Vertex) -> None:
@@ -255,24 +246,25 @@ class Engine:
                 (set(pairs[i]) if i < len(pairs) else {v})
             emb = self.comp_embs[nd]
             if nd[0] == "S":
-                bd = tuple(x for x in emb.boundary(emb.outer) if x in anchors)
+                bd = tuple(x for x in emb.outer if x in anchors)
                 k = len(bd)
                 assert k == len(anchors) >= 3
                 crot = {bd[j]: (bd[(j + 1) % k], bd[j - 1]) for j in range(k)}
             else:
                 crot = emb.rot
-                bd = emb.boundary(emb.common_face(anchors))
+                bd = emb.common_face(anchors)
             window_verts |= set(bd)
             if pairs:
                 want = (bottom(pairs[0]), top(pairs[0])) if i == 0 \
                     else (top(pairs[i - 1]), bottom(pairs[i - 1]))
-                if not _traverses(bd, *want):
+                if crossing(bd, want) != want:
                     crot = {x: seq[::-1] for x, seq in crot.items()}
                     bd = bd[::-1]
-                assert _traverses(bd, *want), \
+                assert crossing(bd, want) == want, \
                     "window face lost its seam orientation"
                 if 0 < i < len(comps) - 1:
-                    assert _traverses(bd, bottom(pairs[i]), top(pairs[i])), \
+                    assert crossing(bd, pairs[i]) == \
+                        (bottom(pairs[i]), top(pairs[i])), \
                         "right seam disagrees with the colouring"
             if i == 0:
                 rot = {x: list(seq) for x, seq in crot.items()}
@@ -294,9 +286,7 @@ class Engine:
             seq.insert(j + 1, other)
 
         emb = Embedding(rot)
-        sides = [set(bd) for bd in emb.faces.values()
-                 if u in bd and _traverses(bd, u, v)
-                 or v in bd and _traverses(bd, v, u)]
+        sides = [set(bd) for bd in emb.faces if crossing(bd, (u, v))]
         assert len(sides) == 2, "the new edge must border two faces"
         side_a, side_b = sides
         assert side_a | side_b == window_verts and side_a & side_b == {u, v}, \
@@ -498,8 +488,7 @@ class Engine:
         if hit is None:
             return False
         name, kind = hit
-        res = self.comp_embs[(kind, name)].face_query(a, b, c)
-        return res is not None and res[1]
+        return self.comp_embs[(kind, name)].face_query(a, b, c)
 
     # ---------------------------------------------------------------- dumps
 

@@ -1,20 +1,26 @@
 """Extended planar embeddings: vertex rotations plus traced faces.
 
 An embedding stores one clockwise neighbour cycle per vertex. Faces are
-never stored independently: they are the orbits of the successor rule
+the orbits of the successor rule
 
     next(u -> v) = (v, clockwise-predecessor of u at v)
 
-traced once when the embedding is built. An embedding is a value: no
-method changes it, and a changed rotation scheme is a new embedding,
-so the face scheme can never drift from the rotation scheme. Each face
-keeps its orbit orientation; the outer face is the one with the least
-name.
+traced once when the embedding is built and kept as one tuple of
+boundaries, each in orbit orientation and least rotation. The trace
+starts each face at its least dart, so the tuple comes out sorted, the
+order in which dumps list faces. Only simple faces are kept; a tree has
+none. An embedding is a value: no method changes it, and a changed
+rotation scheme is a new embedding, so the faces can never drift from
+the rotation scheme.
 
-Face names are the lexicographically least ordered vertex triple that
-occurs on the face boundary in orbit order. Of an embedding and its
-mirror, the canonical one serialises to the lesser string, which one
-vertex decides.
+A face's name is the lexicographically least ordered vertex triple that
+occurs on its boundary in orbit order. Names order faces only to pick
+the outer face, the one with the least name, which is decided once per
+embedding. Every other reader takes boundaries as stored: no two faces
+of a rigid component share three vertices, and of a cycle's two faces
+exactly one carries three given vertices in a given order. Of an
+embedding and its mirror, the canonical one serialises to the lesser
+string, which one vertex decides.
 """
 from __future__ import annotations
 
@@ -62,6 +68,21 @@ def cyclic_triple_query(seq, a, b, c) -> bool:
     return (ib - ia) % k < (ic - ia) % k
 
 
+def crossing(bd, pair):
+    """How the simple face boundary bd crosses the pair: (x, y) when bd
+    steps from x straight to y, None when the pair is no edge of bd."""
+    x, y = pair
+    try:
+        i = bd.index(x)
+    except ValueError:
+        return None
+    if bd[(i + 1) % len(bd)] == y:
+        return x, y
+    if bd[i - 1] == y:
+        return y, x
+    return None
+
+
 # ---------------------------------------------------------------- face trace
 
 def _predecessors(rot):
@@ -79,6 +100,8 @@ def _predecessors(rot):
 def trace_orbits(rot):
     """Face orbits of a rotation scheme, as normalized boundary tuples:
     the vertex cycle of each orbit in trace orientation (least rotation).
+    Darts are taken in sorted order, so a simple orbit starts at its
+    least dart and the simple orbits come out sorted.
     """
     prev = _predecessors(rot)
     darts = sorted((u, v) for u, seq in rot.items() for v in seq)
@@ -169,7 +192,7 @@ def _serialize(rot) -> str:
 class Embedding:
     """Rotation scheme of one connected component plus traced faces."""
 
-    __slots__ = ("rot", "faces")
+    __slots__ = ("rot", "faces", "outer")
 
     def __init__(self, rot):
         rot = self.rot = {v: tuple(seq) for v, seq in rot.items()}
@@ -192,29 +215,11 @@ class Embedding:
             raise GraphError(
                 f"rotation scheme is not planar: V-E+F = "
                 f"{vs}-{es}+{len(orbits)}")
-        self.faces = {}
-        for b in orbits:
-            if len(b) >= 3 and len(set(b)) == len(b):
-                name = face_name(b)
-                if name in self.faces:
-                    raise GraphError(f"face name collision at {name}")
-                self.faces[name] = b
+        self.faces = tuple(b for b in orbits
+                           if len(b) >= 3 and len(set(b)) == len(b))
+        self.outer = min(self.faces, key=face_name, default=None)
 
     # ------------------------------------------------------------ structure
-
-    @classmethod
-    def from_cycle(cls, vertices) -> Embedding:
-        vs = tuple(vertices)
-        if len(vs) < 3 or len(set(vs)) != len(vs):
-            raise GraphError(f"cycle {vs} needs three or more distinct vertices")
-        k = len(vs)
-        rot = {vs[i]: (vs[(i + 1) % k], vs[(i - 1) % k]) for i in range(k)}
-        return cls(rot)
-
-    @property
-    def outer(self) -> FaceId | None:
-        """The face with the least name; None for a tree."""
-        return min(self.faces) if self.faces else None
 
     @property
     def vertices(self) -> frozenset[Vertex]:
@@ -224,38 +229,21 @@ class Embedding:
         return frozenset(canonical_edge(u, v)
                          for u, seq in self.rot.items() for v in seq)
 
-    def boundary(self, f: FaceId) -> tuple:
-        try:
-            return self.faces[f]
-        except KeyError:
-            raise GraphError(f"unknown face {f}") from None
-
     # -------------------------------------------------------------- queries
 
-    def face_query(self, a: Vertex, b: Vertex, c: Vertex):
-        """Unique face carrying {a,b,c} plus whether (a,b,c) is its orbit
-        order; for a cycle both faces carry them and the oriented one wins."""
+    def face_query(self, a: Vertex, b: Vertex, c: Vertex) -> bool:
+        """Does some face carry a, b, c in its orbit order? At most one
+        face of a rigid component holds three vertices, and exactly one
+        face of a cycle carries them in a given order."""
         if len({a, b, c}) != 3:
             raise GraphError("face query needs three distinct vertices")
-        hits = [f for f, bd in sorted(self.faces.items())
-                if a in bd and b in bd and c in bd]
-        if not hits:
-            return None
-        if len(hits) == 1:
-            return hits[0], cyclic_triple_query(self.faces[hits[0]], a, b, c)
-        oriented = [f for f in hits
-                    if cyclic_triple_query(self.faces[f], a, b, c)]
-        if len(oriented) != 1:
-            raise GraphError(f"face query ({a},{b},{c}) is ambiguous")
-        return oriented[0], True
+        return any(a in bd and b in bd and c in bd
+                   and cyclic_triple_query(bd, a, b, c) for bd in self.faces)
 
     def common_face(self, vertex_set):
-        """Least face whose boundary contains every vertex of the set."""
+        """First face boundary that holds every vertex of the set."""
         want = set(vertex_set)
-        for f, bd in sorted(self.faces.items()):
-            if want <= set(bd):
-                return f
-        return None
+        return next((bd for bd in self.faces if want.issubset(bd)), None)
 
     # ----------------------------------------------------------- operations
 
@@ -291,8 +279,7 @@ class Embedding:
         for v in sorted(self.rot):
             seq = opened_at_least(self.rot[v])
             lines.append(f"rot {v}: " + " ".join(str(x) for x in seq))
-        outer = self.outer
-        for bd in sorted(self.faces.values()):
-            mark = " outer" if face_name(bd) == outer else ""
+        for bd in self.faces:
+            mark = " outer" if bd == self.outer else ""
             lines.append("face " + " ".join(str(x) for x in bd) + mark)
         return lines

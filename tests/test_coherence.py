@@ -64,7 +64,7 @@ def pinched_k4s():
     edges = [(1, 2), (1, 4), (1, 5), (2, 4), (2, 5), (4, 5),
              (1, 3), (1, 6), (1, 7), (3, 6), (3, 7), (6, 7), (2, 3)]
     decomp = DecompositionState.from_edges(8, edges)
-    embs = {("S", (1, 2, 3)): Embedding.from_cycle([1, 2, 3])}
+    embs = {("S", (1, 2, 3)): Embedding({1: (2, 3), 2: (3, 1), 3: (1, 2)})}
     return decomp, embs
 
 

@@ -300,7 +300,7 @@ def test_rim_chord_splits_the_wheel_face_into_its_two_arcs():
     assert eng.insert_edge(1, 4).status == ACCEPTED
     (emb,) = eng.comp_embs.values()
     assert len(emb.faces) == 8
-    assert {frozenset(bd) for bd in emb.faces.values() if len(bd) > 3} \
+    assert {frozenset(bd) for bd in emb.faces if len(bd) > 3} \
         == {frozenset({1, 2, 3, 4}), frozenset({1, 4, 5, 6})}
 
 
@@ -503,6 +503,64 @@ def test_query_error_guards():
         eng.graph_face_query(1, 2, 2)
     with pytest.raises(DomainError):
         eng.graph_face_query(1, 2, 9)
+
+
+# ------------------------------------------------------------ stored faces
+
+def grid_edges(rows: int, cols: int) -> list:
+    """A rows x cols grid, vertex i*cols+j at row i and column j, with
+    (+1, +1) diagonals."""
+    return [(i * cols + j, (i + di) * cols + j + dj)
+            for i in range(rows) for j in range(cols)
+            for di, dj in ((0, 1), (1, 0), (1, 1))
+            if i + di < rows and j + dj < cols]
+
+
+def test_stored_faces_are_the_traced_boundaries_in_order():
+    """Every stored embedding keeps its traced boundaries as they come,
+    which is sorted order, and its least-named face as outer. No two
+    faces of a rigid component share three vertices, and exactly one
+    face of a cycle carries three of its vertices in a given order, so
+    the first face holding a set or a triple is the only one that can."""
+    checked: dict[int, Embedding] = {}
+    kinds = {"R": 0, "S": 0}
+
+    def check(eng: Engine) -> None:
+        for node, emb in eng.comp_embs.items():
+            if id(emb) in checked:
+                continue
+            checked[id(emb)] = emb
+            kinds[node[0]] += 1
+            traced = tuple(rotation.trace_orbits(emb.rot))
+            assert emb.faces == traced == tuple(sorted(traced)), node
+            assert emb.outer == min(emb.faces, key=rotation.face_name)
+            if node[0] == "R":
+                for f, g in itertools.combinations(emb.faces, 2):
+                    assert len(set(f) & set(g)) < 3, (node, f, g)
+            else:
+                for t in itertools.permutations(emb.rot, 3):
+                    assert sum(rotation.cyclic_triple_query(bd, *t)
+                               for bd in emb.faces) == 1, (node, t)
+
+    pairs = list(itertools.combinations(range(8), 2))
+    for seed in range(40):
+        rng = random.Random(seed)
+        eng = Engine(8)
+        for _ in range(150):
+            edges = sorted(eng.graph.edges)
+            if edges and rng.random() < 0.45:
+                eng.delete_edge(*edges[rng.randrange(len(edges))])
+            else:
+                absent = [p for p in pairs if p not in eng.graph.edges]
+                eng.insert_edge(*absent[rng.randrange(len(absent))])
+            check(eng)
+    order = grid_edges(5, 6)
+    random.Random(1).shuffle(order)
+    eng = Engine(30)
+    for a, b in order:
+        assert eng.insert_edge(a, b).status == ACCEPTED
+        check(eng)
+    assert min(kinds.values()) >= 1000, kinds
 
 
 # --------------------------------------------------------------- cost bound

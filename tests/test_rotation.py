@@ -24,6 +24,13 @@ K4_ROT = {1: (2, 3, 4), 2: (1, 4, 3), 3: (1, 2, 4), 4: (1, 3, 2)}
 K4_FACES = [(1, 2, 3), (1, 3, 4), (1, 4, 2), (2, 4, 3)]
 
 
+def from_cycle(vertices) -> Embedding:
+    """The embedding of the cycle through vertices, in that order."""
+    vs = tuple(vertices)
+    k = len(vs)
+    return Embedding({vs[i]: (vs[(i + 1) % k], vs[i - 1]) for i in range(k)})
+
+
 def wheel_rot(k: int) -> dict:
     rim = list(range(1, k + 1))
     rot = {0: tuple(rim)}
@@ -150,9 +157,9 @@ def test_euler_per_component_agrees_with_the_oracle() -> None:
 
 def test_k4_embedding_frozen() -> None:
     emb = Embedding(K4_ROT)
-    assert sorted(emb.faces) == K4_FACES
+    assert emb.faces == tuple(K4_FACES)
     assert emb.outer == (1, 2, 3)
-    assert emb.boundary((2, 4, 3)) == (2, 4, 3)
+    assert (2, 4, 3) in emb.faces
 
 
 def test_embedding_rejects_nonplanar_rotation() -> None:
@@ -169,15 +176,23 @@ def test_embedding_rejects_disconnected() -> None:
 
 def test_single_edge_embedding() -> None:
     emb = Embedding({1: (2,), 2: (1,)})
-    assert emb.faces == {}
+    assert emb.faces == ()
     assert emb.outer is None
 
 
 def test_from_cycle() -> None:
-    c4 = Embedding.from_cycle([1, 2, 3, 4])
-    assert sorted(c4.faces) == [(1, 2, 3), (1, 3, 2)]
-    assert c4.boundary((1, 2, 3)) == (1, 2, 3, 4)
-    assert c4.boundary((1, 3, 2)) == (1, 4, 3, 2)
+    c4 = from_cycle([1, 2, 3, 4])
+    assert c4.faces == ((1, 2, 3, 4), (1, 4, 3, 2))
+    assert [face_name(bd) for bd in c4.faces] == [(1, 2, 3), (1, 3, 2)]
+    assert c4.outer == (1, 2, 3, 4)
+    # Faces keep boundary order, the dump's; the least-named face is
+    # outer even where it does not come first.
+    c5 = from_cycle([0, 5, 1, 3, 2])
+    assert c5.faces == ((0, 2, 3, 1, 5), (0, 5, 1, 3, 2))
+    assert [face_name(bd) for bd in c5.faces] == [(0, 1, 5), (0, 1, 2)]
+    assert c5.outer == (0, 5, 1, 3, 2)
+    assert c5.dump_lines()[-2:] == ["face 0 2 3 1 5",
+                                    "face 0 5 1 3 2 outer"]
 
 
 # ---------------------------------------------------------------- queries
@@ -187,25 +202,28 @@ def test_rotation_query() -> None:
     emb = Embedding(K4_ROT)
     assert cyclic_triple_query(emb.rot[1], 2, 3, 4) is True
     assert cyclic_triple_query(emb.rot[1], 2, 4, 3) is False
-    tri = Embedding.from_cycle([1, 2, 3])
+    tri = from_cycle([1, 2, 3])
     with pytest.raises(GraphError):
         cyclic_triple_query(tri.rot[1], 2, 3, 4)
 
 
 def test_face_query() -> None:
     emb = Embedding(K4_ROT)
-    assert emb.face_query(1, 2, 3) == ((1, 2, 3), True)
-    assert emb.face_query(2, 3, 4) == ((2, 4, 3), False)
-    c4 = Embedding.from_cycle([1, 2, 3, 4])
-    assert c4.face_query(1, 2, 3) == ((1, 2, 3), True)
-    assert c4.face_query(3, 2, 1) == ((1, 3, 2), True)
+    assert emb.face_query(1, 2, 3) is True
+    assert emb.face_query(2, 3, 4) is False
+    assert emb.face_query(2, 4, 3) is True
+    c4 = from_cycle([1, 2, 3, 4])
+    assert c4.face_query(1, 2, 3) is True
+    assert c4.face_query(3, 2, 1) is True
+    with pytest.raises(GraphError):
+        emb.face_query(1, 2, 2)
 
 
 def test_common_face() -> None:
     w4 = Embedding(wheel_rot(4))
     rim = w4.common_face({1, 2, 3, 4})
-    assert rim == (1, 3, 2)
-    assert set(w4.boundary(rim)) == {1, 2, 3, 4}
+    assert rim == (1, 4, 3, 2)
+    assert face_name(rim) == (1, 3, 2)
     assert w4.common_face({0, 1, 2}) == (0, 1, 2)
     assert Embedding(K4_ROT).common_face({1, 2, 3, 4}) is None
 
@@ -217,11 +235,11 @@ def test_flip_involution() -> None:
     emb = Embedding(K4_ROT)
     mirror = emb.flipped()
     assert emb.rot == K4_ROT
-    assert sorted(emb.faces) == K4_FACES
+    assert list(emb.faces) == K4_FACES
     assert cyclic_triple_query(mirror.rot[1], 4, 3, 2)
     assert euler_per_component(mirror.rot)
-    assert sorted(mirror.faces.values()) == sorted(
-        least_rotation(bd[::-1]) for bd in emb.faces.values())
+    assert mirror.faces == tuple(sorted(
+        least_rotation(bd[::-1]) for bd in emb.faces))
     back = mirror.flipped()
     assert back.rot == K4_ROT
     assert back.outer == (1, 2, 3)
@@ -240,7 +258,7 @@ def test_canonical_flip_invariant() -> None:
 
 def test_canonical_outer_is_least_face() -> None:
     emb = Embedding(K4_ROT).flipped().canonical()
-    assert emb.outer == min(emb.faces)
+    assert emb.outer == min(emb.faces, key=face_name)
 
 
 def whole_scheme_rule(emb: Embedding) -> dict:
@@ -320,7 +338,7 @@ def test_wheel_embeddings(k: int) -> None:
     assert len(emb.faces) == k + 1
     rim = emb.common_face(set(range(1, k + 1)))
     assert rim is not None
-    assert set(emb.boundary(rim)) == set(range(1, k + 1))
+    assert set(rim) == set(range(1, k + 1))
     mirror = emb.flipped()
     assert euler_per_component(mirror.rot)
     assert len(mirror.faces) == k + 1
@@ -347,7 +365,7 @@ def tree_rotations(draw):
 @settings(max_examples=60, deadline=None)
 def test_any_tree_rotation_is_planar(rot) -> None:
     emb = Embedding(rot)
-    assert emb.faces == {}
+    assert emb.faces == ()
     assert emb.outer is None
     assert euler_per_component(emb.rot)
     assert emb.flipped().flipped().rot == emb.rot
@@ -366,4 +384,4 @@ def test_shuffled_wheel_rotation_is_planar_or_rejected(seed: int) -> None:
     except GraphError:
         return
     assert euler_per_component(emb.rot)
-    assert sum(len(emb.boundary(f)) for f in emb.faces) <= 2 * 10
+    assert sum(len(bd) for bd in emb.faces) <= 2 * 10
