@@ -17,9 +17,11 @@ lies inside one rigid component of its block and is no pair there, the
 new block is derived from the old one: an edge inside one rigid
 skeleton leaves the SPQR tree's shape alone (Di Battista and Tamassia),
 so only that component gains or loses the edge, a deletion provided the
-component stays triconnected. Every other new block is built from its
-edges. Cut vertices alone come from a lowpoint search that collects no
-blocks.
+component stays triconnected. A caller that holds the component's
+embedding decides that from the two faces at the edge and passes the
+verdict in; without one, a connectivity search decides. Every other new
+block is built from its edges. Cut vertices alone come from a lowpoint
+search that collects no blocks.
 
 Node references used by the path operations:
 
@@ -303,8 +305,8 @@ def _make_block(edges: frozenset[Edge], kinds: dict) -> Block:
     return Block(name, vset, edges, pairs, tuple(comps), _spqr_tree(comps))
 
 
-def _derived_block(old: DecompositionState, eset: frozenset[Edge]
-                   ) -> Block | None:
+def _derived_block(old: DecompositionState, eset: frozenset[Edge],
+                   stays_rigid: bool | None = None) -> Block | None:
     """The block of `eset` that holds the one edge by which `eset` and
     `old.edges` differ, derived from its predecessor B; None when they
     differ in other than one edge or B's SPQR tree may change shape.
@@ -314,6 +316,8 @@ def _derived_block(old: DecompositionState, eset: frozenset[Edge]
     rigid skeleton leaves the SPQR tree's shape alone), and so does a
     deletion after which C stays triconnected; C alone gains or loses
     the edge, and B's name, pairs, other components and tree are kept.
+    Whether C stays triconnected is `stays_rigid` when the caller knows
+    it, and a connectivity search otherwise.
     """
     diff = eset ^ old.edges
     if len(diff) != 1:
@@ -330,9 +334,12 @@ def _derived_block(old: DecompositionState, eset: frozenset[Edge]
     assert e in eset or e in comp.real_edges, "deleted edge is not real"
     real = comp.real_edges ^ diff
     # an added edge cannot lower C's connectivity, so only a deletion asks
-    if e not in eset and not _graph_three_connected(
-            comp.vertices, _adjacency(comp.vertices, real | comp.pairs)):
-        return None
+    if e not in eset:
+        if stays_rigid is None:
+            stays_rigid = _graph_three_connected(
+                comp.vertices, _adjacency(comp.vertices, real | comp.pairs))
+        if not stays_rigid:
+            return None
     comps = tuple(TriComp(c.name, "R", c.vertices, real, c.pairs)
                   if c is comp else c for c in blk.comps)
     return Block(blk.name, blk.vertices, blk.edges ^ diff, blk.pairs, comps,
@@ -413,11 +420,14 @@ class DecompositionState:
 
     @classmethod
     def from_edges(cls, n: int, edges,
-                   carry_from: DecompositionState | None = None
-                   ) -> DecompositionState:
+                   carry_from: DecompositionState | None = None,
+                   stays_rigid: bool | None = None) -> DecompositionState:
         """State of an edge set. Blocks whose edge set `carry_from` holds
         are taken from it, and so are the kinds of components whose
-        content it holds; everything else is built here."""
+        content it holds; everything else is built here. When the edge
+        set is `carry_from`'s less one real edge of a rigid component,
+        `stays_rigid` may say whether that component stays triconnected
+        without it; None leaves it to a connectivity search."""
         eset = frozenset(canonical_edge(u, v) for (u, v) in edges)
         active = sorted({v for e in eset for v in e})
         adj = _adjacency(active, eset)
@@ -429,7 +439,8 @@ class DecompositionState:
         block_edges = [frozenset((u, v) if u < v else (v, u) for u, v in raw)
                        for raw in raw_blocks]
         kept = set(block_edges)
-        derived = _derived_block(carry_from, eset) if carry_from else None
+        derived = _derived_block(carry_from, eset, stays_rigid) \
+            if carry_from else None
         if derived is not None:
             assert derived.edges in kept, "derived block is no block"
             known[derived.edges] = derived
@@ -459,9 +470,10 @@ class DecompositionState:
         return DecompositionState.from_edges(
             self.n, self.edges | {canonical_edge(u, v)}, self)
 
-    def without_edge(self, u: Vertex, v: Vertex) -> DecompositionState:
+    def without_edge(self, u: Vertex, v: Vertex,
+                     stays_rigid: bool | None = None) -> DecompositionState:
         return DecompositionState.from_edges(
-            self.n, self.edges - {canonical_edge(u, v)}, self)
+            self.n, self.edges - {canonical_edge(u, v)}, self, stays_rigid)
 
     def connected(self, u: Vertex, v: Vertex) -> bool:
         """True iff u and v lie in one component (u == u counts)."""

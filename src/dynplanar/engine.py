@@ -28,6 +28,13 @@ projection reads the far side of each new pair off the new block's SPQR
 tree. The gate returns the windows, so deciding and building walk the
 state once. Carrying by content key makes the whole state a pure
 function of the edge set, which the decomposition state holds.
+
+A change inside one rigid component is decided and applied on the faces
+at its edge. Whether the component stays rigid without a deleted real
+edge is read off the two faces at the edge and handed to the
+decomposition state, and a face split, or a deletion that leaves the
+component rigid, edits the stored embedding, retracing only the faces
+at the edge. The block and graph rotations are still reassembled.
 """
 from __future__ import annotations
 
@@ -62,6 +69,7 @@ from .rotation import (
     euler_per_component,
     opened_at,
     opened_at_least,
+    stays_triconnected,
 )
 
 ContentKey = tuple  # (frozenset of vertices, frozenset of edges)
@@ -190,7 +198,12 @@ class Engine:
         self.decomp.check_vertex(a, b)
         if not self.decomp.has_edge(a, b):
             return ChangeOutcome(NOOP_ABSENT)
-        new_decomp = self.decomp.without_edge(a, b)
+        e = canonical_edge(a, b)
+        rigid = next((c for c in self.decomp.block_of(a, b).comps
+                      if c.kind == "R" and e in c.real_edges), None)
+        stays_rigid = None if rigid is None else stays_triconnected(
+            self.comp_embs[("R", rigid.name)], a, b)
+        new_decomp = self.decomp.without_edge(a, b, stays_rigid)
         change = EdgeChangeType(
             DELETE,
             self.decomp.level_between(a, b),
@@ -198,7 +211,7 @@ class Engine:
         )
         assert (DELETE, change.before_level, change.after_level) \
             not in IMPOSSIBLE_TYPES, change
-        self._commit(new_decomp, deleted=canonical_edge(a, b))
+        self._commit(new_decomp, deleted=e)
         return ChangeOutcome(ACCEPTED, change)
 
     def _ordered(self, tasks: list) -> list:
@@ -223,10 +236,12 @@ class Engine:
         every window face traverses its left seam pair top to bottom and
         its right one bottom to top. Each is spliced into the rotation
         built so far at its left pair, as blocks are assembled, which
-        lands it in the window face; pairs the corridor dissolves lose
-        their virtual entries, and u-v goes in at the window-face corners
-        of u and v. Only the fused rotation becomes an embedding. A path
-        of one rigid component has no pairs and so no flip: a face split.
+        lands it in the window face, and pairs the corridor dissolves
+        lose their virtual entries. Only the fused rotation becomes an
+        embedding, and u-v is drawn across its one face that holds every
+        window. A path of one rigid component has no pairs and so no
+        flip: a face split, which draws u-v across the stored window face
+        and retraces only the two faces it makes.
         """
         comps = path[::2]
         pairs = [nd[1] for nd in path[1::2]]
@@ -266,27 +281,24 @@ class Engine:
                     assert crossing(bd, pairs[i]) == \
                         (bottom(pairs[i]), top(pairs[i])), \
                         "right seam disagrees with the colouring"
-            if i == 0:
-                rot = {x: list(seq) for x, seq in crot.items()}
-                first_bd = bd
-            else:
+            if i > 0:
                 _splice(rot, crot, *want)
+            elif pairs:
+                rot = {x: list(seq) for x, seq in crot.items()}
 
-        for p in pairs:
-            if p not in self.decomp.edges and len(block.tree[("P", p)]) == 2:
-                s, t = p
-                rot[s].remove(t)
-                rot[t].remove(s)
-        for x, other, bd in ((u, v, first_bd), (v, u, bd)):
-            k = bd.index(x)
-            seq = rot[x]
-            j = seq.index(bd[(k + 1) % len(bd)])
-            assert seq[(j + 1) % len(seq)] == bd[k - 1], \
-                "corner disagrees with rotation"
-            seq.insert(j + 1, other)
-
-        emb = Embedding(rot)
-        sides = [set(bd) for bd in emb.faces if crossing(bd, (u, v))]
+        if pairs:
+            for p in pairs:
+                if p not in self.decomp.edges and \
+                        len(block.tree[("P", p)]) == 2:
+                    s, t = p
+                    rot[s].remove(t)
+                    rot[t].remove(s)
+            fused = Embedding(rot)
+            emb = fused.with_edge(u, v, fused.common_face(window_verts))
+        else:
+            emb = self.comp_embs[comps[0]].with_edge(u, v, bd)
+        sides = [set(bd) for bd in emb.faces
+                 if u in bd and v in bd and crossing(bd, (u, v))]
         assert len(sides) == 2, "the new edge must border two faces"
         side_a, side_b = sides
         assert side_a | side_b == window_verts and side_a & side_b == {u, v}, \
@@ -309,9 +321,13 @@ class Engine:
         old rigid component whose vertex set holds comp's. Entries for the
         deleted edge vanish; entries whose edge survives in comp stay;
         every other entry collapses into the bundle entry of the new pair
-        whose far side it points at, read off the block's SPQR tree.
+        whose far side it points at, read off the block's SPQR tree. When
+        comp has the source's vertices and pairs, it is the source less
+        the deleted edge, whose two faces merge.
         """
         old = self.comp_embs[(source.kind, source.name)]
+        if comp.vertices == source.vertices and comp.pairs == source.pairs:
+            return old.without_edge(*deleted)
         da, db = deleted
         ew = comp.real_edges | comp.pairs
         far = _far_sides(block, comp, comp.pairs - source.pairs)

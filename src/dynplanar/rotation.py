@@ -5,13 +5,15 @@ the orbits of the successor rule
 
     next(u -> v) = (v, clockwise-predecessor of u at v)
 
-traced once when the embedding is built and kept as one tuple of
-boundaries, each in orbit orientation and least rotation. The trace
-starts each face at its least dart, so the tuple comes out sorted, the
-order in which dumps list faces. Only simple faces are kept; a tree has
-none. An embedding is a value: no method changes it, and a changed
-rotation scheme is a new embedding, so the faces can never drift from
-the rotation scheme.
+traced in full when an embedding is built from a rotation scheme and
+kept as one tuple of boundaries, each in orbit orientation and least
+rotation. The trace starts each face at its least dart, so the tuple
+comes out sorted, the order in which dumps list faces. Only simple faces
+are kept; a tree has none. An embedding is a value: no method changes
+it. Its edits return a new embedding and retrace only the faces at the
+edge: deleting an edge merges its two faces, drawing one across a face
+splits that face, and the other boundaries are kept and the new ones
+inserted in order. A mirror image reverses every boundary.
 
 A face's name is the lexicographically least ordered vertex triple that
 occurs on its boundary in orbit order. Names order faces only to pick
@@ -21,8 +23,13 @@ of a rigid component share three vertices, and of a cycle's two faces
 exactly one carries three given vertices in a given order. Of an
 embedding and its mirror, the canonical one serialises to the lesser
 string, which one vertex decides.
+
+The faces at an edge also decide whether a triconnected graph stays
+triconnected without it (`stays_triconnected`).
 """
 from __future__ import annotations
+
+from bisect import bisect_left, insort
 
 from .graph_core import Edge, GraphError, Vertex, canonical_edge
 
@@ -125,6 +132,43 @@ def trace_orbits(rot):
     return orbits
 
 
+def _orbit(rot, u, v) -> list:
+    """Vertex cycle of the face orbit through the dart u -> v, from u."""
+    cycle = []
+    x, y = u, v
+    while True:
+        cycle.append(x)
+        seq = rot[y]
+        x, y = y, seq[seq.index(x) - 1]
+        if x == u and y == v:
+            return cycle
+
+
+def stays_triconnected(emb, u, v) -> bool:
+    """Whether the triconnected graph that emb embeds stays triconnected
+    without its edge u-v.
+
+    Let f1 and f2 be the two faces at u-v; f1 - {u,v} and f2 - {u,v} are
+    disjoint. The graph less u-v has a separating pair exactly when some
+    third face holds a vertex of each (Di Battista and Tamassia), so
+    only the faces at the vertices of the shorter of f1, f2 are traced.
+    """
+    rot = emb.rot
+    f1, f2 = _orbit(rot, u, v), _orbit(rot, v, u)
+    if len(f1) > len(f2):
+        f1, f2 = f2, f1
+    far = set(f2) - {u, v}
+    k = len(f1)
+    for i, x in enumerate(f1):
+        if x == u or x == v:
+            continue
+        for w in rot[x]:
+            # the dart x -> f1[i + 1] lies on f1 itself
+            if w != f1[(i + 1) % k] and not far.isdisjoint(_orbit(rot, x, w)):
+                return False
+    return True
+
+
 def face_name(boundary) -> FaceId:
     """Least ordered vertex triple occurring in boundary (orbit) order."""
     b = least_rotation(tuple(boundary))
@@ -219,6 +263,13 @@ class Embedding:
                            if len(b) >= 3 and len(set(b)) == len(b))
         self.outer = min(self.faces, key=face_name, default=None)
 
+    @classmethod
+    def _made(cls, rot, faces, outer) -> Embedding:
+        """An embedding whose faces the caller derived from another's."""
+        emb = object.__new__(cls)
+        emb.rot, emb.faces, emb.outer = rot, faces, outer
+        return emb
+
     # ------------------------------------------------------------ structure
 
     @property
@@ -249,8 +300,67 @@ class Embedding:
 
     def flipped(self) -> Embedding:
         """The mirror image: every rotation and face orbit reversed."""
-        return Embedding({v: tuple(reversed(seq))
-                          for v, seq in self.rot.items()})
+        faces = tuple(sorted(least_rotation(bd[::-1]) for bd in self.faces))
+        return Embedding._made(
+            {v: seq[::-1] for v, seq in self.rot.items()}, faces,
+            min(faces, key=face_name, default=None))
+
+    def without_edge(self, u: Vertex, v: Vertex) -> Embedding:
+        """This embedding less its edge u-v, which must border two simple
+        faces; they merge into one face, the only one traced."""
+        if v not in self.rot.get(u, ()):
+            raise GraphError(f"no edge {u}-{v} in the embedding")
+        old = self.rot
+        f1, f2 = _orbit(old, u, v), _orbit(old, v, u)
+        if any(len(f) < 3 or len(set(f)) != len(f) for f in (f1, f2)):
+            raise GraphError(f"edge {u}-{v} does not border two simple faces")
+        rot = dict(old)
+        rot[u] = tuple(w for w in old[u] if w != v)
+        rot[v] = tuple(w for w in old[v] if w != u)
+        # f1 runs on from u -> v along v -> (u's predecessor at v), a dart
+        # the merged face keeps
+        i = old[v].index(u)
+        merged = _orbit(rot, v, old[v][i - 1])
+        return self._replaced(rot, (least_rotation(f1), least_rotation(f2)),
+                              (least_rotation(merged),))
+
+    def with_edge(self, u: Vertex, v: Vertex, bd) -> Embedding:
+        """This embedding plus the edge u-v drawn across its face bd,
+        which holds u and v: the edge enters the rotations of u and v at
+        their corners on bd, and bd splits into the two faces traced."""
+        if u == v or v in self.rot.get(u, ()):
+            raise GraphError(f"edge {u}-{v} cannot be added")
+        if u not in bd or v not in bd:
+            raise GraphError(f"face {bd} does not hold {u} and {v}")
+        k = len(bd)
+        rot = dict(self.rot)
+        for x, other in ((u, v), (v, u)):
+            i = bd.index(x)
+            seq = rot[x]
+            j = seq.index(bd[(i + 1) % k])
+            if seq[(j + 1) % len(seq)] != bd[i - 1]:
+                raise GraphError(f"corner of {x} on {bd} disagrees with its "
+                                 f"rotation")
+            rot[x] = seq[:j + 1] + (other,) + seq[j + 1:]
+        return self._replaced(rot, (bd,), (least_rotation(_orbit(rot, u, v)),
+                                           least_rotation(_orbit(rot, v, u))))
+
+    def _replaced(self, rot, old, new) -> Embedding:
+        """The embedding of rot, whose faces are this embedding's with the
+        boundaries `old` swapped for the simple ones among `new`."""
+        faces = list(self.faces)
+        for bd in old:
+            i = bisect_left(faces, bd)
+            if i == len(faces) or faces[i] != bd:
+                raise GraphError(f"{bd} is no face of the embedding")
+            del faces[i]
+        new = [bd for bd in new if len(set(bd)) == len(bd)]
+        for bd in new:
+            insort(faces, bd)
+        outer = min(faces, key=face_name, default=None) \
+            if self.outer in old \
+            else min((self.outer, *new), key=face_name)
+        return Embedding._made(rot, tuple(faces), outer)
 
     # ------------------------------------------------------- canonical form
 

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from dynplanar import rotation
+from dynplanar import decomposition, engine, rotation
+from dynplanar.decomposition import _graph_three_connected
 from dynplanar.engine import Engine, insert_ok
 from dynplanar.graph_core import (
     ACCEPTED,
@@ -439,10 +440,11 @@ def test_rigid_embeddings_match_networkx_at_every_size(capsys):
 
 def test_surgery_builds_one_embedding_per_window(monkeypatch):
     """A corridor merge works on rotation schemes: cycle components and
-    mirrored components enter as rotations, so it traces faces once,
-    for the fused embedding it returns."""
+    mirrored components enter as rotations, so a corridor of two or more
+    components traces faces once, for the fused embedding; a face split
+    edits the stored embedding and traces no full embedding."""
     traces = through_cycle = multi = 0
-    per_window: list[int] = []
+    per_window: list[tuple[bool, int]] = []
     trace = rotation.trace_orbits
     merge = Engine._merge_corridor
 
@@ -455,7 +457,7 @@ def test_surgery_builds_one_embedding_per_window(monkeypatch):
         nonlocal through_cycle, multi
         before = traces
         emb = merge(self, block, u, v, path)
-        per_window.append(traces - before)
+        per_window.append((len(path) > 1, traces - before))
         through_cycle += any(nd[0] == "S" for nd in path)
         multi += len(path) // 2 >= 2
         return emb
@@ -467,7 +469,7 @@ def test_surgery_builds_one_embedding_per_window(monkeypatch):
         eng = Engine(12)
         for _ in range(150):
             churn_step(eng, rng)
-    assert set(per_window) == {1}
+    assert set(per_window) == {(False, 0), (True, 1)}
     assert through_cycle >= 20 and multi >= 20
 
 
@@ -561,6 +563,112 @@ def test_stored_faces_are_the_traced_boundaries_in_order():
         assert eng.insert_edge(a, b).status == ACCEPTED
         check(eng)
     assert min(kinds.values()) >= 1000, kinds
+
+
+# ------------------------------------------------- face-local rigid changes
+
+def rigid_change_runs() -> None:
+    """Seeded churn at domains 8 to 24, then random edges of shuffled
+    triangulated 4x4 to 6x6 grids deleted and re-inserted."""
+    for n in (8, 12, 16, 20, 24):
+        for seed in range(8):
+            rng = random.Random(100 * n + seed)
+            eng = Engine(n)
+            for _ in range(200):
+                churn_step(eng, rng)
+    for k in (4, 5, 6):
+        rng = random.Random(k)
+        order = grid_edges(k, k)
+        rng.shuffle(order)
+        eng = build(k * k, order)
+        for _ in range(250):
+            edges = sorted(eng.graph.edges)
+            e = edges[rng.randrange(len(edges))]
+            assert eng.delete_edge(*e).status == ACCEPTED
+            assert eng.insert_edge(*e).status == ACCEPTED
+
+
+def test_face_rule_agrees_with_the_connectivity_search(monkeypatch):
+    """A rigid component less a real edge stays triconnected exactly
+    when no third face holds a vertex of each face at the edge other
+    than its ends: the verdict the engine reads off the stored faces
+    equals a cut-vertex search of the component less the edge."""
+    verdicts = {True: 0, False: 0}
+    rule = engine.stays_triconnected
+
+    def checked(emb, u, v):
+        got = rule(emb, u, v)
+        adj = {x: set(seq) for x, seq in emb.rot.items()}
+        adj[u].discard(v)
+        adj[v].discard(u)
+        assert got == _graph_three_connected(set(adj), adj), (emb, u, v)
+        verdicts[got] += 1
+        return got
+
+    monkeypatch.setattr(engine, "stays_triconnected", checked)
+    rigid_change_runs()
+    assert min(verdicts.values()) >= 500, verdicts
+
+
+def test_edited_embeddings_equal_embeddings_built_from_scratch(monkeypatch):
+    """Every embedding the engine derives from another's faces, by
+    adding or deleting an edge or by mirroring, has the rotation, faces
+    and outer face of the embedding traced from its rotation scheme."""
+    made = {"with_edge": 0, "without_edge": 0, "flipped": 0}
+
+    def checking(name):
+        derive = getattr(Embedding, name)
+
+        def checked(self, *args):
+            emb = derive(self, *args)
+            fresh = Embedding(emb.rot)
+            assert (emb.rot, emb.faces, emb.outer) == \
+                (fresh.rot, fresh.faces, fresh.outer), (name, self, args)
+            made[name] += 1
+            return emb
+        return checked
+
+    for name in made:
+        monkeypatch.setattr(Embedding, name, checking(name))
+    rigid_change_runs()
+    assert min(made.values()) >= 200, made
+
+
+@pytest.mark.parametrize("k", [6, 10])
+def test_rigid_changes_off_the_rim_search_no_cuts_and_trace_nothing(
+        monkeypatch, k):
+    """On a triangulated k x k grid, deleting an edge whose ends are both
+    off the rim leaves the one rigid component rigid, and re-inserting
+    it splits the merged face. Both changes are decided and applied on
+    the faces at the edge, so neither runs a cut-vertex search or traces
+    a whole embedding, however large the grid; and the engine dumps as a
+    fresh engine loaded with its edges."""
+    edges = grid_edges(k, k)
+    inner = [e for e in edges
+             if all(0 < x // k < k - 1 and 0 < x % k < k - 1 for x in e)]
+    eng = build(k * k, edges)
+    start = eng.dump()
+    less_first = build(k * k, [e for e in edges if e != inner[0]]).dump()
+    calls = {"cut searches": 0, "traces": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(decomposition, "_cut_vertices",
+                        counting("cut searches", decomposition._cut_vertices))
+    monkeypatch.setattr(rotation, "trace_orbits",
+                        counting("traces", rotation.trace_orbits))
+    for e in inner:
+        assert eng.delete_edge(*e).status == ACCEPTED
+        assert calls == {"cut searches": 0, "traces": 0}, ("delete", e)
+        if e == inner[0]:
+            assert eng.dump() == less_first
+        assert eng.insert_edge(*e).status == ACCEPTED
+        assert calls == {"cut searches": 0, "traces": 0}, ("insert", e)
+        assert eng.dump() == start, e
 
 
 # --------------------------------------------------------------- cost bound
