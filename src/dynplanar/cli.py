@@ -17,8 +17,10 @@ import argparse
 import random
 import re
 import sys
+from collections import Counter
 
 from .coherence import is_coherent
+from .decomposition import DecompositionState
 from .engine import Engine
 from .graph_core import (
     ACCEPTED,
@@ -32,6 +34,7 @@ from .graph_core import (
     canonical_edge,
 )
 from .oracle import (
+    DECOMPOSITION_BUDGET,
     PLANARITY_BUDGET,
     OracleBudgetError,
     dump_decomposition,
@@ -48,18 +51,35 @@ DEFAULT_DOMAIN = 16
 def check_state(eng: Engine) -> list[str]:
     """Violation descriptions for the engine state, empty when healthy.
 
-    Covers embedding validity of every component, block, and the whole
-    graph; bit-exact decomposition equivalence against the static
-    oracle; and coherence plus opposite pair colours of every stored
-    path.
+    Covers the decomposition against a rebuild from the edge set, the
+    blocks partitioning the edges and the cut vertices being the
+    vertices in two or more blocks, at any size, and, within the
+    oracle's budget, bit-exact equivalence with the static oracle;
+    embedding validity of every component, block, and the whole graph,
+    and the graph rotation against a rebuild from the block parts; and
+    coherence plus opposite pair colours of every stored path.
     """
     out: list[str] = []
-    n, edges = eng.graph.n, eng.graph.edges
+    decomp = eng.decomp
+    n, edges = decomp.n, decomp.edges
 
     got = eng.dump_decomposition()
-    want = dump_decomposition(static_decomposition(n, edges))
-    if got != want:
-        out.append("decomposition differs from static oracle")
+    if got != DecompositionState.from_edges(n, edges).dump():
+        out.append("decomposition differs from a rebuild")
+    holders = Counter(e for blk in decomp.blocks for e in blk.edges)
+    for e in sorted(holders.keys() | edges):
+        if e not in edges or holders[e] != 1:
+            out.append(f"edge {e} lies in {holders[e]} blocks of the "
+                       "decomposition" + ("" if e in edges else
+                                          " but not in the graph"))
+    members = Counter(x for blk in decomp.blocks for x in blk.vertices)
+    if decomp.cut_vertices != {x for x, k in members.items() if k >= 2}:
+        out.append("decomposition cut vertices are not the vertices in "
+                   "two or more blocks")
+    if len({x for e in edges for x in e}) <= DECOMPOSITION_BUDGET:
+        want = dump_decomposition(static_decomposition(n, edges))
+        if got != want:
+            out.append("decomposition differs from static oracle")
 
     for node, emb in sorted(eng.comp_embs.items()):
         try:
@@ -85,6 +105,13 @@ def check_state(eng: Engine) -> list[str]:
         out.append(f"graph rotation: {exc}")
     if not ok:
         out.append("graph rotation fails validation")
+    try:
+        rebuilt = Engine._assemble_graph(decomp, eng.real_rots)
+    except (AssertionError, KeyError) as exc:
+        out.append(f"graph rotation cannot be rebuilt: {exc!r}")
+    else:
+        if rebuilt != eng.graph_rot:
+            out.append("graph rotation differs from a rebuild")
 
     for bname, paths in sorted(eng.colourings.items()):
         for p in paths:

@@ -178,9 +178,14 @@ def build_block_paths(embeddings, block: Block) -> tuple[CoherentPath, ...]:
 
 def update_colouring(old, decomp: DecompositionState, embeddings,
                      affected) -> dict[BlockName, tuple[CoherentPath, ...]]:
-    """Rebuild the colourings of affected blocks, carry the rest bitwise."""
-    new = {}
-    for block in decomp.blocks:
+    """`old` patched to the blocks `decomp` replaced and created: a
+    created block with pairs is coloured afresh when it is affected or
+    new by name, and otherwise carries the colouring of the replaced
+    block of its name bitwise; every other entry is carried."""
+    new = dict(old)
+    for block in decomp.replaced:
+        new.pop(block.name, None)
+    for block in decomp.created:
         if not block.pairs:
             continue
         if block.name in affected or block.name not in old:

@@ -1,6 +1,6 @@
 """BC-tree and SPQR-tree state, a pure function of the current edge set.
 
-Blocks and cut vertices come from one Hopcroft-Tarjan lowpoint search.
+Blocks and cut vertices come from Hopcroft-Tarjan lowpoint searches.
 Inside a block, a separating pair is a vertex pair {s,t} whose removal
 disconnects the block and that no two other vertices separate (s and t
 adjacent, or three vertex-disjoint s-t paths): exactly the vertex pairs
@@ -9,10 +9,20 @@ vertex set at every such pair leaves its triconnected components, each
 checked to be a cycle (S) or triconnected (R). Canonical names make the
 dump byte-stable, so two states over the same edge set dump identically.
 
+A state is its predecessor patched: a change replaces only the blocks
+it touches and writes only their entries and those of their vertices.
+A deleted edge touches its block; an inserted edge touches the blocks
+on the BC path between its ends, which it merges into one, and none
+when it joins two components. The lowpoint search runs on the touched
+blocks' edges alone, and not at all when they provably form one block.
+Components are labelled; when an insert joins two or a bridge delete
+splits one, the smaller side, found by walking both sides in turn,
+takes the other label or a fresh one. Building a state from scratch is
+the same patch of the empty state with every edge touched.
+
 A block's pairs and components depend only on the block's own edges, so
-a state built from a predecessor takes every block whose edge set is
-unchanged from it as it is, and the kind of every component whose
-content is unchanged. When the two edge sets differ in one edge that
+the kind of every component whose content is unchanged is taken from
+the block it replaces. When the two edge sets differ in one edge that
 lies inside one rigid component of its block and is no pair there, the
 new block is derived from the old one: an edge inside one rigid
 skeleton leaves the SPQR tree's shape alone (Di Battista and Tamassia),
@@ -30,7 +40,12 @@ Node references used by the path operations:
 """
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
+from types import SimpleNamespace
 
 from .graph_core import DomainError, Edge, GraphError, Vertex, canonical_edge
 
@@ -217,6 +232,53 @@ def _adjacency(vertices, edges) -> dict[Vertex, set[Vertex]]:
     return adj
 
 
+def _walk(state: DecompositionState, x: Vertex):
+    """The vertices of x's component in `state`, x first, reached block
+    by block through the BC forest."""
+    yield x
+    seen, done, stack = {x}, set(), [x]
+    while stack:
+        for blk in state._blocks_of_vertex.get(stack.pop(), ()):
+            if blk.name in done:
+                continue
+            done.add(blk.name)
+            for w in blk.vertices:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+                    yield w
+
+
+def _smaller_side(state: DecompositionState, a: Vertex, b: Vertex):
+    """The end whose component in `state` has fewer vertices, a or b
+    (in two components), and that component's vertices. Both are walked
+    in turn, so the cost is twice the smaller one's size."""
+    walks = ((a, _walk(state, a), []), (b, _walk(state, b), []))
+    while True:
+        for end, walk, side in walks:
+            x = next(walk, None)
+            if x is None:
+                return end, side
+            side.append(x)
+
+
+def _edge_set(edges, base: frozenset[Edge]) -> frozenset[Edge]:
+    """`edges` as a frozenset of canonical edges. A frozenset is taken as
+    it is when what it holds beyond `base`, which is canonical, is."""
+    if isinstance(edges, frozenset) and all(
+            u < v for u, v in edges - base):
+        return edges
+    return frozenset(canonical_edge(u, v) for (u, v) in edges)
+
+
+_name = attrgetter("name")
+_labels = itertools.count()  # component labels, fresh across all states
+# the block indices of a state without blocks, which every build patches
+_NO_BLOCKS = SimpleNamespace(
+    blocks=(), cut_vertices=frozenset(), _block_by_name={},
+    _blocks_of_vertex={}, _bc_adj={}, _pairs=frozenset())
+
+
 def _graph_three_connected(vertices, adj) -> bool:
     """Four or more vertices, and no one or two of them separate the rest."""
     if len(vertices) < 4:
@@ -390,31 +452,93 @@ class DecompositionState:
     __slots__ = (
         "n", "edges", "blocks", "cut_vertices", "_comp_of",
         "_block_by_name", "_blocks_of_vertex", "_bc_adj", "_pairs",
+        "replaced", "created",
     )
 
     def __init__(self, n: int, edges: frozenset[Edge],
                  blocks: tuple[Block, ...], cut_vertices: frozenset[Vertex],
                  comp_of: dict[Vertex, int]):
+        """A state of the given parts, indexed as the patch of no blocks
+        that adds every block."""
         self.n = n
         self.edges = edges
-        self.blocks = blocks
-        self.cut_vertices = cut_vertices
         self._comp_of = comp_of
-        self._block_by_name = {b.name: b for b in blocks}
-        self._blocks_of_vertex: dict[Vertex, list[Block]] = {}
-        for b in blocks:
-            for v in b.vertices:
-                self._blocks_of_vertex.setdefault(v, []).append(b)
-        self._bc_adj: dict[BCNode, list[BCNode]] = {}
-        for b in blocks:
-            bn: BCNode = ("B", b.name)
-            self._bc_adj.setdefault(bn, [])
-            for v in sorted(b.vertices & cut_vertices):
-                cn: BCNode = ("C", v)
-                self._bc_adj.setdefault(cn, [])
-                self._bc_adj[bn].append(cn)
-                self._bc_adj[cn].append(bn)
-        self._pairs = frozenset().union(*(b.pairs for b in blocks))
+        self._index(_NO_BLOCKS, (), blocks)
+        assert self.cut_vertices == cut_vertices, \
+            "cut vertices disagree with block membership counts"
+
+    def _index(self, base, removed, added) -> None:
+        """Set the blocks, cut vertices and block indices to base's less
+        the `removed` blocks plus the `added` ones, and note both as the
+        blocks this state replaced and created. Only the entries of
+        those blocks and of their vertices are written.
+
+        A vertex is a cut vertex exactly when it lies in two or more
+        blocks, so only these vertices can change status, and only the
+        blocks at a vertex that did can gain or lose a BC-tree edge.
+        """
+        gone = {b.name for b in removed}
+        verts = {x for b in (*removed, *added) for x in b.vertices}
+        blocks = list(base.blocks)
+        for b in removed:
+            i = bisect_left(blocks, b.name, key=_name)
+            assert blocks[i] is b, f"replaced block {b.name} is no block"
+            del blocks[i]
+        for b in added:
+            insort(blocks, b, key=_name)
+        by_name = dict(base._block_by_name)
+        for name in gone:
+            del by_name[name]
+        by_name.update((b.name, b) for b in added)
+
+        at = dict(base._blocks_of_vertex)
+        for x in verts:
+            at[x] = [b for b in at.get(x, ()) if b.name not in gone]
+        for b in added:
+            for x in b.vertices:
+                at[x].append(b)
+        was_cut = base.cut_vertices
+        flips = set()
+        for x in verts:
+            here = at[x]
+            if len(here) > 1:
+                here.sort(key=_name)
+            elif not here:
+                del at[x]
+            if (x in was_cut) != (len(here) >= 2):
+                flips.add(x)
+        cuts = was_cut ^ flips if flips else was_cut
+
+        bc = dict(base._bc_adj)
+        for name in gone:
+            del bc[("B", name)]
+        for x in verts:
+            if x in cuts:
+                bc[("C", x)] = [("B", b.name) for b in at[x]]
+            elif x in was_cut:
+                del bc[("C", x)]
+        new = {b.name for b in added}
+        for x in flips:
+            for b in at.get(x, ()):
+                if b.name not in new:
+                    nbrs = [c for c in bc[("B", b.name)] if c[1] != x]
+                    if x in cuts:
+                        insort(nbrs, ("C", x))
+                    bc[("B", b.name)] = nbrs
+        for b in added:
+            bc[("B", b.name)] = [("C", w) for w in sorted(b.vertices & cuts)]
+
+        lost = frozenset().union(*(b.pairs for b in removed))
+        got = frozenset().union(*(b.pairs for b in added))
+        self.blocks = tuple(blocks)
+        self.cut_vertices = cuts
+        self._block_by_name = by_name
+        self._blocks_of_vertex = at
+        self._bc_adj = bc
+        self._pairs = base._pairs if lost == got \
+            else (base._pairs - lost) | got
+        self.replaced = tuple(removed)
+        self.created = tuple(added)
 
     # ---------------------------------------------------------- construction
 
@@ -422,49 +546,127 @@ class DecompositionState:
     def from_edges(cls, n: int, edges,
                    carry_from: DecompositionState | None = None,
                    stays_rigid: bool | None = None) -> DecompositionState:
-        """State of an edge set. Blocks whose edge set `carry_from` holds
-        are taken from it, and so are the kinds of components whose
-        content it holds; everything else is built here. When the edge
-        set is `carry_from`'s less one real edge of a rigid component,
-        `stays_rigid` may say whether that component stays triconnected
-        without it; None leaves it to a connectivity search."""
-        eset = frozenset(canonical_edge(u, v) for (u, v) in edges)
-        active = sorted({v for e in eset for v in e})
-        adj = _adjacency(active, eset)
-        comp_of = {v: i for i, c in enumerate(_components(adj, active))
-                   for v in c}
-        raw_blocks, cuts, _ = _lowpoint(adj, adj)
+        """State of an edge set, patched from `carry_from` or else from
+        the empty state. When the edge set is `carry_from`'s less one
+        real edge of a rigid component, `stays_rigid` may say whether
+        that component stays triconnected without it; None leaves it to
+        a connectivity search.
 
-        known = {b.edges: b for b in carry_from.blocks} if carry_from else {}
-        block_edges = [frozenset((u, v) if u < v else (v, u) for u, v in raw)
-                       for raw in raw_blocks]
-        kept = set(block_edges)
-        derived = _derived_block(carry_from, eset, stays_rigid) \
-            if carry_from else None
+        The patch replaces the blocks the change touches (every block
+        unless the edge sets differ in one edge) by the blocks of their
+        edges with the change applied. Those are one block after an
+        insert, and after a deletion that leaves its rigid component
+        rigid; otherwise a lowpoint search over them finds them. Every
+        other block is kept, and so is the kind of any component whose
+        content a replaced block holds.
+        """
+        base = carry_from if carry_from is not None \
+            else cls(n, frozenset(), (), frozenset(), {})
+        eset = _edge_set(edges, base.edges)
+        diff = eset ^ base.edges
+        removed = base._touched_by(diff)
+        touched = frozenset().union(*(b.edges for b in removed)) ^ diff
+        derived = _derived_block(base, eset, stays_rigid) \
+            if len(diff) == 1 else None
+        adj = lowpoint_cuts = None
         if derived is not None:
-            assert derived.edges in kept, "derived block is no block"
-            known[derived.edges] = derived
-        # a component lies in one block, so only a replaced block can
-        # hold the content of a component built here
-        kinds = {c.content_key(): c.kind
-                 for bedges, b in known.items() if bedges not in kept
-                 for c in b.comps}
-        blocks = [known.get(bedges) or _make_block(bedges, kinds)
-                  for bedges in block_edges]
-        blocks.sort(key=lambda b: b.name)
-        state = cls(n, eset, tuple(blocks), frozenset(cuts), comp_of)
+            added = [derived]
+        else:
+            if len(diff) == 1 and diff <= eset:
+                parts = [touched]  # an insert closes a cycle through them
+            else:
+                adj = _adjacency(sorted({x for e in touched for x in e}),
+                                 touched)
+                raw_blocks, lowpoint_cuts, _ = _lowpoint(adj, adj)
+                parts = [frozenset((u, v) if u < v else (v, u)
+                                   for u, v in raw) for raw in raw_blocks]
+            # a component lies in one block, so only a replaced block can
+            # hold the content of a component built here
+            kinds = {c.content_key(): c.kind
+                     for b in removed for c in b.comps}
+            added = [_make_block(p, kinds) for p in parts]
+        state = cls.__new__(cls)
+        state.n = n
+        state.edges = eset
+        state._index(base, removed, added)
+        state._comp_of = base._relabel(state, diff, eset, adj)
 
         if __debug__:
-            by_membership = {v for v in active
-                             if len(state._blocks_of_vertex.get(v, [])) >= 2}
-            assert by_membership == set(cuts), \
-                "cut vertices disagree with block membership counts"
-            for u, v in eset:
-                inside = [b for b in state._blocks_of_vertex[u]
-                          if v in b.vertices]
-                assert len(inside) == 1 and (u, v) in inside[0].edges, \
-                    f"edge {(u, v)} lies in other than exactly one block"
+            # the new blocks partition the touched edges, and share at
+            # most one vertex with any other block; the predecessor's
+            # blocks passed the same, so every edge lies in one block
+            assert sum(len(b.edges) for b in added) == len(touched) and \
+                frozenset().union(*(b.edges for b in added)) == touched, \
+                "an edge lies in other than exactly one block"
+            for blk in state.created:
+                for x in blk.vertices:
+                    for other in state._blocks_of_vertex[x]:
+                        assert other is blk or \
+                            len(other.vertices & blk.vertices) == 1, \
+                            f"blocks {other.name} and {blk.name} share " \
+                            "two vertices"
+            if lowpoint_cuts is not None:
+                hits = Counter(x for b in added for x in b.vertices)
+                assert lowpoint_cuts == {x for x, k in hits.items()
+                                         if k >= 2}, \
+                    "cut vertices disagree with block membership counts"
         return state
+
+    def _touched_by(self, diff: frozenset[Edge]) -> list[Block]:
+        """The blocks a change of the edges in `diff` replaces: a deleted
+        edge's block, the blocks on the BC path between an inserted
+        edge's ends (none when they lie in two components), and every
+        block for any other change."""
+        if len(diff) != 1:
+            return list(self.blocks)
+        (u, v), = diff
+        blk = self._shared_block(u, v)
+        if blk is not None:
+            return [blk]
+        cu = self._comp_of.get(u)
+        if cu is None or cu != self._comp_of.get(v):
+            return []
+        return self.bc_path_blocks(u, v)[0]
+
+    def _relabel(self, state: DecompositionState, diff, eset, adj):
+        """Component labels for `state`, patched from this state.
+
+        An insert that joins two components gives the smaller side the
+        other side's label (a fresh one when both ends are new), and a
+        bridge delete gives the smaller side a fresh label, or none when
+        that side is one vertex left without edges. A change of other
+        than one edge labels the components of `adj`, the adjacency of
+        every edge, afresh; any other change keeps every label.
+        """
+        if len(diff) != 1:
+            return {v: label for comp in _components(adj, adj)
+                    for label in (next(_labels),) for v in comp}
+        (u, v), = diff
+        comp_of = self._comp_of
+        if diff <= eset:
+            label = comp_of.get(u)
+            if label is not None and label == comp_of.get(v):
+                return comp_of
+            end, side = _smaller_side(self, u, v)
+            other = v if end == u else u
+            comp_of = dict(comp_of)
+            label = comp_of.get(other)
+            if label is None:  # both ends are new
+                label = comp_of[other] = next(_labels)
+        else:
+            if len(state.replaced) != 1 or not state.replaced[0].is_bridge:
+                return comp_of
+            _, side = _smaller_side(state, u, v)
+            comp_of = dict(comp_of)
+            for x in (u, v):
+                if x not in state._blocks_of_vertex:
+                    del comp_of[x]
+            if len(side) == 1:
+                return comp_of
+            label = next(_labels)
+        for x in side:
+            comp_of[x] = label
+        return comp_of
 
     def with_edge(self, u: Vertex, v: Vertex) -> DecompositionState:
         return DecompositionState.from_edges(
@@ -495,6 +697,10 @@ class DecompositionState:
     def is_cut_vertex(self, w: Vertex) -> bool:
         self.check_vertex(w)
         return w in self.cut_vertices
+
+    def blocks_at(self, v: Vertex) -> list[Block]:
+        """The blocks holding v, in name order."""
+        return self._blocks_of_vertex.get(v, [])
 
     def _shared_block(self, u: Vertex, v: Vertex) -> Block | None:
         """The block holding both u and v (two blocks share at most one

@@ -3,8 +3,8 @@
 The engine owns five relations and keeps them consistent after every
 accepted change:
 
-  1. the block/SPQR decomposition (blocks a change leaves alone are
-     carried, the others rebuilt),
+  1. the block/SPQR decomposition (the blocks a change touches are
+     replaced, the others carried),
   2. one embedding per triconnected component,
   3. the coherent-path two-colourings per block,
   4. one rotation scheme per non-bridge block,
@@ -12,6 +12,11 @@ accepted change:
      per-block real-edge rotations (the block rotation less its virtual
      entries). A block the change keeps carries its real-edge rotation;
      every other block derives its own once.
+
+Each is the previous one patched: `Engine._commit` walks only the blocks
+the decomposition replaced and created, and the graph rotation is
+rewritten only at their vertices. Euler's formula is checked per block
+rotation; genus adds over blocks, so that covers the whole rotation.
 
 One rule, in `Engine._commit`, decides each new component's embedding:
 a component whose block the change kept or whose content key is
@@ -34,7 +39,7 @@ at its edge. Whether the component stays rigid without a deleted real
 edge is read off the two faces at the edge and handed to the
 decomposition state, and a face split, or a deletion that leaves the
 component rigid, edits the stored embedding, retracing only the faces
-at the edge. The block and graph rotations are still reassembled.
+at the edge.
 """
 from __future__ import annotations
 
@@ -364,27 +369,25 @@ class Engine:
         and for a rigid component the predecessor lacks, built by surgery
         from its one source and canonicalised. That source is the window
         whose two endpoints it holds, or the old rigid component that
-        contains it. Only blocks whose shape changed get new colourings
-        and rotations."""
+        contains it. Only the blocks the new state replaced and created
+        are walked: every stored relation is a copy of the old one with
+        their entries patched, and only created blocks whose shape
+        changed get new colourings and rotations."""
         # a component has three or more vertices and blocks share at most
         # one, so a component of a replaced block is found only there
-        kept = {blk.name: blk for blk in new_decomp.blocks}
+        old_blocks = {blk.name: blk for blk in new_decomp.replaced}
         carried = {
             _content_key(c): self.comp_embs[(c.kind, c.name)]
-            for blk in self.decomp.blocks if kept.get(blk.name) is not blk
-            for c in blk.comps
+            for blk in new_decomp.replaced for c in blk.comps
         }
-        old_blocks = {blk.name: blk for blk in self.decomp.blocks}
-        comp_embs: dict[SpqrNode, Embedding] = {}
+        comp_embs = dict(self.comp_embs)
+        for blk in new_decomp.replaced:
+            for c in blk.comps:
+                del comp_embs[(c.kind, c.name)]
         created: list[tuple[Block, TriComp]] = []
         affected = set()
-        for blk in new_decomp.blocks:
+        for blk in new_decomp.created:
             old = old_blocks.get(blk.name)
-            if old is blk:
-                for c in blk.comps:
-                    node = (c.kind, c.name)
-                    comp_embs[node] = self.comp_embs[node]
-                continue
             if old is None or old.pairs != blk.pairs or \
                     {c.content_key() for c in old.comps} != \
                     {c.content_key() for c in blk.comps}:
@@ -420,18 +423,20 @@ class Engine:
         colourings = update_colouring(
             self.colourings, new_decomp, comp_embs, affected)
 
-        block_rots = {
-            blk.name: self._assemble_block(comp_embs, blk)
-            if blk.name in affected else self.block_rots[blk.name]
-            for blk in new_decomp.blocks if not blk.is_bridge
-        }
-        real_rots = {
-            blk.name: self.real_rots[blk.name]
-            if old_blocks.get(blk.name) is blk
-            else _real_rotation(blk, block_rots.get(blk.name))
-            for blk in new_decomp.blocks
-        }
-        graph_rot = self._assemble_graph(new_decomp, real_rots)
+        block_rots = dict(self.block_rots)
+        real_rots = dict(self.real_rots)
+        for blk in new_decomp.replaced:
+            block_rots.pop(blk.name, None)
+            del real_rots[blk.name]
+        for blk in new_decomp.created:
+            if not blk.is_bridge:
+                block_rots[blk.name] = \
+                    self._assemble_block(comp_embs, blk) \
+                    if blk.name in affected else self.block_rots[blk.name]
+            real_rots[blk.name] = _real_rotation(
+                blk, block_rots.get(blk.name))
+        graph_rot = self._assemble_graph(new_decomp, real_rots,
+                                         self.graph_rot)
 
         self.decomp = new_decomp
         self.comp_embs = comp_embs
@@ -471,19 +476,47 @@ class Engine:
         return out
 
     @staticmethod
-    def _assemble_graph(decomp: DecompositionState,
-                        real_rots: dict) -> dict[Vertex, tuple]:
-        """Concatenate the per-block real-edge rotations at every vertex
-        that lies in a block, in block-name order; the others have no
-        rotation. The parts are stored per block, so an edit of a past
-        graph rotation never reaches a later one."""
-        rot: dict[Vertex, tuple] = {}
-        for blk in decomp.blocks:  # in name order
-            for v, part in real_rots[blk.name].items():
-                rot[v] = rot[v] + part if v in rot else part
-        assert sum(map(len, rot.values())) == 2 * len(decomp.edges), \
+    def _assemble_graph(decomp: DecompositionState, real_rots: dict,
+                        base: dict | None = None) -> dict[Vertex, tuple]:
+        """The graph rotation: at each vertex that lies in a block, the
+        real-edge rotations of its blocks concatenated in block-name
+        order; the others have none. Given `base`, the rotation of the
+        state `decomp` was patched from, it is a copy of `base` written
+        only at the vertices of the blocks `decomp` replaced or created;
+        without one, it is written at every vertex.
+
+        Each block part read afresh (every part without `base`, those of
+        the created blocks with it) must hold two entries per edge of its
+        block. Its block rotation passed Euler's walk, which finds every
+        entry's reverse and no repeated entry, so that is a degree check
+        at each vertex of the block. The other parts passed when their
+        blocks were created, so every written vertex has as many entries
+        as edges. Euler's formula holds for the whole rotation because it
+        holds for each block rotation and genus adds over blocks, so it
+        is not checked here. The parts are stored per block, so an edit
+        of a past graph rotation reaches a later one only at vertices no
+        change touched since."""
+        if base is None:
+            rot: dict[Vertex, tuple] = {}
+            fresh = decomp.blocks
+            verts = {x for blk in fresh for x in blk.vertices}
+        else:
+            rot = dict(base)
+            fresh = decomp.created
+            verts = {x for blk in (*decomp.replaced, *fresh)
+                     for x in blk.vertices}
+        assert all(sum(map(len, real_rots[blk.name].values()))
+                   == 2 * len(blk.edges) for blk in fresh), \
             "graph rotation misses an edge"
-        assert euler_per_component(rot), "graph rotation lost planarity"
+        for x in verts:
+            blocks = decomp.blocks_at(x)
+            if not blocks:
+                rot.pop(x, None)
+            elif len(blocks) == 1:
+                rot[x] = real_rots[blocks[0].name][x]
+            else:
+                rot[x] = tuple(w for blk in blocks
+                               for w in real_rots[blk.name][x])
         return rot
 
     # -------------------------------------------------------------- queries

@@ -117,10 +117,10 @@ def test_internal_assert_answers_error_and_keeps_state(monkeypatch):
     before the change commits, so the next dump equals the one before."""
     assemble = Engine._assemble_graph
 
-    def failing(decomp, block_rots):
+    def failing(decomp, *rots):
         if len(decomp.edges) >= 3:
             raise AssertionError("injected fault")
-        return assemble(decomp, block_rots)
+        return assemble(decomp, *rots)
 
     monkeypatch.setattr(Engine, "_assemble_graph", staticmethod(failing))
     trace = ["add 1 2", "add 2 3", "dump", "add 1 3", "dump"]
@@ -175,6 +175,30 @@ def test_check_state_flags_decomposition_desync():
     eng.decomp = DecompositionState(8, path.edges, tri.blocks,
                                     tri.cut_vertices, path._comp_of)
     assert any("decomposition" in v for v in check_state(eng))
+
+
+def test_check_state_checks_the_decomposition_past_the_oracle_budget():
+    """Past the static oracle's 20 vertices, check_state still compares
+    the decomposition with a rebuild, checks that every edge lies in one
+    block and that the cut vertices are the vertices in two or more
+    blocks."""
+    eng = Engine(30)
+    for v in range(29):
+        eng.insert_edge(v, v + 1)
+    eng.insert_edge(0, 2)
+    assert check_state(eng) == []
+    good = eng.decomp
+    eng.decomp = DecompositionState(30, good.edges | {(0, 29)}, good.blocks,
+                                    good.cut_vertices, good._comp_of)
+    msgs = check_state(eng)
+    assert "decomposition differs from a rebuild" in msgs
+    assert "edge (0, 29) lies in 0 blocks of the decomposition" in msgs
+    eng.decomp = DecompositionState.from_edges(30, good.edges)
+    eng.decomp.cut_vertices = good.cut_vertices - {5}
+    assert check_state(eng) == [
+        "decomposition differs from a rebuild",
+        "decomposition cut vertices are not the vertices in two or more "
+        "blocks"]
 
 
 # --------------------------------------------------------------------- fuzz

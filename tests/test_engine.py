@@ -684,3 +684,130 @@ def test_change_cost_follows_the_graph_not_the_domain():
         assert eng.insert_edge(v, v + 1).status == ACCEPTED
     assert time.perf_counter() - t0 < 2.0
     assert sorted(eng.graph_rot) == list(range(21))
+
+
+def test_change_work_at_the_end_of_a_long_path_is_that_of_a_short_one(
+        monkeypatch):
+    """Changes at one end of a 2000-vertex path in Engine(2000) do what
+    the same changes at the end of a 10-vertex path do, counted, not
+    timed: the lowpoint and component searches visit as many vertices,
+    the graph rotation is rewritten at as many vertices, and Euler's
+    formula is checked on rotations of the same sizes, never on the
+    whole graph's. Each state dumps as a fresh engine loaded with its
+    edges."""
+    counts: list = []
+
+    def counting(name, fn, size):
+        def counted(*args):
+            res = fn(*args)
+            counts.append((name, size(args, res)))
+            return res
+        return counted
+
+    def walk_counting(fn):
+        def counted(state, x):
+            for v in fn(state, x):
+                counts.append(("walk", 1))
+                yield v
+        return counted
+
+    monkeypatch.setattr(decomposition, "_lowpoint", counting(
+        "lowpoint", decomposition._lowpoint, lambda a, res: len(a[1])))
+    monkeypatch.setattr(decomposition, "_components", counting(
+        "components", decomposition._components,
+        lambda a, res: sum(map(len, res))))
+    monkeypatch.setattr(decomposition, "_walk",
+                        walk_counting(decomposition._walk))
+    monkeypatch.setattr(engine, "euler_per_component", counting(
+        "euler", engine.euler_per_component, lambda a, res: len(a[0])))
+
+    def work(k: int):
+        eng = build(k, [(v, v + 1) for v in range(k - 1)])
+        a, b, c = k - 3, k - 2, k - 1
+        steps = [(eng.delete_edge, b, c), (eng.insert_edge, b, c),
+                 (eng.insert_edge, a, c), (eng.delete_edge, b, c),
+                 (eng.insert_edge, b, c), (eng.delete_edge, a, c),
+                 (eng.delete_edge, a, b), (eng.insert_edge, a, b)]
+        fresh: dict = {}
+        out = []
+        for change, u, v in steps:
+            before = eng.graph_rot
+            counts.clear()
+            assert change(u, v).status == ACCEPTED
+            after = eng.graph_rot
+            rewritten = sum(after[x] is not before.get(x) for x in after) \
+                + sum(x not in after for x in before)
+            euler = [n for name, n in counts if name == "euler"]
+            assert all(n < len(after) for n in euler)
+            out.append((sorted(counts), rewritten))
+            key = eng.graph.edges
+            if key not in fresh:
+                fresh[key] = build(k, sorted(key)).dump()
+            assert eng.dump() == fresh[key], (u, v)
+        return out
+
+    short, long = work(10), work(2000)
+    assert short == long
+    assert sum(n for step, _ in long for name, n in step
+               if name == "walk") > 0
+
+
+def test_patched_states_equal_states_built_from_scratch():
+    """Seeded churn at domains 8 to 60. After every accepted change and
+    every rejection the patched state equals the state built from its
+    edge set alone: the dump, the cut vertices, connectivity between
+    active vertices, the BC adjacency, the block indices and the
+    separating pairs; and the graph rotation equals the one assembled
+    from every block part, and at checkpoints a fresh engine's. The
+    churn includes bridge deletes that split a component, level-0
+    inserts that join two, level-1 inserts that merge a BC path and
+    cycle deletes that break a block into bridges."""
+    cases = dict.fromkeys(("split", "join", "merge", "unravel", "reject"), 0)
+
+    def check(eng: Engine) -> None:
+        st = eng.decomp
+        ref = decomposition.DecompositionState.from_edges(st.n, st.edges)
+        assert st.dump() == ref.dump()
+        assert st.blocks == ref.blocks
+        assert st.cut_vertices == ref.cut_vertices
+        assert st._pairs == ref._pairs
+        assert st._block_by_name == ref._block_by_name
+        assert st._blocks_of_vertex == ref._blocks_of_vertex
+        assert st._bc_adj == ref._bc_adj
+        active = sorted({x for e in st.edges for x in e})
+        for i, u in enumerate(active):
+            for v in active[i + 1:]:
+                assert st.connected(u, v) == ref.connected(u, v), (u, v)
+        assert eng.graph_rot == Engine._assemble_graph(st, eng.real_rots)
+
+    for n in (8, 12, 20, 30, 45, 60):
+        rng = random.Random(1500 + n)
+        eng = Engine(n)
+        for step in range(240):
+            edges = sorted(eng.graph.edges)
+            if edges and rng.random() < (0.6 if len(edges) > 2 * n else 0.25):
+                u, v = rng.choice(edges)
+                blk = eng.decomp.block_of(u, v)
+                cycle = len(blk.comps) == 1 and blk.comps[0].kind == "S"
+                assert eng.delete_edge(u, v).status == ACCEPTED
+                cases["split"] += blk.is_bridge
+                cases["unravel"] += cycle
+            else:
+                u = rng.randrange(n)
+                near = [y for x in eng.graph_rot.get(u, ())
+                        for y in eng.graph_rot[x] if y != u]
+                v = rng.choice(near) if near and rng.random() < 0.5 \
+                    else rng.randrange(n)
+                if u == v or eng.graph.has_edge(u, v):
+                    continue
+                level = eng.decomp.level_between(u, v)
+                out = eng.insert_edge(u, v)
+                cases["reject"] += out.status == REJECTED_NONPLANAR
+                if out.status == ACCEPTED:
+                    cases["join"] += level == 0
+                    cases["merge"] += level == 1
+            check(eng)
+            if step % 40 == 39:
+                fresh = build(n, sorted(eng.graph.edges))
+                assert eng.graph_rot == fresh.graph_rot
+    assert min(cases.values()) >= 10, cases
