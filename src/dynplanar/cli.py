@@ -5,7 +5,7 @@ The trace protocol is line-oriented: one command in, one answer out
 regression fixtures, so every answer is deterministic.
 
 The fuzz driver replays seeded random changes, choosing uniformly among
-the change kinds that are currently legal (so rare level transitions get
+the change types that are currently legal (so rare level transitions get
 exercised), and checks the full invariant suite against the brute-force
 oracles after every step. Violations are reported with greedily
 minimized reproducer traces; identical seeds give byte-identical
@@ -37,6 +37,7 @@ from .oracle import (
     DECOMPOSITION_BUDGET,
     PLANARITY_BUDGET,
     OracleBudgetError,
+    certify_decomposition,
     dump_decomposition,
     static_decomposition,
     static_planar,
@@ -53,11 +54,12 @@ def check_state(eng: Engine) -> list[str]:
 
     Covers the decomposition against a rebuild from the edge set, the
     blocks partitioning the edges and the cut vertices being the
-    vertices in two or more blocks, at any size, and, within the
-    oracle's budget, bit-exact equivalence with the static oracle;
-    embedding validity of every component, block, and the whole graph,
-    and the graph rotation against a rebuild from the block parts; and
-    coherence plus opposite pair colours of every stored path.
+    vertices in two or more blocks, at any size, and bit-exact
+    equivalence with the static oracle within its budget or the
+    oracle's certificate past it; embedding validity of every component,
+    block, and the whole graph, and the graph rotation against a rebuild
+    from the block parts; and coherence plus opposite pair colours of
+    every stored path.
     """
     out: list[str] = []
     decomp = eng.decomp
@@ -80,6 +82,8 @@ def check_state(eng: Engine) -> list[str]:
         want = dump_decomposition(static_decomposition(n, edges))
         if got != want:
             out.append("decomposition differs from static oracle")
+    else:
+        out += certify_decomposition(n, edges, decomp)
 
     for node, emb in sorted(eng.comp_embs.items()):
         try:
@@ -115,7 +119,12 @@ def check_state(eng: Engine) -> list[str]:
 
     for bname, paths in sorted(eng.colourings.items()):
         for p in paths:
-            if not is_coherent(eng.decomp, eng.comp_embs, p.nodes):
+            try:
+                ok = is_coherent(eng.decomp, eng.comp_embs, p.nodes)
+            except GraphError as exc:
+                ok = False
+                out.append(f"stored path in block {bname}: {exc}")
+            if not ok:
                 out.append(f"stored path in block {bname} is not coherent")
             for node in p.pair_nodes():
                 s, t = node[1]
@@ -199,22 +208,32 @@ def run_trace(lines, domain: int) -> tuple[list[str], int]:
 
 # ---------------------------------------------------------------- fuzz mode
 
+# the level after an insert that the level before decides: joining two
+# components makes a bridge, a cycle through two or more blocks puts its
+# ends in no rigid component, and a rigid component stays rigid
+_INSERT_AFTER = {0: 1, 1: 2, 3: 3}
+
+
 def _legal_moves(eng: Engine):
-    """Candidate changes grouped by change kind (direction, levels)."""
-    kinds: dict[tuple, list[tuple]] = {}
+    """Candidate changes grouped by change kind (direction, levels). Only
+    an insert at level 2 and a delete at level 2 or 3 build the state
+    after the change; a bridge delete goes from level 1 to 0."""
+    moves: dict[tuple, list[tuple]] = {}
     d = eng.decomp
-    n = eng.graph.n
-    for u in range(n):
-        for v in range(u + 1, n):
-            e = (u, v)
-            if e in eng.graph.edges:
-                kind = (DELETE, d.level_between(u, v),
-                        d.predict_delete_level(u, v))
+    for u in range(d.n):
+        for v in range(u + 1, d.n):
+            before = d.level_between(u, v)
+            if (u, v) in d.edges:
+                after = 0 if before == 1 else \
+                    eng._without(u, v).level_between(u, v)
+                kind = (DELETE, before, after)
             else:
-                kind = (INSERT, d.level_between(u, v),
-                        d.predict_insert_level(u, v))
-            kinds.setdefault(kind, []).append(e)
-    return kinds
+                after = _INSERT_AFTER.get(before)
+                if after is None:
+                    after = d.with_edge(u, v).level_between(u, v)
+                kind = (INSERT, before, after)
+            moves.setdefault(kind, []).append((u, v))
+    return moves
 
 
 def _violates(domain: int, ops: list[tuple], factory) -> bool:
@@ -274,9 +293,9 @@ def fuzz(seed: int, domain: int, steps: int, strict: bool = False,
     violations = 0
     tally = {"accepted": 0, "rejected": 0, "deleted": 0}
     for step in range(1, steps + 1):
-        kinds = _legal_moves(eng)
-        kind = rng.choice(sorted(kinds))
-        a, b = rng.choice(sorted(kinds[kind]))
+        moves = _legal_moves(eng)
+        kind = rng.choice(sorted(moves))
+        a, b = rng.choice(sorted(moves[kind]))
         op = "add" if kind[0] == INSERT else "del"
         ops.append((op, a, b))
 

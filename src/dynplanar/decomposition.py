@@ -6,8 +6,8 @@ disconnects the block and that no two other vertices separate (s and t
 adjacent, or three vertex-disjoint s-t paths): exactly the vertex pairs
 of the virtual edges of the block's SPQR tree. Splitting the block's
 vertex set at every such pair leaves its triconnected components, each
-checked to be a cycle (S) or triconnected (R). Canonical names make the
-dump byte-stable, so two states over the same edge set dump identically.
+a cycle (S) or triconnected (R). Canonical names make the dump
+byte-stable, so two states over the same edge set dump identically.
 
 A state is its predecessor patched: a change replaces only the blocks
 it touches and writes only their entries and those of their vertices.
@@ -20,18 +20,21 @@ splits one, the smaller side, found by walking both sides in turn,
 takes the other label or a fresh one. Building a state from scratch is
 the same patch of the empty state with every edge touched.
 
-A block's pairs and components depend only on the block's own edges, so
-the kind of every component whose content is unchanged is taken from
-the block it replaces. When the two edge sets differ in one edge that
-lies inside one rigid component of its block and is no pair there, the
-new block is derived from the old one: an edge inside one rigid
-skeleton leaves the SPQR tree's shape alone (Di Battista and Tamassia),
-so only that component gains or loses the edge, a deletion provided the
-component stays triconnected. A caller that holds the component's
-embedding decides that from the two faces at the edge and passes the
-verdict in; without one, a connectivity search decides. Every other new
-block is built from its edges. Cut vertices alone come from a lowpoint
-search that collects no blocks.
+A block's pairs and components depend only on the block's own edges.
+Every split component of a block is biconnected, so it is a cycle (S)
+exactly when it has as many edges, real and virtual, as vertices, and
+rigid (R) otherwise; that each R component is triconnected is checked
+by the oracle's certificate, not here. When the two edge sets differ
+in one edge that lies inside one rigid component of its block and is
+no pair there, the new block is derived from the old one: an edge
+inside one rigid skeleton leaves the SPQR tree's shape alone (Di
+Battista and Tamassia), so only that component gains or loses the
+edge, a deletion provided the component stays triconnected. The
+caller that holds the component's embedding decides that from the two
+faces at the edge and passes the verdict in; a deletion handed no
+verdict rebuilds its block. Every other new block is built from its
+edges. Cut vertices alone come from a lowpoint search that collects
+no blocks.
 
 Node references used by the path operations:
 
@@ -279,23 +282,6 @@ _NO_BLOCKS = SimpleNamespace(
     _blocks_of_vertex={}, _bc_adj={}, _pairs=frozenset())
 
 
-def _graph_three_connected(vertices, adj) -> bool:
-    """Four or more vertices, and no one or two of them separate the rest."""
-    if len(vertices) < 4:
-        return False
-    for x in vertices:
-        cuts, trees = _cut_vertices(adj, vertices, x)
-        if cuts or trees != 1:
-            return False
-    return True
-
-
-def _graph_is_cycle(vertices, edges, adj) -> bool:
-    return (len(edges) == len(vertices)
-            and all(len(adj[v]) == 2 for v in vertices)
-            and len(_components(adj, vertices)) == 1)
-
-
 def _block_pairs(vertices, edges, adj) -> dict[Edge, list[set[Vertex]]]:
     """Separating pairs of a block, each with the vertex sets of the
     pieces its removal leaves.
@@ -322,9 +308,9 @@ def _block_pairs(vertices, edges, adj) -> dict[Edge, list[set[Vertex]]]:
     return found
 
 
-def _make_block(edges: frozenset[Edge], kinds: dict) -> Block:
-    """One block from its edge set; `kinds` maps component content keys
-    to kinds already known, which are taken as they are."""
+def _make_block(edges: frozenset[Edge]) -> Block:
+    """One block from its edge set. A split component is biconnected, so
+    it is a cycle exactly when it has as many edges as vertices."""
     vset = frozenset(x for e in edges for x in e)
     svs = sorted(vset)
     name = (svs[0], svs[1])
@@ -352,16 +338,7 @@ def _make_block(edges: frozenset[Edge], kinds: dict) -> Block:
         cpairs = frozenset(p for p in pairs if p[0] in w and p[1] in w)
         creal = frozenset(e for e in edges if e[0] in w and e[1] in w
                           and e not in pairs)
-        kind = kinds.get((w, creal, cpairs))
-        if kind is None:
-            cedges = creal | cpairs
-            cadj = _adjacency(w, cedges)
-            if _graph_is_cycle(w, cedges, cadj):
-                kind = "S"
-            else:
-                assert _graph_three_connected(w, cadj), \
-                    f"component {sorted(w)} neither rigid nor a cycle"
-                kind = "R"
+        kind = "S" if len(creal) + len(cpairs) == len(w) else "R"
         comps.append(TriComp(tuple(sorted(w)[:3]), kind, w, creal, cpairs))
     comps.sort(key=lambda c: c.name)
     return Block(name, vset, edges, pairs, tuple(comps), _spqr_tree(comps))
@@ -378,8 +355,8 @@ def _derived_block(old: DecompositionState, eset: frozenset[Edge],
     rigid skeleton leaves the SPQR tree's shape alone), and so does a
     deletion after which C stays triconnected; C alone gains or loses
     the edge, and B's name, pairs, other components and tree are kept.
-    Whether C stays triconnected is `stays_rigid` when the caller knows
-    it, and a connectivity search otherwise.
+    A deletion is derived only when `stays_rigid` says C stays
+    triconnected; None does not derive, and the block is rebuilt.
     """
     diff = eset ^ old.edges
     if len(diff) != 1:
@@ -396,12 +373,8 @@ def _derived_block(old: DecompositionState, eset: frozenset[Edge],
     assert e in eset or e in comp.real_edges, "deleted edge is not real"
     real = comp.real_edges ^ diff
     # an added edge cannot lower C's connectivity, so only a deletion asks
-    if e not in eset:
-        if stays_rigid is None:
-            stays_rigid = _graph_three_connected(
-                comp.vertices, _adjacency(comp.vertices, real | comp.pairs))
-        if not stays_rigid:
-            return None
+    if e not in eset and not stays_rigid:
+        return None
     comps = tuple(TriComp(c.name, "R", c.vertices, real, c.pairs)
                   if c is comp else c for c in blk.comps)
     return Block(blk.name, blk.vertices, blk.edges ^ diff, blk.pairs, comps,
@@ -548,17 +521,16 @@ class DecompositionState:
                    stays_rigid: bool | None = None) -> DecompositionState:
         """State of an edge set, patched from `carry_from` or else from
         the empty state. When the edge set is `carry_from`'s less one
-        real edge of a rigid component, `stays_rigid` may say whether
-        that component stays triconnected without it; None leaves it to
-        a connectivity search.
+        real edge of a rigid component, `stays_rigid` says whether that
+        component stays triconnected without it; None rebuilds the
+        edge's block.
 
         The patch replaces the blocks the change touches (every block
         unless the edge sets differ in one edge) by the blocks of their
         edges with the change applied. Those are one block after an
         insert, and after a deletion that leaves its rigid component
         rigid; otherwise a lowpoint search over them finds them. Every
-        other block is kept, and so is the kind of any component whose
-        content a replaced block holds.
+        other block is kept.
         """
         base = carry_from if carry_from is not None \
             else cls(n, frozenset(), (), frozenset(), {})
@@ -580,11 +552,7 @@ class DecompositionState:
                 raw_blocks, lowpoint_cuts, _ = _lowpoint(adj, adj)
                 parts = [frozenset((u, v) if u < v else (v, u)
                                    for u, v in raw) for raw in raw_blocks]
-            # a component lies in one block, so only a replaced block can
-            # hold the content of a component built here
-            kinds = {c.content_key(): c.kind
-                     for b in removed for c in b.comps}
-            added = [_make_block(p, kinds) for p in parts]
+            added = [_make_block(p) for p in parts]
         state = cls.__new__(cls)
         state.n = n
         state.edges = eset
@@ -674,6 +642,9 @@ class DecompositionState:
 
     def without_edge(self, u: Vertex, v: Vertex,
                      stays_rigid: bool | None = None) -> DecompositionState:
+        """The state less u-v. When u-v is a real edge of a rigid
+        component, `stays_rigid` says whether that component stays
+        triconnected without it; None rebuilds the edge's block."""
         return DecompositionState.from_edges(
             self.n, self.edges - {canonical_edge(u, v)}, self, stays_rigid)
 
@@ -797,12 +768,6 @@ class DecompositionState:
             if comp.kind == "R" and u in comp.vertices and v in comp.vertices:
                 return 3
         return 2
-
-    def predict_insert_level(self, u: Vertex, v: Vertex) -> int:
-        return self.with_edge(u, v).level_between(u, v)
-
-    def predict_delete_level(self, u: Vertex, v: Vertex) -> int:
-        return self.without_edge(u, v).level_between(u, v)
 
     # ------------------------------------------------------------------ dump
 

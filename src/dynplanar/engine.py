@@ -36,10 +36,11 @@ function of the edge set, which the decomposition state holds.
 
 A change inside one rigid component is decided and applied on the faces
 at its edge. Whether the component stays rigid without a deleted real
-edge is read off the two faces at the edge and handed to the
-decomposition state, and a face split, or a deletion that leaves the
-component rigid, edits the stored embedding, retracing only the faces
-at the edge.
+edge is read off the two faces at the edge, in `Engine._without`, the
+one place a deletion's successor state is decided, and handed to the
+decomposition state, which otherwise rebuilds the edge's block. A face
+split, or a deletion that leaves the component rigid, edits the stored
+embedding, retracing only the faces at the edge.
 """
 from __future__ import annotations
 
@@ -203,12 +204,7 @@ class Engine:
         self.decomp.check_vertex(a, b)
         if not self.decomp.has_edge(a, b):
             return ChangeOutcome(NOOP_ABSENT)
-        e = canonical_edge(a, b)
-        rigid = next((c for c in self.decomp.block_of(a, b).comps
-                      if c.kind == "R" and e in c.real_edges), None)
-        stays_rigid = None if rigid is None else stays_triconnected(
-            self.comp_embs[("R", rigid.name)], a, b)
-        new_decomp = self.decomp.without_edge(a, b, stays_rigid)
+        new_decomp = self._without(a, b)
         change = EdgeChangeType(
             DELETE,
             self.decomp.level_between(a, b),
@@ -216,8 +212,19 @@ class Engine:
         )
         assert (DELETE, change.before_level, change.after_level) \
             not in IMPOSSIBLE_TYPES, change
-        self._commit(new_decomp, deleted=e)
+        self._commit(new_decomp, deleted=canonical_edge(a, b))
         return ChangeOutcome(ACCEPTED, change)
+
+    def _without(self, a: Vertex, b: Vertex) -> DecompositionState:
+        """The state less the edge a-b. When a-b is a real edge of a rigid
+        component, whether that component stays rigid without it is read
+        off the two faces at the edge in its embedding."""
+        e = canonical_edge(a, b)
+        rigid = next((c for c in self.decomp.block_of(a, b).comps
+                      if c.kind == "R" and e in c.real_edges), None)
+        stays_rigid = None if rigid is None else stays_triconnected(
+            self.comp_embs[("R", rigid.name)], a, b)
+        return self.decomp.without_edge(a, b, stays_rigid)
 
     def _ordered(self, tasks: list) -> list:
         if self._subupdate_order is not None:

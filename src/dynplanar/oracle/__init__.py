@@ -1,8 +1,10 @@
 """Brute-force reference implementations for differential testing.
 
 This subpackage never imports from the engine modules; everything here
-is computed from scratch per call.
+is computed from scratch per call. The static oracles have a budget on
+the graph's size; the decomposition certificate has none.
 """
+from ._certify import certify_decomposition
 from ._decomp import (
     DECOMPOSITION_BUDGET,
     OracleBlock,
@@ -23,6 +25,7 @@ __all__ = [
     "OracleComp",
     "OracleDecomposition",
     "PLANARITY_BUDGET",
+    "certify_decomposition",
     "dump_decomposition",
     "spqr_nodes_and_edges",
     "static_decomposition",

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -181,7 +182,8 @@ def test_check_state_checks_the_decomposition_past_the_oracle_budget():
     """Past the static oracle's 20 vertices, check_state still compares
     the decomposition with a rebuild, checks that every edge lies in one
     block and that the cut vertices are the vertices in two or more
-    blocks."""
+    blocks, and certifies it: an S/R kind swap, two components merged
+    and an edge in no component are each caught."""
     eng = Engine(30)
     for v in range(29):
         eng.insert_edge(v, v + 1)
@@ -193,12 +195,53 @@ def test_check_state_checks_the_decomposition_past_the_oracle_budget():
     msgs = check_state(eng)
     assert "decomposition differs from a rebuild" in msgs
     assert "edge (0, 29) lies in 0 blocks of the decomposition" in msgs
+    assert "certificate: block B(0,1) is no block of the graph" in msgs
     eng.decomp = DecompositionState.from_edges(30, good.edges)
     eng.decomp.cut_vertices = good.cut_vertices - {5}
     assert check_state(eng) == [
         "decomposition differs from a rebuild",
         "decomposition cut vertices are not the vertices in two or more "
-        "blocks"]
+        "blocks",
+        "certificate: cut vertices " + str(sorted(good.cut_vertices - {5}))
+        + " are not the DFS's " + str(sorted(good.cut_vertices)),
+        "certificate: the dump does not list the certified parts"]
+
+    # two K4s less 3-4 glued at the pair 3-4, then a 4-cycle, then a path
+    eng = Engine(30)
+    for e in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (3, 6),
+              (4, 5), (4, 6), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10),
+              (7, 10)] + [(v, v + 1) for v in range(10, 29)]:
+        assert eng.insert_edge(*e).status == ACCEPTED
+    assert check_state(eng) == []
+    good = eng.decomp
+    glued, ring = good.block((1, 2)), good.block((7, 8))
+    r1, r2 = glued.comps
+    (s1,) = ring.comps
+
+    def corrupt(*blocks):
+        names = {b.name for b in blocks}
+        eng.decomp = DecompositionState(
+            30, good.edges,
+            tuple(b for b in good.blocks if b.name not in names) + blocks,
+            good.cut_vertices, good._comp_of)
+        return check_state(eng)
+
+    msgs = corrupt(replace(glued, comps=(replace(r1, kind="S"), r2)),
+                   replace(ring, comps=(replace(s1, kind="R"),)))
+    assert "certificate: S(1,2,3) of block B(1,2) is not a cycle" in msgs
+    assert "certificate: R(7,8,9) of block B(7,8) is not triconnected" \
+        in msgs
+    merged = replace(r1, vertices=r1.vertices | r2.vertices,
+                     real_edges=r1.real_edges | r2.real_edges,
+                     pairs=frozenset())
+    msgs = corrupt(replace(glued, pairs=frozenset(), comps=(merged,),
+                           tree={("R", merged.name): ()}))
+    assert "certificate: R(1,2,3) of block B(1,2) is not triconnected" \
+        in msgs
+    msgs = corrupt(replace(glued, comps=(
+        replace(r1, real_edges=r1.real_edges - {(1, 2)}), r2)))
+    assert "certificate: real edge (1, 2) lies in 0 components of block " \
+        "B(1,2)" in msgs
 
 
 # --------------------------------------------------------------------- fuzz

@@ -6,9 +6,16 @@ import random
 import pytest
 
 from dynplanar import decomposition
+from dynplanar.cli import _legal_moves
 from dynplanar.decomposition import DecompositionState, _make_block
 from dynplanar.engine import Engine
-from dynplanar.graph_core import ACCEPTED, DomainError, GraphError
+from dynplanar.graph_core import (
+    ACCEPTED,
+    DELETE,
+    INSERT,
+    DomainError,
+    GraphError,
+)
 from dynplanar.oracle import (
     dump_decomposition,
     spqr_nodes_and_edges,
@@ -170,10 +177,19 @@ def test_levels():
 
 
 def test_predicted_levels():
-    s = state(5, K4_MINUS)
-    assert s.predict_insert_level(1, 2) == 3
-    assert s.predict_delete_level(3, 4) == 2
-    assert state(5, C4).predict_delete_level(1, 2) == 1
+    """The fuzzer files each change under the levels the engine then
+    reports for it."""
+    for edges, op, e, kind in [(K4_MINUS, INSERT, (1, 2), (2, 3)),
+                               (K4_MINUS, DELETE, (3, 4), (2, 2)),
+                               (C4, DELETE, (1, 2), (2, 1))]:
+        eng = Engine(5)
+        for f in edges:
+            eng.insert_edge(*f)
+        assert e in _legal_moves(eng)[(op, *kind)]
+        out = (eng.insert_edge if op == INSERT else eng.delete_edge)(*e)
+        assert out.status == ACCEPTED
+        assert (out.change_type.before_level,
+                out.change_type.after_level) == kind
 
 
 # -------------------------------------------------------------- differential
@@ -241,7 +257,8 @@ def triangulated_grid(rows, cols):
 
 def test_derived_blocks_equal_blocks_built_from_scratch(monkeypatch):
     """Every block derived from its predecessor equals the block built
-    from its edge set alone, SPQR tree included."""
+    from its edge set alone, SPQR tree included. Changes go through the
+    engine, whose deletions hand the face rule's verdict in."""
     derived = {"ins": 0, "del": 0}
     real = decomposition._derived_block
 
@@ -249,28 +266,37 @@ def test_derived_blocks_equal_blocks_built_from_scratch(monkeypatch):
         blk = real(old, eset, stays_rigid)
         if blk is not None:
             derived["ins" if len(eset) > len(old.edges) else "del"] += 1
-            fresh = _make_block(blk.edges, {})
+            fresh = _make_block(blk.edges)
             assert blk == fresh and blk.tree == fresh.tree, sorted(blk.edges)
         return blk
+
+    def change(eng, e):
+        out = eng.delete_edge(*e) if eng.graph.has_edge(*e) \
+            else eng.insert_edge(*e)
+        if out.status == ACCEPTED:
+            assert eng.decomp.blocks == state(eng.graph.n,
+                                              eng.graph.edges).blocks
 
     monkeypatch.setattr(decomposition, "_derived_block", checked)
     for n in (8, 12, 16, 20, 24):
         rng = random.Random(n)
         pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        st = state(n, rng.sample(pool, 2 * n))
+        eng = Engine(n)
+        for e in rng.sample(pool, 3 * n):
+            eng.insert_edge(*e)
         for _ in range(60):
-            e = rng.choice(sorted(st.edges)) \
-                if len(st.edges) > 2 * n or rng.random() < 0.4 \
-                else rng.choice([p for p in pool if p not in st.edges])
-            st = st.without_edge(*e) if e in st.edges else st.with_edge(*e)
-            assert st.blocks == state(n, st.edges).blocks
+            edges = eng.graph.edges
+            e = rng.choice(sorted(edges)) \
+                if len(edges) > 2 * n or rng.random() < 0.4 \
+                else rng.choice([p for p in pool if p not in edges])
+            change(eng, e)
     edges, interior = triangulated_grid(5, 6)
-    st = state(30, edges)
+    eng = Engine(30)
+    for e in edges:
+        eng.insert_edge(*e)
     for e in interior:
-        st = st.without_edge(*e)
-        assert st.blocks == state(30, st.edges).blocks
-        st = st.with_edge(*e)
-        assert st.blocks == state(30, st.edges).blocks
+        change(eng, e)
+        change(eng, e)
     assert derived["ins"] >= 50 and derived["del"] >= 50, derived
 
 

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from dynplanar import decomposition, engine, rotation
-from dynplanar.decomposition import _graph_three_connected
+from dynplanar.decomposition import _cut_vertices
 from dynplanar.engine import Engine, insert_ok
 from dynplanar.graph_core import (
     ACCEPTED,
@@ -586,6 +586,17 @@ def rigid_change_runs() -> None:
             e = edges[rng.randrange(len(edges))]
             assert eng.delete_edge(*e).status == ACCEPTED
             assert eng.insert_edge(*e).status == ACCEPTED
+
+
+def _graph_three_connected(vertices, adj) -> bool:
+    """Four or more vertices, and no one or two of them separate the rest."""
+    if len(vertices) < 4:
+        return False
+    for x in vertices:
+        cuts, trees = _cut_vertices(adj, vertices, x)
+        if cuts or trees != 1:
+            return False
+    return True
 
 
 def test_face_rule_agrees_with_the_connectivity_search(monkeypatch):
