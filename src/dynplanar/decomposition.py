@@ -10,15 +10,18 @@ a cycle (S) or triconnected (R). Canonical names make the dump
 byte-stable, so two states over the same edge set dump identically.
 
 A state is its predecessor patched: a change replaces only the blocks
-it touches and writes only their entries and those of their vertices.
-A deleted edge touches its block; an inserted edge touches the blocks
-on the BC path between its ends, which it merges into one, and none
-when it joins two components. The lowpoint search runs on the touched
-blocks' edges alone, and not at all when they provably form one block.
-Components are labelled; when an insert joins two or a bridge delete
-splits one, the smaller side, found by walking both sides in turn,
-takes the other label or a fresh one. Building a state from scratch is
-the same patch of the empty state with every edge touched.
+it touches and writes only their entries. The vertex and BC indices
+hold block names, so a block replaced by one of its name and vertices
+writes no vertex entry; the other replaced and created blocks rewrite
+those of their vertices. A deleted edge touches its block; an inserted
+edge touches the blocks on the BC path between its ends, which it
+merges into one, and none when it joins two components. The lowpoint
+search runs on the touched blocks' edges alone, and not at all when
+they provably form one block. Components are labelled; when an insert
+joins two or a bridge delete splits one, the smaller side, found by
+walking both sides in turn, takes the other label or a fresh one.
+Building a state from scratch is the same patch of the empty state
+with every edge touched.
 
 A block's pairs and components depend only on the block's own edges.
 Every split component of a block is biconnected, so it is a cycle (S)
@@ -241,11 +244,11 @@ def _walk(state: DecompositionState, x: Vertex):
     yield x
     seen, done, stack = {x}, set(), [x]
     while stack:
-        for blk in state._blocks_of_vertex.get(stack.pop(), ()):
-            if blk.name in done:
+        for name in state._blocks_of_vertex.get(stack.pop(), ()):
+            if name in done:
                 continue
-            done.add(blk.name)
-            for w in blk.vertices:
+            done.add(name)
+            for w in state._block_by_name[name].vertices:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
@@ -263,15 +266,6 @@ def _smaller_side(state: DecompositionState, a: Vertex, b: Vertex):
             if x is None:
                 return end, side
             side.append(x)
-
-
-def _edge_set(edges, base: frozenset[Edge]) -> frozenset[Edge]:
-    """`edges` as a frozenset of canonical edges. A frozenset is taken as
-    it is when what it holds beyond `base`, which is canonical, is."""
-    if isinstance(edges, frozenset) and all(
-            u < v for u, v in edges - base):
-        return edges
-    return frozenset(canonical_edge(u, v) for (u, v) in edges)
 
 
 _name = attrgetter("name")
@@ -344,23 +338,21 @@ def _make_block(edges: frozenset[Edge]) -> Block:
     return Block(name, vset, edges, pairs, tuple(comps), _spqr_tree(comps))
 
 
-def _derived_block(old: DecompositionState, eset: frozenset[Edge],
+def _derived_block(old: DecompositionState, diff: frozenset[Edge],
                    stays_rigid: bool | None = None) -> Block | None:
-    """The block of `eset` that holds the one edge by which `eset` and
-    `old.edges` differ, derived from its predecessor B; None when they
-    differ in other than one edge or B's SPQR tree may change shape.
+    """The block that holds the one edge of `diff`, the edges by which
+    the new edge set and `old.edges` differ, derived from its
+    predecessor B; None when B's SPQR tree may change shape.
 
     The edge u-v must lie inside one rigid component C of B and be no
     pair of B. An insertion then keeps every pair (an edge inside one
     rigid skeleton leaves the SPQR tree's shape alone), and so does a
     deletion after which C stays triconnected; C alone gains or loses
-    the edge, and B's name, pairs, other components and tree are kept.
-    A deletion is derived only when `stays_rigid` says C stays
+    the edge, and B's name, vertices, pairs, other components and tree
+    are kept, the tree as the same object, which marks the block as
+    derived. A deletion is derived only when `stays_rigid` says C stays
     triconnected; None does not derive, and the block is rebuilt.
     """
-    diff = eset ^ old.edges
-    if len(diff) != 1:
-        return None
     (e,) = diff
     u, v = e
     blk = old._shared_block(u, v)
@@ -370,15 +362,17 @@ def _derived_block(old: DecompositionState, eset: frozenset[Edge],
                  and u in c.vertices and v in c.vertices), None)
     if comp is None:
         return None
-    assert e in eset or e in comp.real_edges, "deleted edge is not real"
-    real = comp.real_edges ^ diff
+    deleted = e in old.edges
+    assert not deleted or e in comp.real_edges, "deleted edge is not real"
     # an added edge cannot lower C's connectivity, so only a deletion asks
-    if e not in eset and not stays_rigid:
+    if deleted and not stays_rigid:
         return None
-    comps = tuple(TriComp(c.name, "R", c.vertices, real, c.pairs)
+    edit = frozenset.__sub__ if deleted else frozenset.__or__
+    comps = tuple(TriComp(c.name, "R", c.vertices, edit(c.real_edges, diff),
+                          c.pairs)
                   if c is comp else c for c in blk.comps)
-    return Block(blk.name, blk.vertices, blk.edges ^ diff, blk.pairs, comps,
-                 blk.tree)
+    return Block(blk.name, blk.vertices, edit(blk.edges, diff), blk.pairs,
+                 comps, blk.tree)
 
 
 def _spqr_tree(comps) -> dict[SpqrNode, tuple[SpqrNode, ...]]:
@@ -444,62 +438,44 @@ class DecompositionState:
         """Set the blocks, cut vertices and block indices to base's less
         the `removed` blocks plus the `added` ones, and note both as the
         blocks this state replaced and created. Only the entries of
-        those blocks and of their vertices are written.
+        those blocks and of the vertices whose blocks change are written.
 
-        A vertex is a cut vertex exactly when it lies in two or more
-        blocks, so only these vertices can change status, and only the
-        blocks at a vertex that did can gain or lose a BC-tree edge.
+        The vertex and BC indices hold block names, so a block replaced
+        by one of its name and vertices (a change inside a block that
+        stays one) writes its `_block_by_name` entry alone. A vertex is a
+        cut vertex exactly when it lies in two or more blocks, so only
+        the vertices of the other removed and added blocks can change
+        status, and only the blocks at a vertex that did can gain or
+        lose a BC-tree edge.
         """
-        gone = {b.name for b in removed}
-        verts = {x for b in (*removed, *added) for x in b.vertices}
+        by_name = dict(base._block_by_name)
+        for b in removed:
+            del by_name[b.name]
+        kept = set()
+        for b in added:
+            old = base._block_by_name.get(b.name)
+            # a derived block holds its predecessor's vertex set itself
+            if old is not None and (old.vertices is b.vertices
+                                    or old.vertices == b.vertices):
+                kept.add(b.name)
+        by_name.update((b.name, b) for b in added)
         blocks = list(base.blocks)
         for b in removed:
             i = bisect_left(blocks, b.name, key=_name)
             assert blocks[i] is b, f"replaced block {b.name} is no block"
-            del blocks[i]
+            if b.name in kept:
+                blocks[i] = by_name[b.name]
+            else:
+                del blocks[i]
         for b in added:
-            insort(blocks, b, key=_name)
-        by_name = dict(base._block_by_name)
-        for name in gone:
-            del by_name[name]
-        by_name.update((b.name, b) for b in added)
+            if b.name not in kept:
+                insort(blocks, b, key=_name)
 
-        at = dict(base._blocks_of_vertex)
-        for x in verts:
-            at[x] = [b for b in at.get(x, ()) if b.name not in gone]
-        for b in added:
-            for x in b.vertices:
-                at[x].append(b)
-        was_cut = base.cut_vertices
-        flips = set()
-        for x in verts:
-            here = at[x]
-            if len(here) > 1:
-                here.sort(key=_name)
-            elif not here:
-                del at[x]
-            if (x in was_cut) != (len(here) >= 2):
-                flips.add(x)
-        cuts = was_cut ^ flips if flips else was_cut
-
-        bc = dict(base._bc_adj)
-        for name in gone:
-            del bc[("B", name)]
-        for x in verts:
-            if x in cuts:
-                bc[("C", x)] = [("B", b.name) for b in at[x]]
-            elif x in was_cut:
-                del bc[("C", x)]
-        new = {b.name for b in added}
-        for x in flips:
-            for b in at.get(x, ()):
-                if b.name not in new:
-                    nbrs = [c for c in bc[("B", b.name)] if c[1] != x]
-                    if x in cuts:
-                        insort(nbrs, ("C", x))
-                    bc[("B", b.name)] = nbrs
-        for b in added:
-            bc[("B", b.name)] = [("C", w) for w in sorted(b.vertices & cuts)]
+        out = [b for b in removed if b.name not in kept]
+        into = [b for b in added if b.name not in kept]
+        at, bc, cuts = base._blocks_of_vertex, base._bc_adj, base.cut_vertices
+        if out or into:
+            at, bc, cuts = self._reindex(base, out, into)
 
         lost = frozenset().union(*(b.pairs for b in removed))
         got = frozenset().union(*(b.pairs for b in added))
@@ -513,17 +489,65 @@ class DecompositionState:
         self.replaced = tuple(removed)
         self.created = tuple(added)
 
+    @staticmethod
+    def _reindex(base, out, into):
+        """base's vertex index, BC adjacency and cut vertices less the
+        `out` blocks plus the `into` ones, written only at their
+        vertices and at the blocks around a vertex that changes status."""
+        gone = {b.name for b in out}
+        verts = {x for b in (*out, *into) for x in b.vertices}
+        at = dict(base._blocks_of_vertex)
+        for x in verts:
+            at[x] = [name for name in at.get(x, ()) if name not in gone]
+        for b in into:
+            for x in b.vertices:
+                at[x].append(b.name)
+        was_cut = base.cut_vertices
+        flips = set()
+        for x in verts:
+            here = at[x]
+            if len(here) > 1:
+                here.sort()
+            elif not here:
+                del at[x]
+            if (x in was_cut) != (len(here) >= 2):
+                flips.add(x)
+        cuts = was_cut ^ flips if flips else was_cut
+
+        bc = dict(base._bc_adj)
+        for name in gone:
+            del bc[("B", name)]
+        for x in verts:
+            if x in cuts:
+                bc[("C", x)] = [("B", name) for name in at[x]]
+            elif x in was_cut:
+                del bc[("C", x)]
+        new = {b.name for b in into}
+        for x in flips:
+            for name in at.get(x, ()):
+                if name not in new:
+                    nbrs = [c for c in bc[("B", name)] if c[1] != x]
+                    if x in cuts:
+                        insort(nbrs, ("C", x))
+                    bc[("B", name)] = nbrs
+        for b in into:
+            bc[("B", b.name)] = [("C", w) for w in sorted(b.vertices & cuts)]
+        return at, bc, cuts
+
     # ---------------------------------------------------------- construction
 
     @classmethod
     def from_edges(cls, n: int, edges,
                    carry_from: DecompositionState | None = None,
-                   stays_rigid: bool | None = None) -> DecompositionState:
+                   stays_rigid: bool | None = None,
+                   edge: Edge | None = None) -> DecompositionState:
         """State of an edge set, patched from `carry_from` or else from
         the empty state. When the edge set is `carry_from`'s less one
         real edge of a rigid component, `stays_rigid` says whether that
         component stays triconnected without it; None rebuilds the
-        edge's block.
+        edge's block. A caller that knows the one canonical `edge` by
+        which `edges` differs from `carry_from`'s passes it, and `edges`
+        as a frozenset of canonical edges, so neither set is compared.
 
         The patch replaces the blocks the change touches (every block
         unless the edge sets differ in one edge) by the blocks of their
@@ -534,16 +558,19 @@ class DecompositionState:
         """
         base = carry_from if carry_from is not None \
             else cls(n, frozenset(), (), frozenset(), {})
-        eset = _edge_set(edges, base.edges)
-        diff = eset ^ base.edges
+        if edge is None:
+            eset = frozenset(canonical_edge(u, v) for (u, v) in edges)
+            diff = eset ^ base.edges
+        else:
+            eset, diff = edges, frozenset((edge,))
         removed = base._touched_by(diff)
-        touched = frozenset().union(*(b.edges for b in removed)) ^ diff
-        derived = _derived_block(base, eset, stays_rigid) \
+        derived = _derived_block(base, diff, stays_rigid) \
             if len(diff) == 1 else None
         adj = lowpoint_cuts = None
         if derived is not None:
             added = [derived]
         else:
+            touched = frozenset().union(*(b.edges for b in removed)) ^ diff
             if len(diff) == 1 and diff <= eset:
                 parts = [touched]  # an insert closes a cycle through them
             else:
@@ -559,19 +586,22 @@ class DecompositionState:
         state._index(base, removed, added)
         state._comp_of = base._relabel(state, diff, eset, adj)
 
-        if __debug__:
+        if __debug__ and derived is None:
             # the new blocks partition the touched edges, and share at
             # most one vertex with any other block; the predecessor's
-            # blocks passed the same, so every edge lies in one block
+            # blocks passed the same, so every edge lies in one block.
+            # A derived block is its predecessor with the one edge added
+            # or removed, on the same vertices, so it passes as that did
             assert sum(len(b.edges) for b in added) == len(touched) and \
                 frozenset().union(*(b.edges for b in added)) == touched, \
                 "an edge lies in other than exactly one block"
             for blk in state.created:
                 for x in blk.vertices:
-                    for other in state._blocks_of_vertex[x]:
-                        assert other is blk or \
-                            len(other.vertices & blk.vertices) == 1, \
-                            f"blocks {other.name} and {blk.name} share " \
+                    for name in state._blocks_of_vertex[x]:
+                        assert name == blk.name or len(
+                            state._block_by_name[name].vertices
+                            & blk.vertices) == 1, \
+                            f"blocks {name} and {blk.name} share " \
                             "two vertices"
             if lowpoint_cuts is not None:
                 hits = Counter(x for b in added for x in b.vertices)
@@ -637,16 +667,20 @@ class DecompositionState:
         return comp_of
 
     def with_edge(self, u: Vertex, v: Vertex) -> DecompositionState:
+        e = canonical_edge(u, v)
         return DecompositionState.from_edges(
-            self.n, self.edges | {canonical_edge(u, v)}, self)
+            self.n, self.edges | {e}, self,
+            edge=None if e in self.edges else e)
 
     def without_edge(self, u: Vertex, v: Vertex,
                      stays_rigid: bool | None = None) -> DecompositionState:
         """The state less u-v. When u-v is a real edge of a rigid
         component, `stays_rigid` says whether that component stays
         triconnected without it; None rebuilds the edge's block."""
+        e = canonical_edge(u, v)
         return DecompositionState.from_edges(
-            self.n, self.edges - {canonical_edge(u, v)}, self, stays_rigid)
+            self.n, self.edges - {e}, self, stays_rigid,
+            e if e in self.edges else None)
 
     def connected(self, u: Vertex, v: Vertex) -> bool:
         """True iff u and v lie in one component (u == u counts)."""
@@ -671,12 +705,14 @@ class DecompositionState:
 
     def blocks_at(self, v: Vertex) -> list[Block]:
         """The blocks holding v, in name order."""
-        return self._blocks_of_vertex.get(v, [])
+        by_name = self._block_by_name
+        return [by_name[name] for name in self._blocks_of_vertex.get(v, ())]
 
     def _shared_block(self, u: Vertex, v: Vertex) -> Block | None:
         """The block holding both u and v (two blocks share at most one
         vertex), None when no block does."""
-        for blk in self._blocks_of_vertex.get(u, ()):
+        for name in self._blocks_of_vertex.get(u, ()):
+            blk = self._block_by_name[name]
             if v in blk.vertices:
                 return blk
         return None
@@ -709,9 +745,9 @@ class DecompositionState:
         if a == b or not self.connected(a, b):
             raise GraphError(f"vertices {a} and {b} must differ and connect")
         start: BCNode = ("C", a) if a in self.cut_vertices \
-            else ("B", self._blocks_of_vertex[a][0].name)
+            else ("B", self._blocks_of_vertex[a][0])
         goal: BCNode = ("C", b) if b in self.cut_vertices \
-            else ("B", self._blocks_of_vertex[b][0].name)
+            else ("B", self._blocks_of_vertex[b][0])
         path = _tree_path(self._bc_adj, start, goal)
         assert path is not None, "connected vertices share a BC tree"
         blocks = [self._block_by_name[x[1]] for x in path if x[0] == "B"]

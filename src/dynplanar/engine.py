@@ -15,8 +15,20 @@ accepted change:
 
 Each is the previous one patched: `Engine._commit` walks only the blocks
 the decomposition replaced and created, and the graph rotation is
-rewritten only at their vertices. Euler's formula is checked per block
-rotation; genus adds over blocks, so that covers the whole rotation.
+rewritten only at their vertices. A change that derives its block (an
+edge inside one rigid component) edits that component's embedding at
+the edge's two ends; unless `canonical()` mirrors the edit, the block
+rotation, its real-edge part and the graph rotation are rewritten at
+those two vertices alone. Every other created block is assembled by
+splicing its components' rotations, and a block of one component has
+its component's rotation.
+
+Planarity holds by construction: every component embedding is planar
+(a traced one passed V - E + F = 2, and an edit adds or removes one
+face with its edge), a 2-sum of planar schemes is planar, and genus
+adds over blocks. Euler's formula is walked only where blocks of two or
+more components are spliced; `cli.check_state` and the benchmark
+validate every rotation after every change.
 
 One rule, in `Engine._commit`, decides each new component's embedding:
 a component whose block the change kept or whose content key is
@@ -107,6 +119,19 @@ def _partner(pair: Edge, x: Vertex) -> Vertex:
     return pair[1] if pair[0] == x else pair[0]
 
 
+def _splice_entry(seq: list, cseq, x: Vertex, s: Vertex, t: Vertex) -> None:
+    """The 2-sum step at x, one vertex of the virtual edge s-t: the
+    child's entries at x, opened at the pair's other vertex, go into the
+    parent's entries `seq` before its bundle entry t at s, after its
+    bundle entry s at t."""
+    if x == s:
+        i = seq.index(t)
+        seq[i:i] = opened_at(cseq, t)[1:]
+    else:
+        j = seq.index(s)
+        seq[j + 1:j + 1] = opened_at(cseq, s)[1:]
+
+
 def _splice(rot: dict, crot: dict, s: Vertex, t: Vertex) -> None:
     """2-sum the rotation scheme crot into rot along their virtual edge s-t.
 
@@ -114,14 +139,41 @@ def _splice(rot: dict, crot: dict, s: Vertex, t: Vertex) -> None:
     parent's bundle entry: before it at s, after it at t, so it lands in
     the parent's face that traverses t -> s. The bundle entry survives.
     """
-    i = rot[s].index(t)
-    rot[s][i:i] = opened_at(crot[s], t)[1:]
-    j = rot[t].index(s)
-    rot[t][j + 1:j + 1] = opened_at(crot[t], s)[1:]
+    _splice_entry(rot[s], crot[s], s, s, t)
+    _splice_entry(rot[t], crot[t], t, s, t)
     for w, seq in crot.items():
         if w != s and w != t:
             assert w not in rot, "spliced components overlap off the pair"
             rot[w] = list(seq)
+
+
+def _splices(block: Block):
+    """The root of the block's assembly, its least component, and then
+    each (child, s, t) it splices: the SPQR tree walked breadth first
+    from the root, each child at its pair, smaller vertex first."""
+    root = min((c.kind, c.name) for c in block.comps)
+    yield root
+    seen = {root}
+    queue = [root]
+    while queue:
+        parent = queue.pop(0)
+        for pnode in block.tree[parent]:
+            s, t = pnode[1]
+            for child in block.tree[pnode]:
+                if child not in seen:
+                    seen.add(child)
+                    queue.append(child)
+                    yield child, s, t
+
+
+def _real_entries(block: Block, x: Vertex, seq) -> tuple:
+    """The block rotation's entries `seq` at x less its virtual ones,
+    opened at the least; a block without pairs has none."""
+    if block.pairs:
+        seq = tuple(w for w in seq
+                    if ((x, w) if x < w else (w, x)) in block.edges)
+    assert seq, "block holds a vertex with no real edge"
+    return opened_at_least(seq)
 
 
 def _real_rotation(block: Block, block_rot: dict | None
@@ -131,13 +183,7 @@ def _real_rotation(block: Block, block_rot: dict | None
     if block.is_bridge:
         (u, v), = block.edges
         return {u: (v,), v: (u,)}
-    out: dict[Vertex, tuple] = {}
-    for x, seq in block_rot.items():
-        entries = tuple(w for w in seq
-                        if ((x, w) if x < w else (w, x)) in block.edges)
-        assert entries, "block holds a vertex with no real edge"
-        out[x] = opened_at_least(entries)
-    return out
+    return {x: _real_entries(block, x, seq) for x, seq in block_rot.items()}
 
 
 def _far_sides(block: Block, comp: TriComp, pairs) -> dict[Edge, set]:
@@ -156,6 +202,19 @@ def _far_sides(block: Block, comp: TriComp, pairs) -> dict[Edge, set]:
             stack += [m for m in block.tree[nd] if m not in seen]
         out[pair] = far - set(pair)
     return out
+
+
+def _derived_change(state: DecompositionState):
+    """(block, component) when `state` derived its one created block
+    from the one it replaced (the same SPQR tree object): the block and
+    its one component that is not, by identity, the predecessor's, a
+    rigid one. None for any other change."""
+    if len(state.created) != 1 or len(state.replaced) != 1:
+        return None
+    (blk,), (old,) = state.created, state.replaced
+    if blk.tree is not old.tree:
+        return None
+    return blk, next(c for c, o in zip(blk.comps, old.comps) if c is not o)
 
 
 # ------------------------------------------------------------------- engine
@@ -379,36 +438,19 @@ class Engine:
         contains it. Only the blocks the new state replaced and created
         are walked: every stored relation is a copy of the old one with
         their entries patched, and only created blocks whose shape
-        changed get new colourings and rotations."""
-        # a component has three or more vertices and blocks share at most
-        # one, so a component of a replaced block is found only there
-        old_blocks = {blk.name: blk for blk in new_decomp.replaced}
-        carried = {
-            _content_key(c): self.comp_embs[(c.kind, c.name)]
-            for blk in new_decomp.replaced for c in blk.comps
-        }
+        changed get new colourings and rotations. A derived block keeps
+        its other components and their embeddings; unless `canonical()`
+        mirrored the one it edits, its block rotation, real-edge part
+        and graph rotation are patched at the edge's two ends."""
+        derived = _derived_change(new_decomp)
         comp_embs = dict(self.comp_embs)
-        for blk in new_decomp.replaced:
-            for c in blk.comps:
-                del comp_embs[(c.kind, c.name)]
-        created: list[tuple[Block, TriComp]] = []
-        affected = set()
-        for blk in new_decomp.created:
-            old = old_blocks.get(blk.name)
-            if old is None or old.pairs != blk.pairs or \
-                    {c.content_key() for c in old.comps} != \
-                    {c.content_key() for c in blk.comps}:
-                affected.add(blk.name)
-            for c in blk.comps:
-                key = _content_key(c)
-                if key in carried:
-                    comp_embs[(c.kind, c.name)] = carried[key]
-                elif c.kind == "S":
-                    # canonical as derived: at degree 2 a flip serialises
-                    # the same
-                    comp_embs[(c.kind, c.name)] = _cycle_embedding(c)
-                else:
-                    created.append((blk, c))
+        if derived is not None:
+            # the block keeps every other component as the same object,
+            # under the same node, and so its embedding
+            created = [derived]
+            affected = {derived[0].name}
+        else:
+            created, affected = self._carry(new_decomp, comp_embs)
 
         if deleted is None:
             assert len(created) == len(windows), \
@@ -432,18 +474,35 @@ class Engine:
 
         block_rots = dict(self.block_rots)
         real_rots = dict(self.real_rots)
-        for blk in new_decomp.replaced:
-            block_rots.pop(blk.name, None)
-            del real_rots[blk.name]
-        for blk in new_decomp.created:
-            if not blk.is_bridge:
-                block_rots[blk.name] = \
-                    self._assemble_block(comp_embs, blk) \
-                    if blk.name in affected else self.block_rots[blk.name]
-            real_rots[blk.name] = _real_rotation(
-                blk, block_rots.get(blk.name))
-        graph_rot = self._assemble_graph(new_decomp, real_rots,
-                                         self.graph_rot)
+        at = None if derived is None else self._edited_at(
+            *derived, comp_embs, deleted or windows[0][1:3])
+        if at is not None:
+            blk, comp = derived
+            rot = block_rots[blk.name] = \
+                self._patched_block(comp_embs, blk, comp, at)
+            was = real_rots[blk.name]
+            real = real_rots[blk.name] = dict(was)
+            step = 1 if deleted is None else -1
+            for x in at:
+                real[x] = _real_entries(blk, x, rot[x])
+                assert len(real[x]) == len(was[x]) + step, \
+                    "patched rotation misses an edge"
+            graph_rot = self._assemble_graph(new_decomp, real_rots,
+                                             self.graph_rot, at)
+        else:
+            for blk in new_decomp.replaced:
+                block_rots.pop(blk.name, None)
+                del real_rots[blk.name]
+            for blk in new_decomp.created:
+                if not blk.is_bridge:
+                    block_rots[blk.name] = \
+                        self._assemble_block(comp_embs, blk) \
+                        if blk.name in affected \
+                        else self.block_rots[blk.name]
+                real_rots[blk.name] = _real_rotation(
+                    blk, block_rots.get(blk.name))
+            graph_rot = self._assemble_graph(new_decomp, real_rots,
+                                             self.graph_rot)
 
         self.decomp = new_decomp
         self.comp_embs = comp_embs
@@ -452,70 +511,159 @@ class Engine:
         self.real_rots = real_rots
         self.graph_rot = graph_rot
 
+    def _carry(self, new_decomp: DecompositionState, comp_embs: dict):
+        """Patch comp_embs for the replaced and created blocks: carry the
+        embedding of every component whose content key a replaced block
+        holds and derive every new cycle's. Returns the rigid components
+        left for surgery, each with its block, and the names of the
+        created blocks whose shape changed."""
+        # a component has three or more vertices and blocks share at most
+        # one, so a component of a replaced block is found only there
+        old_blocks = {blk.name: blk for blk in new_decomp.replaced}
+        carried = {
+            _content_key(c): self.comp_embs[(c.kind, c.name)]
+            for blk in new_decomp.replaced for c in blk.comps
+        }
+        for blk in new_decomp.replaced:
+            for c in blk.comps:
+                del comp_embs[(c.kind, c.name)]
+        created: list[tuple[Block, TriComp]] = []
+        affected = set()
+        for blk in new_decomp.created:
+            old = old_blocks.get(blk.name)
+            if old is None or old.pairs != blk.pairs or \
+                    {c.content_key() for c in old.comps} != \
+                    {c.content_key() for c in blk.comps}:
+                affected.add(blk.name)
+            for c in blk.comps:
+                key = _content_key(c)
+                if key in carried:
+                    comp_embs[(c.kind, c.name)] = carried[key]
+                elif c.kind == "S":
+                    # canonical as derived: at degree 2 a flip serialises
+                    # the same
+                    comp_embs[(c.kind, c.name)] = _cycle_embedding(c)
+                else:
+                    created.append((blk, c))
+        return created, affected
+
+    def _edited_at(self, blk: Block, comp: TriComp, comp_embs: dict,
+                   ends: Edge) -> Edge | None:
+        """The vertices at which the derived block's changed component
+        `comp` has a new rotation, when they are the changed edge's ends
+        alone: the edit rewrote those two and kept every other vertex's
+        rotation, by identity. None when `canonical()` mirrored the
+        edit, which rewrites every vertex, so one vertex off the edge
+        tells."""
+        node = ("R", comp.name)
+        rot, was = comp_embs[node].rot, self.comp_embs[node].rot
+        off = next(x for x in rot if x not in ends)
+        return None if rot[off] is not was[off] else ends
+
     # ------------------------------------------------------------- assembly
 
     @staticmethod
     def _assemble_block(comp_embs: dict, block: Block) -> dict[Vertex, tuple]:
-        """Splice the component embeddings into one block rotation.
+        """Splice the component embeddings into one block rotation, in
+        the order `_splices` gives. A block of one component has its
+        component's rotation, shared, not copied.
 
-        The block's SPQR tree is walked breadth first from its least
-        component, and each child is spliced in at its pair, smaller
-        vertex first.
+        Every component rotation is an `Embedding`'s, which is planar:
+        a traced one passed V - E + F = 2, and an edit keeps it (a face
+        split adds one face and one edge, a merge removes one of each, a
+        mirror keeps every count). A 2-sum of planar schemes is planar,
+        so the walk below only guards the splice itself, and a block of
+        one component, which has no splice, is not walked.
         """
-        root = min((c.kind, c.name) for c in block.comps)
-        rot = {x: list(seq) for x, seq in comp_embs[root].rot.items()}
-        seen = {root}
-        queue = [root]
-        while queue:
-            parent = queue.pop(0)
-            for pnode in block.tree[parent]:
-                s, t = pnode[1]
-                for child in block.tree[pnode]:
-                    if child in seen:
-                        continue
-                    _splice(rot, comp_embs[child].rot, s, t)
-                    seen.add(child)
-                    queue.append(child)
-        assert len(seen) == len(block.comps), \
+        if len(block.comps) == 1:
+            c, = block.comps
+            return comp_embs[(c.kind, c.name)].rot
+        order = _splices(block)
+        rot = {x: list(seq) for x, seq in comp_embs[next(order)].rot.items()}
+        spliced = 1
+        for child, s, t in order:
+            _splice(rot, comp_embs[child].rot, s, t)
+            spliced += 1
+        assert spliced == len(block.comps), \
             "SPQR tree of the block is disconnected"
         out = {x: tuple(seq) for x, seq in rot.items()}
         assert euler_per_component(out), "block rotation lost planarity"
         return out
 
     @staticmethod
+    def _block_entry(comp_embs: dict, block: Block, x: Vertex) -> tuple:
+        """The entry at x of `_assemble_block`'s rotation, built alone by
+        the same splices, of which only those at pairs through x write
+        it. The components holding x form a subtree of the SPQR tree,
+        and the first one the walk reaches gives x's entry before any
+        splice at x."""
+        order = _splices(block)
+        rot = comp_embs[next(order)].rot
+        seq = list(rot[x]) if x in rot else None
+        for child, s, t in order:
+            crot = comp_embs[child].rot
+            if x == s or x == t:
+                _splice_entry(seq, crot[x], x, s, t)
+            elif x in crot:
+                assert seq is None, "spliced components overlap off the pair"
+                seq = list(crot[x])
+        return tuple(seq)
+
+    def _patched_block(self, comp_embs: dict, blk: Block, comp: TriComp,
+                       at: list) -> dict[Vertex, tuple]:
+        """The rotation of the derived block `blk`, whose rigid component
+        `comp` alone changed, and only at the vertices `at`: the old
+        block rotation rewritten there. A vertex that no pair of comp
+        holds lies in comp alone and takes comp's entry; a vertex of a
+        pair is rebuilt by `_block_entry`."""
+        crot = comp_embs[("R", comp.name)].rot
+        if len(blk.comps) == 1:
+            return crot
+        rot = dict(self.block_rots[blk.name])
+        for x in at:
+            rot[x] = self._block_entry(comp_embs, blk, x) \
+                if any(x in p for p in comp.pairs) else crot[x]
+        return rot
+
+    @staticmethod
     def _assemble_graph(decomp: DecompositionState, real_rots: dict,
-                        base: dict | None = None) -> dict[Vertex, tuple]:
+                        base: dict | None = None, at=None
+                        ) -> dict[Vertex, tuple]:
         """The graph rotation: at each vertex that lies in a block, the
         real-edge rotations of its blocks concatenated in block-name
         order; the others have none. Given `base`, the rotation of the
         state `decomp` was patched from, it is a copy of `base` written
-        only at the vertices of the blocks `decomp` replaced or created;
-        without one, it is written at every vertex.
+        only at the vertices `at`, by default those of the blocks
+        `decomp` replaced or created; without one, it is written at
+        every vertex.
 
         Each block part read afresh (every part without `base`, those of
-        the created blocks with it) must hold two entries per edge of its
-        block. Its block rotation passed Euler's walk, which finds every
-        entry's reverse and no repeated entry, so that is a degree check
-        at each vertex of the block. The other parts passed when their
-        blocks were created, so every written vertex has as many entries
-        as edges. Euler's formula holds for the whole rotation because it
-        holds for each block rotation and genus adds over blocks, so it
-        is not checked here. The parts are stored per block, so an edit
-        of a past graph rotation reaches a later one only at vertices no
-        change touched since."""
+        the created blocks with it and no `at`) must hold two entries
+        per edge of its block. Every block rotation holds each entry's
+        reverse and no repeated entry (an embedding's rotation does, and
+        Euler's walk checks a spliced one), so that is a degree check at
+        each vertex of the block. The other parts passed when their
+        blocks were created, and a patch checks the degree at the two
+        vertices it writes, so every written vertex has as many entries
+        as edges. Euler's formula holds for the whole rotation
+        because it holds for each block rotation and genus adds over
+        blocks, so it is not checked here. The parts are stored per
+        block, so an edit of a past graph rotation reaches a later one
+        only at vertices no change touched since."""
         if base is None:
             rot: dict[Vertex, tuple] = {}
             fresh = decomp.blocks
-            verts = {x for blk in fresh for x in blk.vertices}
+            at = {x for blk in fresh for x in blk.vertices}
         else:
             rot = dict(base)
-            fresh = decomp.created
-            verts = {x for blk in (*decomp.replaced, *fresh)
-                     for x in blk.vertices}
+            fresh = decomp.created if at is None else ()
+            if at is None:
+                at = {x for blk in (*decomp.replaced, *fresh)
+                      for x in blk.vertices}
         assert all(sum(map(len, real_rots[blk.name].values()))
                    == 2 * len(blk.edges) for blk in fresh), \
             "graph rotation misses an edge"
-        for x in verts:
+        for x in at:
             blocks = decomp.blocks_at(x)
             if not blocks:
                 rot.pop(x, None)

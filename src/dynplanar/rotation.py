@@ -292,9 +292,13 @@ class Embedding:
                    and cyclic_triple_query(bd, a, b, c) for bd in self.faces)
 
     def common_face(self, vertex_set):
-        """First face boundary that holds every vertex of the set."""
+        """First face boundary that holds every vertex of the set, which
+        is not empty. One vertex is looked up in each boundary first,
+        which builds no set."""
         want = set(vertex_set)
-        return next((bd for bd in self.faces if want.issubset(bd)), None)
+        one = min(want)
+        return next((bd for bd in self.faces
+                     if one in bd and want.issubset(bd)), None)
 
     # ----------------------------------------------------------- operations
 
@@ -371,9 +375,13 @@ class Embedding:
         """The one of the reflection pair that serialises to the lesser
         string. Rotations of one or two entries read alike both ways, so
         the pair's serialisations first differ, at equal lengths, in the
-        segment of the least vertex of degree three or more."""
+        segment of the least vertex of degree three or more, in a rigid
+        component its least vertex."""
         rot = self.rot
-        w = min((v for v, seq in rot.items() if len(seq) >= 3), default=None)
+        w = min(rot)
+        if len(rot[w]) < 3:
+            w = min((v for v, seq in rot.items() if len(seq) >= 3),
+                    default=None)
         if w is not None and \
                 _serialize({w: rot[w]}) > _serialize({w: rot[w][::-1]}):
             return self.flipped()

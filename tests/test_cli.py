@@ -166,6 +166,30 @@ def test_check_state_flags_corrupt_rotation():
     assert any("graph rotation" in v for v in check_state(eng))
 
 
+def test_check_state_flags_a_block_rotation_unlike_its_rebuild():
+    """Two entries swapped at one vertex of a 30-vertex grid's block
+    rotation, or of its real-edge part, differ from the rotation
+    assembled afresh from the component embeddings."""
+    eng = Engine(30)
+    for i in range(5):
+        for j in range(6):
+            for di, dj in ((0, 1), (1, 0), (1, 1)):
+                if i + di < 5 and j + dj < 6:
+                    eng.insert_edge(i * 6 + j, (i + di) * 6 + j + dj)
+    assert check_state(eng) == []
+    (blk,) = eng.decomp.blocks
+    block_rots, real_rots = eng.block_rots, eng.real_rots
+    for name, rots in (("block", "block_rots"), ("real", "real_rots")):
+        rot = getattr(eng, rots)[blk.name]
+        a, b, *rest = rot[8]
+        setattr(eng, rots, {**getattr(eng, rots),
+                            blk.name: {**rot, 8: (b, a, *rest)}})
+        assert f"block {blk.name}: {name} rotation differs from a " \
+            "rebuild" in check_state(eng)
+        eng.block_rots, eng.real_rots = block_rots, real_rots
+    assert check_state(eng) == []
+
+
 def test_check_state_flags_decomposition_desync():
     eng = Engine(8)
     for ab in [(1, 2), (2, 3), (1, 3)]:
@@ -357,7 +381,11 @@ def test_fuzz_via_main(capsys):
 
 
 def test_optimised_interpreter_answers_identically(tmp_path):
-    """Stripping asserts (python -O) must not change any answer."""
+    """Stripping asserts (python -O) must not change any answer: on
+    random churn, and on a triangulated 5x5 grid whose square diagonals
+    are each flipped and flipped back. Those changes delete and re-insert
+    edges off the rim and at the vertices of its corner pairs, and most
+    patch the stored rotations in place of rebuilding them."""
     rng = random.Random(5)
     present: list = []
     lines = []
@@ -373,20 +401,40 @@ def test_optimised_interpreter_answers_identically(tmp_path):
             lines.append("pair? %d %d" % tuple(rng.sample(range(9), 2)))
         if i % 40 == 0:
             lines.append("dump")
-    trace = tmp_path / "trace.txt"
-    trace.write_text("\n".join(lines) + "\n")
+    grid = [(i * 5 + j, (i + di) * 5 + j + dj)
+            for i in range(5) for j in range(5)
+            for di, dj in ((0, 1), (1, 0), (1, 1))
+            if i + di < 5 and j + dj < 5]
+    grid_lines = [f"add {a} {b}" for a, b in grid] + ["dump"]
+    # flip the diagonal of every square and back: the other diagonal of
+    # a square at a corner pair ({3, 9} or {15, 21}) ends on the pair
+    for i in range(4):
+        for j in range(4):
+            a, b, c, d = i * 5 + j, i * 5 + j + 1, i * 5 + j + 5, \
+                i * 5 + j + 6
+            grid_lines += [f"del {a} {d}", f"add {b} {c}", "dump",
+                           f"del {b} {c}", f"add {a} {d}", "dump"]
     src = str(Path(dynplanar.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     outs = []
-    for flags in ([], ["-O"]):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "dynplanar.cli", "--domain", "9",
-             "--trace", str(trace)],
-            capture_output=True, env=env, timeout=60, check=False)
+    for name, trace_lines, domain in (("churn", lines, 9),
+                                      ("grid", grid_lines, 25)):
+        trace = tmp_path / f"{name}.txt"
+        trace.write_text("\n".join(trace_lines) + "\n")
+        runs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "dynplanar.cli", "--domain",
+                 str(domain), "--trace", str(trace)],
+                capture_output=True, env=env, timeout=60, check=False)
+            runs.append(proc)
+        assert runs[0].stdout == runs[1].stdout, name
+        outs.append(runs[0])
+    churn_run, grid_run = outs
+    for proc in outs:
         assert proc.returncode == 0, proc.stderr.decode()
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
-    text = outs[0].decode()
+    text = churn_run.stdout.decode()
     assert "rejected nonplanar" in text and "\ntrue\n" in text
+    assert grid_run.stdout.decode().count("accepted") == len(grid) + 64

@@ -262,10 +262,10 @@ def test_derived_blocks_equal_blocks_built_from_scratch(monkeypatch):
     derived = {"ins": 0, "del": 0}
     real = decomposition._derived_block
 
-    def checked(old, eset, stays_rigid=None):
-        blk = real(old, eset, stays_rigid)
+    def checked(old, diff, stays_rigid=None):
+        blk = real(old, diff, stays_rigid)
         if blk is not None:
-            derived["ins" if len(eset) > len(old.edges) else "del"] += 1
+            derived["del" if diff <= old.edges else "ins"] += 1
             fresh = _make_block(blk.edges)
             assert blk == fresh and blk.tree == fresh.tree, sorted(blk.edges)
         return blk

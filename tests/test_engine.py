@@ -653,7 +653,14 @@ def test_rigid_changes_off_the_rim_search_no_cuts_and_trace_nothing(
     it splits the merged face. Both changes are decided and applied on
     the faces at the edge, so neither runs a cut-vertex search or traces
     a whole embedding, however large the grid; and the engine dumps as a
-    fresh engine loaded with its edges."""
+    fresh engine loaded with its edges.
+
+    Each change also writes, by identity against the predecessor's, no
+    entry of the vertex index of blocks and the entries at the edge's
+    two ends alone of the block rotation, its real-edge part and the
+    graph rotation, at every k. The rigid component's least vertex is a
+    corner, whose rotation these changes keep, so `canonical()` never
+    mirrors it here."""
     edges = grid_edges(k, k)
     inner = [e for e in edges
              if all(0 < x // k < k - 1 and 0 < x % k < k - 1 for x in e)]
@@ -668,18 +675,94 @@ def test_rigid_changes_off_the_rim_search_no_cuts_and_trace_nothing(
             return fn(*args)
         return counted
 
+    def indices():
+        (blk,) = eng.decomp.blocks
+        return {"_blocks_of_vertex": eng.decomp._blocks_of_vertex,
+                "block_rots": eng.block_rots[blk.name],
+                "real_rots": eng.real_rots[blk.name],
+                "graph_rot": eng.graph_rot}
+
+    def written(after, before):
+        return {key: sum(new[x] is not before[key].get(x) for x in new)
+                + sum(x not in new for x in before[key])
+                for key, new in after.items()}
+
     monkeypatch.setattr(decomposition, "_cut_vertices",
                         counting("cut searches", decomposition._cut_vertices))
     monkeypatch.setattr(rotation, "trace_orbits",
                         counting("traces", rotation.trace_orbits))
+    two_ends = {"_blocks_of_vertex": 0, "block_rots": 2, "real_rots": 2,
+                "graph_rot": 2}
     for e in inner:
+        before = indices()
         assert eng.delete_edge(*e).status == ACCEPTED
         assert calls == {"cut searches": 0, "traces": 0}, ("delete", e)
+        assert written(indices(), before) == two_ends, ("delete", e)
         if e == inner[0]:
             assert eng.dump() == less_first
+        before = indices()
         assert eng.insert_edge(*e).status == ACCEPTED
         assert calls == {"cut searches": 0, "traces": 0}, ("insert", e)
+        assert written(indices(), before) == two_ends, ("insert", e)
         assert eng.dump() == start, e
+
+
+def test_patched_block_rotations_equal_rebuilt_ones(monkeypatch):
+    """Seeded churn at domains 12 to 30, then random edges of triangulated
+    5x5 to 7x7 grids, relabelled and inserted in shuffled order, deleted
+    and re-inserted, a third of them at vertex 0. After every change
+    each block rotation and its real-edge part equal the ones assembled
+    from scratch from the component embeddings. The runs patch
+    off-pair face splits and derived deletes, patch changes with an end
+    on a pair vertex of the block, and rebuild the derived blocks whose
+    component `canonical()` mirrors; each case must occur."""
+    cases = {"off pair": 0, "pair vertex": 0, "flip": 0}
+    edited_at = Engine._edited_at
+
+    def spied(self, blk, comp, *args):
+        at = edited_at(self, blk, comp, *args)
+        if at is None:
+            cases["flip"] += 1
+        else:
+            on_pair = any(x in p for x in at for p in comp.pairs)
+            cases["pair vertex" if on_pair else "off pair"] += 1
+        return at
+
+    def check(eng: Engine) -> None:
+        for blk in eng.decomp.blocks:
+            rot = None if blk.is_bridge \
+                else Engine._assemble_block(eng.comp_embs, blk)
+            if rot is not None:
+                assert eng.block_rots[blk.name] == rot, blk.name
+            assert eng.real_rots[blk.name] == \
+                engine._real_rotation(blk, rot), blk.name
+
+    monkeypatch.setattr(Engine, "_edited_at", spied)
+    for n in (12, 16, 20, 24, 30):
+        for seed in range(4):
+            rng = random.Random(300 * n + seed)
+            eng = Engine(n)
+            for _ in range(200):
+                churn_step(eng, rng)
+                check(eng)
+    for k in (5, 6, 7):
+        rng = random.Random(70 + k)
+        label = list(range(k * k))
+        rng.shuffle(label)
+        order = [(label[a], label[b]) for a, b in grid_edges(k, k)]
+        rng.shuffle(order)
+        eng = build(k * k, order)
+        for _ in range(120):
+            edges = sorted(eng.graph.edges)
+            if rng.random() < 0.3:
+                # the least vertex decides `canonical()`'s mirror
+                edges = [e for e in edges if 0 in e]
+            e = edges[rng.randrange(len(edges))]
+            assert eng.delete_edge(*e).status == ACCEPTED
+            check(eng)
+            assert eng.insert_edge(*e).status == ACCEPTED
+            check(eng)
+    assert min(cases.values()) >= 40, cases
 
 
 # --------------------------------------------------------------- cost bound
