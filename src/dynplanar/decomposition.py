@@ -1,13 +1,19 @@
 """BC-tree and SPQR-tree state, a pure function of the current edge set.
 
 Blocks and cut vertices come from Hopcroft-Tarjan lowpoint searches.
-Inside a block, a separating pair is a vertex pair {s,t} whose removal
-disconnects the block and that no two other vertices separate (s and t
-adjacent, or three vertex-disjoint s-t paths): exactly the vertex pairs
-of the virtual edges of the block's SPQR tree. Splitting the block's
-vertex set at every such pair leaves its triconnected components, each
-a cycle (S) or triconnected (R). Canonical names make the dump
-byte-stable, so two states over the same edge set dump identically.
+A block's triconnected components come from Hopcroft and Tarjan's path
+search, as corrected by Gutwenger and Mutzel, in time linear in the
+block: it cuts the block at its separation pairs into bonds, triangles
+and triconnected graphs, joined by virtual edges, and merging bonds
+with bonds and polygons with polygons leaves the triconnected
+components. Polygons are the cycle (S) components, triconnected graphs
+the rigid (R) ones, and each bond is the P-node of its pair. The vertex
+pairs of the virtual edges that remain are the block's separating
+pairs: the pairs {s,t} whose removal disconnects the block and that no
+two other vertices separate (s and t adjacent, or three vertex-disjoint
+s-t paths). Canonical names depend only on vertex sets and make the
+dump byte-stable, so two states over the same edge set dump
+identically.
 
 A state is its predecessor patched: a change replaces only the blocks
 it touches and writes only their entries. The vertex and BC indices
@@ -24,20 +30,18 @@ Building a state from scratch is the same patch of the empty state
 with every edge touched.
 
 A block's pairs and components depend only on the block's own edges.
-Every split component of a block is biconnected, so it is a cycle (S)
-exactly when it has as many edges, real and virtual, as vertices, and
-rigid (R) otherwise; that each R component is triconnected is checked
-by the oracle's certificate, not here. When the two edge sets differ
-in one edge that lies inside one rigid component of its block and is
-no pair there, the new block is derived from the old one: an edge
-inside one rigid skeleton leaves the SPQR tree's shape alone (Di
-Battista and Tamassia), so only that component gains or loses the
-edge, a deletion provided the component stays triconnected. The
-caller that holds the component's embedding decides that from the two
-faces at the edge and passes the verdict in; a deletion handed no
-verdict rebuilds its block. Every other new block is built from its
-edges. Cut vertices alone come from a lowpoint search that collects
-no blocks.
+A block with as many edges as vertices is a cycle, one S component
+with no pairs; every other block goes through the path search. That
+each R component is triconnected is checked by the oracle's
+certificate, not here. When the two edge sets differ in one edge that
+lies inside one rigid component of its block and is no pair there, the
+new block is derived from the old one: an edge inside one rigid
+skeleton leaves the SPQR tree's shape alone (Di Battista and
+Tamassia), so only that component gains or loses the edge, a deletion
+provided the component stays triconnected. The caller that holds the
+component's embedding decides that from the two faces at the edge and
+passes the verdict in; a deletion handed no verdict rebuilds its
+block. Every other new block is built from its edges.
 
 Node references used by the path operations:
 
@@ -160,56 +164,6 @@ def _lowpoint(adj, allowed):
     return blocks, cuts, trees
 
 
-def _cut_vertices(adj, vertices, x):
-    """Cut vertices and DFS-tree count of the graph adj induces on
-    `vertices` less x (x need not be a vertex).
-
-    `_lowpoint`'s search for callers that read no blocks: it keeps no
-    edge stack, and x is marked seen at a number no lowpoint can take,
-    so no copy of `vertices` leaves it out. Nor does it skip the edge to
-    a vertex's DFS parent p: that edge lowers the lowpoint to p's
-    number at most, which still marks p as a cut vertex.
-    """
-    disc: dict = {x: len(vertices)}
-    low: dict[Vertex, int] = {}
-    cuts: set[Vertex] = set()
-    trees = count = 0
-    for root in vertices:
-        if root in disc:
-            continue
-        trees += 1
-        disc[root] = low[root] = count
-        count += 1
-        root_kids = 0
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            v, nbrs = stack[-1]
-            for w in nbrs:
-                if w not in disc:
-                    if w in vertices:
-                        disc[w] = low[w] = count
-                        count += 1
-                        stack.append((w, iter(adj[w])))
-                        break
-                elif disc[w] < low[v]:
-                    low[v] = disc[w]
-            else:
-                stack.pop()
-                if not stack:
-                    continue
-                p = stack[-1][0]
-                if low[v] < low[p]:
-                    low[p] = low[v]
-                if low[v] >= disc[p]:
-                    if p == root:
-                        root_kids += 1
-                    else:
-                        cuts.add(p)
-        if root_kids >= 2:
-            cuts.add(root)
-    return cuts, trees
-
-
 def _components(adj, vertices, banned=()):
     """Vertex sets of the components adj induces on vertices - banned."""
     seen = set(banned)
@@ -276,65 +230,451 @@ _NO_BLOCKS = SimpleNamespace(
     _blocks_of_vertex={}, _bc_adj={}, _pairs=frozenset())
 
 
-def _block_pairs(vertices, edges, adj) -> dict[Edge, list[set[Vertex]]]:
-    """Separating pairs of a block, each with the vertex sets of the
-    pieces its removal leaves.
+_BOND, _POLYGON, _RIGID = 0, 1, 2  # kinds of split components
+_EOS = (0, -1, 0)  # TSTACK's end of segment marker
 
-    {s,t} separates the block when t is a cut vertex of the block minus
-    s. Each piece attaches to both s and t, and together with s, t and a
-    virtual edge s-t forms a biconnected graph, so a piece carries two
-    disjoint s-t paths exactly when it has no cut vertex with s and t.
-    A pair needs three disjoint s-t paths or an edge s-t plus two pieces,
-    so both its vertices have degree three or more in the block.
+
+def _triconnected_components(vset, svs, edges) -> list[TriComp]:
+    """The S and R components of the biconnected block on the vertex set
+    `vset`, sorted as `svs`, with the simple edge set `edges`, which is
+    no cycle.
+
+    Hopcroft and Tarjan's path search (1973), as corrected by Gutwenger
+    and Mutzel (2000), in linear time and without recursion:
+
+    1. A palm-tree DFS from the least vertex orients every edge, tree
+       arcs down and fronds up, and gives each vertex its DFS number,
+       lowpt1, lowpt2, descendant count ND and tree arc.
+    2. Each vertex's arcs are ordered by phi (3 lowpt1 of a tree arc's
+       head, plus 2 when its lowpt2 is no lower than the tail; 3 times
+       the number of a frond's head, plus 1), and a second DFS in that
+       order renumbers the vertices so that a first child's subtree
+       takes the highest numbers. It lists, per vertex, the tails of
+       the fronds into it in visit order (its high points). The search
+       runs on these numbers.
+    3. The path search keeps the arcs it has passed on ESTACK and the
+       candidate type-2 pairs, as (highest vertex, a, b) triples, on
+       TSTACK. After each tree arc v -> w it splits off, while one is
+       found, a type-2 pair {v, b} (or the triangle v, w, x through a
+       w of degree two), then a type-1 pair {lowpt1(w), v}; each split
+       moves the ESTACK arcs of one side into a new split component,
+       closes it with a virtual edge and puts a twin virtual edge in
+       its place. A split that meets a real or virtual edge on the same
+       pair makes a bond of the two and a third virtual edge.
+    4. Split components are bonds, triangles and triconnected graphs.
+       Merging the polygons that share a virtual edge, and likewise the
+       bonds, leaves the triconnected components; the virtual edges
+       that remain are the SPQR tree's. A P-node is known by its pair
+       alone, so bonds are not merged but dropped.
+
+    Polygons are S components and triconnected parts R. A component's
+    real edges and pairs are its edges, real and virtual. Edges are
+    numbered, the real ones 0..m-1 in the order of `edges` and the
+    virtual ones from m on. A search that splits nothing returns the
+    whole block as one R component.
     """
-    found: dict[Edge, list[set[Vertex]]] = {}
-    branch = sorted(v for v in vertices if len(adj[v]) >= 3)
-    for i, s in enumerate(branch[:-1]):
-        cuts, _ = _cut_vertices(adj, vertices, s)
-        for t in branch[i + 1:]:
-            if t not in cuts:
+    n = len(svs)
+    at = {x: i for i, x in enumerate(svs)}
+    el = list(edges)
+    m = len(el)
+    adj: list[list] = [[] for _ in range(n)]
+    for e, (x, y) in enumerate(el):
+        i, j = at[x], at[y]
+        adj[i].append((j, e))
+        adj[j].append((i, e))
+
+    # 1. the palm tree; phi of each arc, and the fronds into each vertex
+    num = [0] * n
+    low1 = [0] * n
+    low2 = [0] * n
+    nd = [1] * n
+    tarc = [0] * n
+    into = [0] * n
+    tail = [0] * m
+    head = [0] * m
+    phi = [0] * m
+    num[0] = low1[0] = low2[0] = count = 1
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        v, it = stack[-1]
+        nv, up = num[v], tarc[v]
+        for w, e in it:
+            nw = num[w]
+            if not nw:
+                count += 1
+                num[w] = low1[w] = low2[w] = count
+                tarc[w] = e
+                tail[e] = v
+                head[e] = w
+                stack.append((w, iter(adj[w])))
+                break
+            if nw < nv and e != up:  # a frond, seen from below
+                tail[e] = v
+                head[e] = w
+                phi[e] = 3 * nw + 1
+                into[w] += 1
+                l1 = low1[v]
+                if nw < l1:
+                    low2[v] = l1
+                    low1[v] = nw
+                elif l1 < nw < low2[v]:
+                    low2[v] = nw
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                lw, lp = low1[v], low1[p]
+                phi[tarc[v]] = 3 * lw if low2[v] < num[p] else 3 * lw + 2
+                if lw < lp:
+                    low2[p] = min(lp, low2[v])
+                    low1[p] = lw
+                elif lw == lp:
+                    if low2[v] < low2[p]:
+                        low2[p] = low2[v]
+                elif lw < low2[p]:
+                    low2[p] = lw
+                nd[p] += nd[v]
+
+    # 2. arcs in phi order with their slots; the path finder numbers
+    # vertex w as k and files its data under k. A high-point list fills
+    # from its end, so that its front, the first frond visited, is last
+    arcs: list[list[int]] = [[] for _ in range(n)]
+    slot = [0] * (3 * m)
+    for e in sorted(range(m), key=phi.__getitem__):
+        out = arcs[tail[e]]
+        slot[e] = len(out)
+        out.append(e)
+    size = n + 1
+    newnum = [0] * n
+    o2n = [0] * size
+    L1 = [0] * size
+    L2 = [0] * size
+    ND = [0] * size
+    FA = [0] * size
+    TA = [0] * size
+    DEG = [0] * size
+    A: list = [None] * size
+    HP: list = [None] * size
+    fill = [0] * size
+    orig = [0] * size
+    hpos = [-1] * (3 * m)
+    count = n
+    k = newnum[0] = o2n[1] = L1[1] = L2[1] = 1
+    ND[1], DEG[1], A[1], orig[1] = n, len(adj[0]), arcs[0], svs[0]
+    fill[1] = into[0]
+    HP[1] = [0] * into[0]
+    stack = [(0, 1, iter(arcs[0]))]
+    while stack:
+        v, kv, it = stack[-1]
+        nv = num[v]
+        for e in it:
+            w = head[e]
+            if num[w] > nv:
+                k = count - nd[w] + 1
+                newnum[w] = o2n[num[w]] = k
+                L1[k] = o2n[low1[w]]
+                L2[k] = o2n[low2[w]]
+                ND[k] = nd[w]
+                FA[k] = kv
+                TA[k] = e
+                DEG[k] = len(adj[w])
+                A[k] = arcs[w]
+                fill[k] = f = into[w]
+                HP[k] = [0] * f
+                orig[k] = svs[w]
+                stack.append((w, k, iter(arcs[w])))
+                break
+            kw = newnum[w]
+            p = hpos[e] = fill[kw] = fill[kw] - 1
+            HP[kw][p] = kv
+        else:
+            stack.pop()
+            if stack:
+                count -= 1
+    # real edges, then room for the virtual ones, fewer than m in all
+    src = [newnum[v] for v in tail] + [0] * (2 * m)
+    tgt = [newnum[w] for w in head] + [0] * (2 * m)
+    top = m
+
+    # 3. the path search; TSTACK holds (h, a, b) triples, and its end of
+    # segment marker has a = -1. Every path ends in a frond, so each arc
+    # starts a path but the first out of a vertex other than the root
+    ts = [_EOS]
+    es: list[int] = []
+    comps: list = []
+    v = 1
+    adjv = A[1]
+    i = 0
+    na = outv = len(adjv)
+    frames: list = []
+    while True:
+        if i < na:
+            e = adjv[i]
+            w = tgt[e]
+            if w > v:  # tree arc
+                if i or v == 1:  # the arc starts a path
+                    lw = L1[w]
+                    if ts[-1][1] > lw:
+                        y = 0
+                        while ts[-1][1] > lw:
+                            h, _, b = ts.pop()
+                            if h > y:
+                                y = h
+                        ts.append((y, lw, b))
+                    else:
+                        ts.append((w + ND[w] - 1, lw, v))
+                    ts.append(_EOS)
+                frames.append((v, adjv, na, i, outv))
+                v = w
+                adjv = A[w]
+                i = 0
+                na = outv = len(adjv)
                 continue
-            parts = _components(adj, vertices, (s, t))
-            if (s, t) in edges or len(parts) >= 3 or any(
-                    not _cut_vertices(adj, part | {s, t}, None)[0]
-                    for part in parts):
-                found[(s, t)] = parts
-    return found
+            if i:  # a frond that starts a path
+                if ts[-1][1] > w:
+                    y = 0
+                    while ts[-1][1] > w:
+                        h, _, b = ts.pop()
+                        if h > y:
+                            y = h
+                    ts.append((y, w, b))
+                else:
+                    ts.append((v, w, v))
+            es.append(e)
+            i += 1
+            continue
+        if not frames:
+            break
+        w = v
+        v, adjv, na, i, outv = frames.pop()
+        es.append(TA[w])
+
+        # type-2 pairs: a TSTACK triple (h, v, b), or a child w of degree
+        # two whose other arc is a tree arc
+        while v != 1:
+            h, a, b = ts[-1]
+            deg2 = False
+            if DEG[w] == 2:
+                for f in A[w]:
+                    if f >= 0:
+                        break
+                deg2 = tgt[f] > w
+            if a != v and not deg2:
+                break
+            if a == v and FA[b] == v:  # b is v's child: no pair
+                ts.pop()
+                continue
+            e_ab = -1
+            if deg2:
+                e1 = es.pop()
+                e2 = es.pop()
+                A[w][slot[e2]] = -1
+                x = tgt[e2]
+                ev = top
+                top += 1
+                src[ev] = v
+                tgt[ev] = x
+                DEG[x] -= 1
+                DEG[v] -= 1
+                comps.append((_POLYGON, [e1, e2, ev]))
+                if es:
+                    f = es[-1]
+                    if src[f] == x and tgt[f] == v:
+                        e_ab = es.pop()
+                        A[x][slot[e_ab]] = -1
+                        p = hpos[e_ab]
+                        if p >= 0:
+                            HP[v][p] = 0
+                            hpos[e_ab] = -1
+            else:
+                ts.pop()
+                comp = []
+                while es:
+                    f = es[-1]
+                    x, y = src[f], tgt[f]
+                    if not (a <= x <= h and a <= y <= h):
+                        break
+                    es.pop()
+                    if (x == a and y == b) or (x == b and y == a):
+                        e_ab = f
+                    else:
+                        comp.append(f)
+                        DEG[x] -= 1
+                        DEG[y] -= 1
+                        if x == v and slot[f] == i:
+                            continue  # the slot the virtual edge takes
+                    A[x][slot[f]] = -1
+                    p = hpos[f]
+                    if p >= 0:
+                        HP[y][p] = 0
+                        hpos[f] = -1
+                ev = top
+                top += 1
+                src[ev] = a
+                tgt[ev] = b
+                comp.append(ev)
+                comps.append((_RIGID if len(comp) >= 4 else _POLYGON, comp))
+                x = b
+            if e_ab >= 0:
+                ev2 = top
+                top += 1
+                src[ev2] = v
+                tgt[ev2] = x
+                comps.append((_BOND, [e_ab, ev, ev2]))
+                ev = ev2
+                DEG[x] -= 1
+                DEG[v] -= 1
+            es.append(ev)
+            adjv[i] = ev
+            slot[ev] = i
+            DEG[x] += 1
+            DEG[v] += 1
+            FA[x] = v
+            TA[x] = ev
+            w = x
+
+        # a type-1 pair {lowpt1(w), v}; below a root's child v, only
+        # while v has arcs left besides this one
+        lw = L1[w]
+        if L2[w] >= v and lw < v and (FA[v] != 1 or outv >= 2):
+            comp = []
+            hi = w + ND[w]
+            while es:
+                f = es[-1]
+                x, y = src[f], tgt[f]
+                if not (w <= x < hi or w <= y < hi):
+                    break
+                es.pop()
+                comp.append(f)
+                p = hpos[f]
+                if p >= 0:
+                    HP[y][p] = 0
+                    hpos[f] = -1
+                DEG[x] -= 1
+                DEG[y] -= 1
+            ev = top
+            top += 1
+            src[ev] = v
+            tgt[ev] = lw
+            comp.append(ev)
+            comps.append((_RIGID if len(comp) >= 4 else _POLYGON, comp))
+            if es:
+                f = es[-1]
+                x, y = src[f], tgt[f]
+                if (x == v and y == lw) or (x == lw and y == v):
+                    es.pop()
+                    if not (x == v and slot[f] == i):
+                        A[x][slot[f]] = -1
+                    ev2 = top
+                    top += 1
+                    src[ev2] = v
+                    tgt[ev2] = lw
+                    hpos[ev2] = hpos[f]
+                    comps.append((_BOND, [f, ev, ev2]))
+                    ev = ev2
+                    DEG[v] -= 1
+                    DEG[lw] -= 1
+            if lw != FA[v]:
+                es.append(ev)
+                adjv[i] = ev
+                slot[ev] = i
+                if hpos[ev] < 0:
+                    hl = HP[lw]
+                    while hl and not hl[-1]:
+                        hl.pop()
+                    if not hl or hl[-1] < v:
+                        hpos[ev] = len(hl)
+                        hl.append(v)
+                DEG[v] += 1
+                DEG[lw] += 1
+            else:
+                adjv[i] = -1
+                ev3 = top
+                top += 1
+                src[ev3] = lw
+                tgt[ev3] = v
+                f = TA[v]
+                comps.append((_BOND, [ev, ev3, f]))
+                TA[v] = ev3
+                j = slot[f]
+                A[lw][j] = ev3
+                slot[ev3] = j
+
+        if i or v == 1:
+            while ts.pop()[1] != -1:
+                pass
+        hl = HP[v]
+        while hl and not hl[-1]:
+            hl.pop()
+        hv = hl[-1] if hl else 0
+        while True:
+            h, a, b = ts[-1]
+            if a == -1 or b == v or h >= hv:
+                break
+            ts.pop()
+        outv -= 1
+        i += 1
+    if not comps:  # one triconnected component: the whole block
+        return [TriComp(tuple(svs[:3]), "R", vset, edges, frozenset())]
+    comps.append((_RIGID if len(es) >= 4 else _POLYGON, es))
+
+    # 4. merge polygons that share a virtual edge. Bonds would merge
+    # likewise, but a P-node is known by its pair alone. The polygons
+    # holding virtual edge f are home[2(f - m)] and home[2(f - m) + 1]
+    home = [-1] * (2 * (top - m))
+    for c, (kind, part) in enumerate(comps):
+        if kind == _POLYGON:
+            for f in part:
+                if f >= m:
+                    f = 2 * (f - m)
+                    home[f + (home[f] >= 0)] = c
+    done = [False] * len(comps)
+    out = []
+    for c, (kind, part) in enumerate(comps):
+        if kind == _BOND or done[c]:
+            continue
+        if kind == _POLYGON:
+            done[c] = True
+            kept = []
+            for f in part:
+                if f >= m:
+                    g = 2 * (f - m)
+                    d = home[g + 1] if done[home[g]] else home[g]
+                    if d >= 0 and not done[d]:
+                        done[d] = True
+                        part.extend(h for h in comps[d][1] if h != f)
+                        continue
+                kept.append(f)
+            part = kept
+        real = [el[f] for f in part if f < m]
+        pairs = []
+        for f in part:
+            if f >= m:
+                x, y = orig[src[f]], orig[tgt[f]]
+                pairs.append((x, y) if x < y else (y, x))
+        w = frozenset([x for e in real for x in e] +
+                      [x for e in pairs for x in e])
+        out.append(TriComp(tuple(sorted(w)[:3]),
+                           "S" if kind == _POLYGON else "R", w,
+                           frozenset(real), frozenset(pairs)))
+    return out
 
 
 def _make_block(edges: frozenset[Edge]) -> Block:
-    """One block from its edge set. A split component is biconnected, so
-    it is a cycle exactly when it has as many edges as vertices."""
+    """One block from its edge set: a bridge, a cycle (as many edges as
+    vertices) or the S and R components of `_triconnected_components`,
+    whose pairs are the block's."""
     vset = frozenset(x for e in edges for x in e)
     svs = sorted(vset)
     name = (svs[0], svs[1])
     if len(svs) < 3:
         return Block(name, vset, edges, frozenset(), (), {})
-    adj = _adjacency(vset, edges)
-    found = _block_pairs(vset, edges, adj)
-    pairs = frozenset(found)
-
-    # split the vertex set at every pair into the components' vertex sets
-    sets = [vset]
-    for (s, t), parts in found.items():
-        nxt = []
-        for w in sets:
-            if s in w and t in w:
-                groups = [part & w for part in parts if part & w]
-                if len(groups) >= 2:
-                    nxt += [frozenset(g | {s, t}) for g in groups]
-                    continue
-            nxt.append(w)
-        sets = nxt
-
-    comps: list[TriComp] = []
-    for w in sets:
-        cpairs = frozenset(p for p in pairs if p[0] in w and p[1] in w)
-        creal = frozenset(e for e in edges if e[0] in w and e[1] in w
-                          and e not in pairs)
-        kind = "S" if len(creal) + len(cpairs) == len(w) else "R"
-        comps.append(TriComp(tuple(sorted(w)[:3]), kind, w, creal, cpairs))
-    comps.sort(key=lambda c: c.name)
+    if len(edges) == len(svs):
+        comps = [TriComp(tuple(svs[:3]), "S", vset, edges, frozenset())]
+    else:
+        comps = _triconnected_components(vset, svs, edges)
+        comps.sort(key=_name)
+    pairs = frozenset().union(*(c.pairs for c in comps))
     return Block(name, vset, edges, pairs, tuple(comps), _spqr_tree(comps))
 
 

@@ -82,9 +82,11 @@ from .graph_core import (
 )
 from .rotation import (
     Embedding,
+    _orbit,
     crossing,
     cyclic_triple_query,
     euler_per_component,
+    face_name,
     opened_at,
     opened_at_least,
     stays_triconnected,
@@ -96,14 +98,27 @@ ContentKey = tuple  # (frozenset of vertices, frozenset of edges)
 # ----------------------------------------------------- derived cycle schemes
 
 def _cycle_embedding(comp: TriComp) -> Embedding:
-    """The unique rotation scheme of a cycle component."""
+    """The unique rotation scheme of a cycle component. Its two faces are
+    the cycle walked each way from its least vertex, so one walk gives
+    both, with no face trace."""
     nbrs: dict[Vertex, list[Vertex]] = {}
     for u, v in comp.real_edges | comp.pairs:
         nbrs.setdefault(u, []).append(v)
         nbrs.setdefault(v, []).append(u)
     assert all(len(ws) == 2 for ws in nbrs.values()), \
         f"component {comp.name} is not a cycle"
-    return Embedding(nbrs)
+    rot = {x: tuple(ws) for x, ws in nbrs.items()}
+    first = min(rot)
+    walk = [first]
+    prev, x = first, rot[first][0]
+    while x != first:
+        walk.append(x)
+        a, b = rot[x]
+        prev, x = x, b if a == prev else a
+    assert len(walk) == len(rot), f"component {comp.name} is not one cycle"
+    ahead, back = tuple(walk), (first, *walk[:0:-1])
+    faces = (ahead, back) if ahead < back else (back, ahead)
+    return Embedding._made(rot, faces, min(faces, key=face_name))
 
 
 def _content_key(comp: TriComp) -> ContentKey:
@@ -368,10 +383,11 @@ class Engine:
             emb = fused.with_edge(u, v, fused.common_face(window_verts))
         else:
             emb = self.comp_embs[comps[0]].with_edge(u, v, bd)
-        sides = [set(bd) for bd in emb.faces
-                 if u in bd and v in bd and crossing(bd, (u, v))]
-        assert len(sides) == 2, "the new edge must border two faces"
-        side_a, side_b = sides
+        # the two faces at u-v, each simple, so the edge borders two faces
+        f1, f2 = _orbit(emb.rot, u, v), _orbit(emb.rot, v, u)
+        side_a, side_b = set(f1), set(f2)
+        assert len(side_a) == len(f1) and len(side_b) == len(f2), \
+            "the new edge must border two faces"
         assert side_a | side_b == window_verts and side_a & side_b == {u, v}, \
             "the new edge must split the window faces into two arcs"
         tops = {x for x in pair_verts if colours[x] == 0}

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import time
 
 import pytest
 
@@ -22,6 +24,7 @@ from dynplanar.oracle import (
     static_decomposition,
     tree_path,
 )
+from reference_blocks import reference_block
 
 BOWTIE = [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)]
 K4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
@@ -304,11 +307,12 @@ def test_grid_changes_inside_the_rigid_component_search_no_pairs(
         monkeypatch):
     """On a triangulated 5x6 grid, deleting and re-inserting an interior
     edge away from the corners keeps the one rigid component rigid, so
-    no separating-pair search runs; deleting 0-7 drops vertex 0 to
-    degree two, which makes {1, 6} a pair, so the search runs. Either
-    way the engine ends as a fresh engine loaded with its edges."""
+    no path search for the block's components runs; deleting 0-7 drops
+    vertex 0 to degree two, which makes {1, 6} a pair, so the search
+    runs. Either way the engine ends as a fresh engine loaded with its
+    edges."""
     calls = []
-    search = decomposition._block_pairs
+    search = decomposition._triconnected_components
 
     def counted(*args):
         calls.append(args)
@@ -318,7 +322,7 @@ def test_grid_changes_inside_the_rigid_component_search_no_pairs(
     eng = Engine(30)
     for e in edges:
         assert eng.insert_edge(*e).status == ACCEPTED
-    monkeypatch.setattr(decomposition, "_block_pairs", counted)
+    monkeypatch.setattr(decomposition, "_triconnected_components", counted)
 
     def searches(*changes):
         calls.clear()
@@ -334,3 +338,112 @@ def test_grid_changes_inside_the_rigid_component_search_no_pairs(
     assert searches((eng.delete_edge, 8, 15), (eng.insert_edge, 8, 15)) == 0
     assert searches((eng.delete_edge, 0, 7)) > 0
     assert eng.graph.is_separating_pair(1, 6)
+
+
+# ------------------------------------------------------- the block builder
+
+def _stacked_planar(rng, n, keep):
+    """A random planar graph on 0..n-1: a stacked triangulation (each new
+    vertex joined to the three corners of a random face) with each edge
+    kept at rate `keep`."""
+    faces = [(0, 1, 2), (0, 2, 1)]
+    edges = [(0, 1), (0, 2), (1, 2)]
+    for x in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        faces += [(a, b, x), (b, c, x), (c, a, x)]
+        edges += [(a, x), (b, x), (c, x)]
+    return [e for e in edges if rng.random() < keep]
+
+
+def _series_parallel(rng, steps):
+    """A random series-parallel graph: the edge 0-1 with each step either
+    subdividing an edge or adding a two-edge path beside it."""
+    edges = [(0, 1)]
+    for x in range(2, steps + 2):
+        i = rng.randrange(len(edges))
+        u, v = edges[i]
+        if rng.random() < 0.5:
+            edges[i] = (u, x)
+        else:
+            edges.append((u, x))
+        edges.append((x, v))
+    return edges
+
+
+def _k4_ring(rng, m, chords):
+    """m K4 gadgets on 4i..4i+3, gadget i's vertex 4i+1 linked to the
+    next gadget's 4(i+1), plus random chords between gadgets."""
+    edges = [(4 * i + a, 4 * i + b) for i in range(m)
+             for a in range(4) for b in range(a + 1, 4)]
+    edges += [(4 * i + 1, 4 * (i + 1) % (4 * m)) for i in range(m)]
+    for _ in range(chords):
+        i, j = rng.sample(range(m), 2)
+        edges.append((4 * i + rng.randrange(4), 4 * j + rng.randrange(4)))
+    return edges
+
+
+def test_path_search_blocks_equal_the_reference_builder():
+    """`_make_block`'s linear path search builds the same block, SPQR
+    tree included, as the quadratic builder that splits the vertex set
+    at every pair a cut-vertex search of B - s finds. Seeded random
+    planar graphs at 3-14 and 10-30 vertices, series-parallel graphs,
+    triangulated grids less random edges and K4 rings with chords, each
+    relabelled at random; every block of three or more vertices is
+    built both ways. The cases must hold blocks with three or more
+    pairs, P-nodes holding a real edge, and R components adjacent to an
+    R and to an S component."""
+    rng = random.Random(18)
+    seen = {"3+ pairs": 0, "P with real edge": 0, "R-R": 0, "S-R": 0}
+    graphs = []
+    for _ in range(250):
+        graphs.append(_stacked_planar(rng, rng.randint(3, 14),
+                                      rng.uniform(0.5, 0.95)))
+    for _ in range(60):
+        graphs.append(_stacked_planar(rng, rng.randint(10, 30),
+                                      rng.uniform(0.6, 0.95)))
+    for _ in range(150):
+        graphs.append(_series_parallel(rng, rng.randint(2, 25)))
+    for _ in range(60):
+        edges, _ = triangulated_grid(rng.randint(2, 6), rng.randint(2, 6))
+        graphs.append([e for e in edges if rng.random() < 0.8])
+    for _ in range(60):
+        graphs.append([e for e in _k4_ring(rng, rng.randint(2, 6),
+                                           rng.randint(0, 3))
+                       if rng.random() < 0.9])
+    for edges in graphs:
+        labels = rng.sample(range(200), 200)
+        edges = {(labels[u], labels[v]) for u, v in edges if u != v}
+        for blk in state(200, edges).blocks:
+            if blk.is_bridge:
+                continue
+            got, want = _make_block(blk.edges), reference_block(blk.edges)
+            assert got == want and got.tree == want.tree, sorted(blk.edges)
+            seen["3+ pairs"] += len(got.pairs) >= 3
+            seen["P with real edge"] += any(p in got.edges
+                                            for p in got.pairs)
+            for nd, nbrs in got.tree.items():
+                if nd[0] == "P":
+                    kinds = [c[0] for c in nbrs]
+                    seen["R-R"] += kinds.count("R") >= 2
+                    seen["S-R"] += "R" in kinds and "S" in kinds
+    assert seen["3+ pairs"] >= 100 and seen["P with real edge"] >= 100 \
+        and seen["R-R"] >= 20 and seen["S-R"] >= 100, seen
+
+
+def test_deep_blocks_build_without_recursion():
+    """A 2 x 2000 ladder (1998 pairs, its 1999 squares each an S
+    component) and a wheel of 3000 rim vertices (one R component, no
+    pairs) build under a recursion limit below their DFS depth, in
+    under two seconds of CPU time together."""
+    assert sys.getrecursionlimit() < 2000
+    start = time.process_time()
+    k = 2000
+    ladder = [(i, i + 1) for i in range(k - 1)] + \
+        [(k + i, k + i + 1) for i in range(k - 1)] + \
+        [(i, k + i) for i in range(k)]
+    (blk,) = state(2 * k, ladder).blocks
+    assert len(blk.pairs) == k - 2 and len(blk.comps) == k - 1
+    assert all(c.kind == "S" and len(c.vertices) == 4 for c in blk.comps)
+    (blk,) = state(3001, _wheel(0, range(1, 3001))).blocks
+    assert not blk.pairs and [c.kind for c in blk.comps] == ["R"]
+    assert time.process_time() - start < 2.0

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from dynplanar import decomposition, engine, rotation
-from dynplanar.decomposition import _cut_vertices
+from dynplanar.decomposition import TriComp
 from dynplanar.engine import Engine, insert_ok
 from dynplanar.graph_core import (
     ACCEPTED,
@@ -16,6 +16,7 @@ from dynplanar.graph_core import (
     REJECTED_NONPLANAR,
     DomainError,
     GraphError,
+    canonical_edge,
 )
 from dynplanar.oracle import (
     dump_decomposition,
@@ -24,6 +25,7 @@ from dynplanar.oracle import (
     validate_rotation,
 )
 from dynplanar.rotation import Embedding, euler_per_component
+from reference_blocks import cut_vertices
 
 K4_ORDER = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 K4_ORDER_0 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -593,7 +595,7 @@ def _graph_three_connected(vertices, adj) -> bool:
     if len(vertices) < 4:
         return False
     for x in vertices:
-        cuts, trees = _cut_vertices(adj, vertices, x)
+        cuts, trees = cut_vertices(adj, vertices, x)
         if cuts or trees != 1:
             return False
     return True
@@ -619,6 +621,29 @@ def test_face_rule_agrees_with_the_connectivity_search(monkeypatch):
     monkeypatch.setattr(engine, "stays_triconnected", checked)
     rigid_change_runs()
     assert min(verdicts.values()) >= 500, verdicts
+
+
+def test_cycle_embeddings_equal_traced_ones():
+    """A cycle component's embedding, derived by walking the cycle once,
+    has the rotation, faces and outer face of the embedding traced from
+    the same rotation scheme, for cycles of 3 to 40 vertices under
+    shuffled labels and any split of their edges into real and virtual."""
+    rng = random.Random(18)
+    for k in range(3, 41):
+        for _ in range(5):
+            ring = rng.sample(range(100), k)
+            edges = [canonical_edge(ring[i - 1], ring[i]) for i in range(k)]
+            rng.shuffle(edges)
+            cut = rng.randint(0, k)
+            comp = TriComp(tuple(sorted(ring)[:3]), "S", frozenset(ring),
+                           frozenset(edges[:cut]), frozenset(edges[cut:]))
+            nbrs: dict = {}
+            for u, v in comp.real_edges | comp.pairs:
+                nbrs.setdefault(u, []).append(v)
+                nbrs.setdefault(v, []).append(u)
+            emb, fresh = engine._cycle_embedding(comp), Embedding(nbrs)
+            assert (emb.rot, emb.faces, emb.outer) == \
+                (fresh.rot, fresh.faces, fresh.outer), comp
 
 
 def test_edited_embeddings_equal_embeddings_built_from_scratch(monkeypatch):
@@ -651,9 +676,9 @@ def test_rigid_changes_off_the_rim_search_no_cuts_and_trace_nothing(
     """On a triangulated k x k grid, deleting an edge whose ends are both
     off the rim leaves the one rigid component rigid, and re-inserting
     it splits the merged face. Both changes are decided and applied on
-    the faces at the edge, so neither runs a cut-vertex search or traces
-    a whole embedding, however large the grid; and the engine dumps as a
-    fresh engine loaded with its edges.
+    the faces at the edge, so neither builds a block's components or
+    traces a whole embedding, however large the grid; and the engine
+    dumps as a fresh engine loaded with its edges.
 
     Each change also writes, by identity against the predecessor's, no
     entry of the vertex index of blocks and the entries at the edge's
@@ -667,7 +692,7 @@ def test_rigid_changes_off_the_rim_search_no_cuts_and_trace_nothing(
     eng = build(k * k, edges)
     start = eng.dump()
     less_first = build(k * k, [e for e in edges if e != inner[0]]).dump()
-    calls = {"cut searches": 0, "traces": 0}
+    calls = {"block builds": 0, "traces": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -687,8 +712,9 @@ def test_rigid_changes_off_the_rim_search_no_cuts_and_trace_nothing(
                 + sum(x not in new for x in before[key])
                 for key, new in after.items()}
 
-    monkeypatch.setattr(decomposition, "_cut_vertices",
-                        counting("cut searches", decomposition._cut_vertices))
+    monkeypatch.setattr(
+        decomposition, "_triconnected_components",
+        counting("block builds", decomposition._triconnected_components))
     monkeypatch.setattr(rotation, "trace_orbits",
                         counting("traces", rotation.trace_orbits))
     two_ends = {"_blocks_of_vertex": 0, "block_rots": 2, "real_rots": 2,
@@ -696,13 +722,13 @@ def test_rigid_changes_off_the_rim_search_no_cuts_and_trace_nothing(
     for e in inner:
         before = indices()
         assert eng.delete_edge(*e).status == ACCEPTED
-        assert calls == {"cut searches": 0, "traces": 0}, ("delete", e)
+        assert calls == {"block builds": 0, "traces": 0}, ("delete", e)
         assert written(indices(), before) == two_ends, ("delete", e)
         if e == inner[0]:
             assert eng.dump() == less_first
         before = indices()
         assert eng.insert_edge(*e).status == ACCEPTED
-        assert calls == {"cut searches": 0, "traces": 0}, ("insert", e)
+        assert calls == {"block builds": 0, "traces": 0}, ("insert", e)
         assert written(indices(), before) == two_ends, ("insert", e)
         assert eng.dump() == start, e
 

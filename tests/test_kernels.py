@@ -1,19 +1,15 @@
 """Connectivity kernels: the engine's queries and the oracle's union-find
 kernel must describe the same components, the table kernel holds past
-64 vertices, and the cut-vertex search agrees with the lowpoint search
-that collects blocks."""
+64 vertices, and the reference builder's cut-vertex search agrees with
+the lowpoint search that collects blocks."""
 from __future__ import annotations
 
 import random
 
 from dynplanar.connectivity import ConnTables
-from dynplanar.decomposition import (
-    DecompositionState,
-    _adjacency,
-    _cut_vertices,
-    _lowpoint,
-)
+from dynplanar.decomposition import DecompositionState, _adjacency, _lowpoint
 from dynplanar.oracle import _orakern_py
+from reference_blocks import cut_vertices
 
 
 def _random_graph(rng, n):
@@ -51,7 +47,7 @@ def test_cut_vertex_search_agrees_with_the_lowpoint_search():
         vertices = frozenset(range(n))
         adj = _adjacency(vertices, _random_graph(rng, n))
         for x in vertices:
-            assert _cut_vertices(adj, vertices, x) == \
+            assert cut_vertices(adj, vertices, x) == \
                 _lowpoint(adj, vertices - {x})[1:]
         part = frozenset(rng.sample(sorted(vertices), rng.randint(1, n)))
-        assert _cut_vertices(adj, part, None) == _lowpoint(adj, part)[1:]
+        assert cut_vertices(adj, part, None) == _lowpoint(adj, part)[1:]
