@@ -21,7 +21,7 @@ from collections import Counter
 
 from .coherence import is_coherent
 from .decomposition import DecompositionState
-from .engine import Engine, _real_rotation
+from .engine import Engine
 from .graph_core import (
     ACCEPTED,
     DELETE,
@@ -58,10 +58,10 @@ def check_state(eng: Engine) -> list[str]:
     vertices in two or more blocks, at any size, and bit-exact
     equivalence with the static oracle within its budget or the
     oracle's certificate past it; embedding validity of every component,
-    block, and the whole graph; every block rotation and its real-edge
-    part against a rebuild from the component embeddings, and the graph
-    rotation against a rebuild from the block parts; and coherence plus
-    opposite pair colours of every stored path.
+    block, and the whole graph; every block rotation against a rebuild
+    from the component embeddings, and the graph rotation against a
+    rebuild from the block rotations; and coherence plus opposite pair
+    colours of every stored path.
     """
     out: list[str] = []
     decomp = eng.decomp
@@ -105,23 +105,19 @@ def check_state(eng: Engine) -> list[str]:
         if not ok:
             out.append(f"block {name} fails rotation validation")
     for blk in decomp.blocks:
+        if blk.is_bridge:
+            continue
         try:
-            rebuilt = None if blk.is_bridge \
-                else Engine._assemble_block(eng.comp_embs, blk)
-            real = _real_rotation(blk, rebuilt)
+            rebuilt = Engine._assemble_block(eng.comp_embs, blk)
         except (AssertionError, KeyError, ValueError) as exc:
             out.append(f"block {blk.name} cannot be rebuilt: {exc!r}")
             continue
-        if rebuilt is not None:
-            rot = eng.block_rots.get(blk.name, {})
-            if rot.keys() != rebuilt.keys() or any(
-                    opened_at_least(rot[x]) != opened_at_least(seq)
-                    for x, seq in rebuilt.items()):
-                out.append(f"block {blk.name}: block rotation differs from "
-                           "a rebuild")
-        if eng.real_rots.get(blk.name) != real:
-            out.append(f"block {blk.name}: real rotation differs from a "
-                       "rebuild")
+        rot = eng.block_rots.get(blk.name, {})
+        if rot.keys() != rebuilt.keys() or any(
+                opened_at_least(rot[x]) != opened_at_least(seq)
+                for x, seq in rebuilt.items()):
+            out.append(f"block {blk.name}: block rotation differs from "
+                       "a rebuild")
     try:
         ok = validate_rotation(edges, eng.graph_rot)
     except ValueError as exc:
@@ -130,7 +126,7 @@ def check_state(eng: Engine) -> list[str]:
     if not ok:
         out.append("graph rotation fails validation")
     try:
-        rebuilt = Engine._assemble_graph(decomp, eng.real_rots)
+        rebuilt = Engine._assemble_graph(decomp, eng.block_rots)
     except (AssertionError, KeyError) as exc:
         out.append(f"graph rotation cannot be rebuilt: {exc!r}")
     else:

@@ -15,19 +15,22 @@ s-t paths). Canonical names depend only on vertex sets and make the
 dump byte-stable, so two states over the same edge set dump
 identically.
 
-A state is its predecessor patched: a change replaces only the blocks
-it touches and writes only their entries. The vertex and BC indices
-hold block names, so a block replaced by one of its name and vertices
-writes no vertex entry; the other replaced and created blocks rewrite
-those of their vertices. A deleted edge touches its block; an inserted
-edge touches the blocks on the BC path between its ends, which it
-merges into one, and none when it joins two components. The lowpoint
-search runs on the touched blocks' edges alone, and not at all when
-they provably form one block. Components are labelled; when an insert
-joins two or a bridge delete splits one, the smaller side, found by
-walking both sides in turn, takes the other label or a fresh one.
-Building a state from scratch is the same patch of the empty state
-with every edge touched.
+A state stores two block indices, blocks by name and block names by
+vertex, with the component labels and the set of separating pairs. The
+block list, the cut vertices (the vertices in two or more blocks) and
+the BC forest are read off the two indices. A state is its predecessor
+patched: a change replaces only the blocks it touches and writes only
+their entries. The vertex index holds block names, so a block replaced
+by one of its name and vertices writes no vertex entry; the other
+replaced and created blocks rewrite those of their vertices. A deleted
+edge touches its block; an inserted edge touches the blocks on the BC
+path between its ends, which it merges into one, and none when it joins
+two components. The lowpoint search runs on the touched blocks' edges
+alone, and not at all when they provably form one block. Components are
+labelled; when an insert joins two or a bridge delete splits one, the
+smaller side, found by walking both sides in turn, takes the other label
+or a fresh one. Building a state from scratch is the same patch of the
+empty state with every edge touched.
 
 A block's pairs and components depend only on the block's own edges.
 A block with as many edges as vertices is a cycle, one S component
@@ -43,15 +46,13 @@ component's embedding decides that from the two faces at the edge and
 passes the verdict in; a deletion handed no verdict rebuilds its
 block. Every other new block is built from its edges.
 
-Node references used by the path operations:
+SPQR-tree nodes, as the path operations name them:
 
-    BC   nodes: ("B", (a, b))  block   /  ("C", v)      cut vertex
-    SPQR nodes: ("P", (s, t))  pair    /  ("S"|"R", (x, y, z)) component
+    ("P", (s, t))  pair    /  ("S"|"R", (x, y, z)) component
 """
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -61,7 +62,6 @@ from .graph_core import DomainError, Edge, GraphError, Vertex, canonical_edge
 
 BlockName = tuple[int, int]
 TriName = tuple[int, int, int]
-BCNode = tuple  # ("B", BlockName) | ("C", Vertex)
 SpqrNode = tuple  # ("P", Edge) | (kind, TriName)
 
 
@@ -226,8 +226,7 @@ _name = attrgetter("name")
 _labels = itertools.count()  # component labels, fresh across all states
 # the block indices of a state without blocks, which every build patches
 _NO_BLOCKS = SimpleNamespace(
-    blocks=(), cut_vertices=frozenset(), _block_by_name={},
-    _blocks_of_vertex={}, _bc_adj={}, _pairs=frozenset())
+    _block_by_name={}, _blocks_of_vertex={}, _pairs=frozenset())
 
 
 _BOND, _POLYGON, _RIGID = 0, 1, 2  # kinds of split components
@@ -757,122 +756,77 @@ class DecompositionState:
     """Snapshot of blocks, cut vertices, pairs, and triconnected comps."""
 
     __slots__ = (
-        "n", "edges", "blocks", "cut_vertices", "_comp_of",
-        "_block_by_name", "_blocks_of_vertex", "_bc_adj", "_pairs",
-        "replaced", "created",
+        "n", "edges", "_comp_of", "_block_by_name", "_blocks_of_vertex",
+        "_pairs", "replaced", "created",
     )
 
     def __init__(self, n: int, edges: frozenset[Edge],
-                 blocks: tuple[Block, ...], cut_vertices: frozenset[Vertex],
-                 comp_of: dict[Vertex, int]):
+                 blocks: tuple[Block, ...], comp_of: dict[Vertex, int]):
         """A state of the given parts, indexed as the patch of no blocks
         that adds every block."""
         self.n = n
         self.edges = edges
         self._comp_of = comp_of
         self._index(_NO_BLOCKS, (), blocks)
-        assert self.cut_vertices == cut_vertices, \
-            "cut vertices disagree with block membership counts"
+
+    @property
+    def blocks(self) -> tuple[Block, ...]:
+        """The blocks in name order."""
+        by_name = self._block_by_name
+        return tuple(by_name[name] for name in sorted(by_name))
+
+    @property
+    def cut_vertices(self) -> frozenset[Vertex]:
+        """The vertices in two or more blocks."""
+        return frozenset(x for x, names in self._blocks_of_vertex.items()
+                         if len(names) >= 2)
 
     def _index(self, base, removed, added) -> None:
-        """Set the blocks, cut vertices and block indices to base's less
-        the `removed` blocks plus the `added` ones, and note both as the
-        blocks this state replaced and created. Only the entries of
-        those blocks and of the vertices whose blocks change are written.
+        """Set the block indices to base's less the `removed` blocks plus
+        the `added` ones, and note both as the blocks this state replaced
+        and created. Only the entries of those blocks and of their
+        vertices are written.
 
-        The vertex and BC indices hold block names, so a block replaced
-        by one of its name and vertices (a change inside a block that
-        stays one) writes its `_block_by_name` entry alone. A vertex is a
-        cut vertex exactly when it lies in two or more blocks, so only
-        the vertices of the other removed and added blocks can change
-        status, and only the blocks at a vertex that did can gain or
-        lose a BC-tree edge.
+        The vertex index holds block names, so a block replaced by one
+        of its name and vertices (a change inside a block that stays
+        one) writes its `_block_by_name` entry alone, and the vertex
+        index is shared with base when every added block is such a one.
         """
         by_name = dict(base._block_by_name)
         for b in removed:
             del by_name[b.name]
-        kept = set()
-        for b in added:
-            old = base._block_by_name.get(b.name)
-            # a derived block holds its predecessor's vertex set itself
-            if old is not None and (old.vertices is b.vertices
-                                    or old.vertices == b.vertices):
-                kept.add(b.name)
         by_name.update((b.name, b) for b in added)
-        blocks = list(base.blocks)
-        for b in removed:
-            i = bisect_left(blocks, b.name, key=_name)
-            assert blocks[i] is b, f"replaced block {b.name} is no block"
-            if b.name in kept:
-                blocks[i] = by_name[b.name]
-            else:
-                del blocks[i]
-        for b in added:
-            if b.name not in kept:
-                insort(blocks, b, key=_name)
-
+        old = base._block_by_name
+        # a derived block holds its predecessor's vertex set itself
+        kept = {b.name for b in added if b.name in old and (
+            old[b.name].vertices is b.vertices
+            or old[b.name].vertices == b.vertices)}
         out = [b for b in removed if b.name not in kept]
         into = [b for b in added if b.name not in kept]
-        at, bc, cuts = base._blocks_of_vertex, base._bc_adj, base.cut_vertices
+        at = base._blocks_of_vertex
         if out or into:
-            at, bc, cuts = self._reindex(base, out, into)
+            gone = {b.name for b in out}
+            verts = {x for b in (*out, *into) for x in b.vertices}
+            at = dict(at)
+            for x in verts:
+                at[x] = [name for name in at.get(x, ()) if name not in gone]
+            for b in into:
+                for x in b.vertices:
+                    at[x].append(b.name)
+            for x in verts:
+                if not at[x]:
+                    del at[x]
+                else:
+                    at[x].sort()
 
         lost = frozenset().union(*(b.pairs for b in removed))
         got = frozenset().union(*(b.pairs for b in added))
-        self.blocks = tuple(blocks)
-        self.cut_vertices = cuts
         self._block_by_name = by_name
         self._blocks_of_vertex = at
-        self._bc_adj = bc
         self._pairs = base._pairs if lost == got \
             else (base._pairs - lost) | got
         self.replaced = tuple(removed)
         self.created = tuple(added)
-
-    @staticmethod
-    def _reindex(base, out, into):
-        """base's vertex index, BC adjacency and cut vertices less the
-        `out` blocks plus the `into` ones, written only at their
-        vertices and at the blocks around a vertex that changes status."""
-        gone = {b.name for b in out}
-        verts = {x for b in (*out, *into) for x in b.vertices}
-        at = dict(base._blocks_of_vertex)
-        for x in verts:
-            at[x] = [name for name in at.get(x, ()) if name not in gone]
-        for b in into:
-            for x in b.vertices:
-                at[x].append(b.name)
-        was_cut = base.cut_vertices
-        flips = set()
-        for x in verts:
-            here = at[x]
-            if len(here) > 1:
-                here.sort()
-            elif not here:
-                del at[x]
-            if (x in was_cut) != (len(here) >= 2):
-                flips.add(x)
-        cuts = was_cut ^ flips if flips else was_cut
-
-        bc = dict(base._bc_adj)
-        for name in gone:
-            del bc[("B", name)]
-        for x in verts:
-            if x in cuts:
-                bc[("C", x)] = [("B", name) for name in at[x]]
-            elif x in was_cut:
-                del bc[("C", x)]
-        new = {b.name for b in into}
-        for x in flips:
-            for name in at.get(x, ()):
-                if name not in new:
-                    nbrs = [c for c in bc[("B", name)] if c[1] != x]
-                    if x in cuts:
-                        insort(nbrs, ("C", x))
-                    bc[("B", name)] = nbrs
-        for b in into:
-            bc[("B", b.name)] = [("C", w) for w in sorted(b.vertices & cuts)]
-        return at, bc, cuts
 
     # ---------------------------------------------------------- construction
 
@@ -897,7 +851,7 @@ class DecompositionState:
         other block is kept.
         """
         base = carry_from if carry_from is not None \
-            else cls(n, frozenset(), (), frozenset(), {})
+            else cls(n, frozenset(), (), {})
         if edge is None:
             eset = frozenset(canonical_edge(u, v) for (u, v) in edges)
             diff = eset ^ base.edges
@@ -1007,20 +961,24 @@ class DecompositionState:
         return comp_of
 
     def with_edge(self, u: Vertex, v: Vertex) -> DecompositionState:
+        """The state plus u-v; this state when it holds u-v already."""
         e = canonical_edge(u, v)
+        if e in self.edges:
+            return self
         return DecompositionState.from_edges(
-            self.n, self.edges | {e}, self,
-            edge=None if e in self.edges else e)
+            self.n, self.edges | {e}, self, edge=e)
 
     def without_edge(self, u: Vertex, v: Vertex,
                      stays_rigid: bool | None = None) -> DecompositionState:
-        """The state less u-v. When u-v is a real edge of a rigid
-        component, `stays_rigid` says whether that component stays
-        triconnected without it; None rebuilds the edge's block."""
+        """The state less u-v; this state when it lacks u-v. When u-v is
+        a real edge of a rigid component, `stays_rigid` says whether that
+        component stays triconnected without it; None rebuilds the
+        edge's block."""
         e = canonical_edge(u, v)
+        if e not in self.edges:
+            return self
         return DecompositionState.from_edges(
-            self.n, self.edges - {e}, self, stays_rigid,
-            e if e in self.edges else None)
+            self.n, self.edges - {e}, self, stays_rigid, e)
 
     def connected(self, u: Vertex, v: Vertex) -> bool:
         """True iff u and v lie in one component (u == u counts)."""
@@ -1041,7 +999,7 @@ class DecompositionState:
 
     def is_cut_vertex(self, w: Vertex) -> bool:
         self.check_vertex(w)
-        return w in self.cut_vertices
+        return len(self._blocks_of_vertex.get(w, ())) >= 2
 
     def blocks_at(self, v: Vertex) -> list[Block]:
         """The blocks holding v, in name order."""
@@ -1080,22 +1038,40 @@ class DecompositionState:
 
     def bc_path_blocks(self, a: Vertex, b: Vertex):
         """Blocks B_0..B_r and chain vertices w_0=a,..,w_{r+1}=b between
-        two connected vertices: consecutive chain vertices share B_i."""
+        two connected vertices: consecutive chain vertices share B_i.
+
+        The walk goes breadth first from the blocks at a, block to block
+        through the cut vertices, and stops at the first block holding
+        b. The BC forest is a tree on each component, so every other
+        block at b lies beyond that one, and the cut vertex through which
+        each block on the path was first reached is the chain vertex
+        before it."""
         self.check_vertex(a, b)
         if a == b or not self.connected(a, b):
             raise GraphError(f"vertices {a} and {b} must differ and connect")
-        start: BCNode = ("C", a) if a in self.cut_vertices \
-            else ("B", self._blocks_of_vertex[a][0])
-        goal: BCNode = ("C", b) if b in self.cut_vertices \
-            else ("B", self._blocks_of_vertex[b][0])
-        path = _tree_path(self._bc_adj, start, goal)
-        assert path is not None, "connected vertices share a BC tree"
-        blocks = [self._block_by_name[x[1]] for x in path if x[0] == "B"]
-        chain = [a] + [x[1] for x in path if x[0] == "C" and x[1] not in (a, b)]
-        chain.append(b)
-        assert len(chain) == len(blocks) + 1
-        for i, blk in enumerate(blocks):
-            assert chain[i] in blk.vertices and chain[i + 1] in blk.vertices
+        at, by_name = self._blocks_of_vertex, self._block_by_name
+        queue = list(at[a])
+        came = dict.fromkeys(queue)  # block -> (block before, cut vertex)
+        for name in queue:  # the queue grows as the walk reaches blocks
+            blk = by_name[name]
+            if b in blk.vertices:
+                break
+            for w in blk.vertices:
+                if len(at[w]) >= 2:
+                    for nxt in at[w]:
+                        if nxt not in came:
+                            came[nxt] = (name, w)
+                            queue.append(nxt)
+        else:
+            raise AssertionError("connected vertices share a BC tree")
+        blocks, chain = [blk], [b]
+        while came[name] is not None:
+            name, w = came[name]
+            blocks.append(by_name[name])
+            chain.append(w)
+        chain.append(a)
+        blocks.reverse()
+        chain.reverse()
         return blocks, chain
 
     # ------------------------------------------------------------ SPQR walks
@@ -1121,13 +1097,14 @@ class DecompositionState:
         return None
 
     def spqr_path(self, w1: SpqrNode, w2: SpqrNode) -> list[SpqrNode]:
-        """Path w1..w2 in the SPQR tree of the block holding both."""
-        for blk in self.blocks:
-            if w1 in blk.tree:
-                if w2 not in blk.tree:
-                    raise GraphError("SPQR-tree nodes lie in different blocks")
-                return _tree_path(blk.tree, w1, w2)
-        raise GraphError(f"no SPQR-tree node {w1!r}")
+        """Path w1..w2 in the SPQR tree of the block holding both, the
+        block that holds the first two vertices of w1's name."""
+        blk = self._shared_block(*w1[1][:2])
+        if blk is None or w1 not in blk.tree:
+            raise GraphError(f"no SPQR-tree node {w1!r}")
+        if w2 not in blk.tree:
+            raise GraphError("SPQR-tree nodes lie in different blocks")
+        return _tree_path(blk.tree, w1, w2)
 
     # ---------------------------------------------------------------- levels
 
@@ -1148,16 +1125,18 @@ class DecompositionState:
     # ------------------------------------------------------------------ dump
 
     def dump(self) -> str:
+        """The BC forest and each block's SPQR tree, every part sorted
+        as text, so the order in which blocks are read does not show."""
         lines = ["bc-tree"]
-        node_lines = [f"node B({b.name[0]},{b.name[1]})" for b in self.blocks]
-        node_lines += [f"node C({v})" for v in self.cut_vertices]
+        cuts = [(v, names) for v, names in self._blocks_of_vertex.items()
+                if len(names) >= 2]
+        node_lines = [f"node B({x},{y})" for x, y in self._block_by_name]
+        node_lines += [f"node C({v})" for v, _ in cuts]
         lines += sorted(node_lines)
-        edge_lines = [f"edge B({bn[1][0]},{bn[1][1]}) C({cn[1]})"
-                      for bn, nbrs in self._bc_adj.items() if bn[0] == "B"
-                      for cn in nbrs]
-        lines += sorted(edge_lines)
+        lines += sorted(f"edge B({x},{y}) C({v})"
+                        for v, names in cuts for (x, y) in names)
         sections = []
-        for b in self.blocks:
+        for b in self._block_by_name.values():
             if not b.comps:
                 continue
             sec = [f"spqr-tree B({b.name[0]},{b.name[1]})"]

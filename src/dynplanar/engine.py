@@ -8,20 +8,19 @@ accepted change:
   2. one embedding per triconnected component,
   3. the coherent-path two-colourings per block,
   4. one rotation scheme per non-bridge block,
-  5. the whole-graph rotation scheme, concatenated at each vertex from
-     per-block real-edge rotations (the block rotation less its virtual
-     entries). A block the change keeps carries its real-edge rotation;
-     every other block derives its own once.
+  5. the whole-graph rotation scheme: at each vertex, the entries of
+     its blocks' rotations there less their virtual entries, the blocks
+     in name order; a bridge gives the edge's other end.
 
 Each is the previous one patched: `Engine._commit` walks only the blocks
 the decomposition replaced and created, and the graph rotation is
 rewritten only at their vertices. A change that derives its block (an
 edge inside one rigid component) edits that component's embedding at
 the edge's two ends; unless `canonical()` mirrors the edit, the block
-rotation, its real-edge part and the graph rotation are rewritten at
-those two vertices alone. Every other created block is assembled by
-splicing its components' rotations, and a block of one component has
-its component's rotation.
+rotation and the graph rotation are rewritten at those two vertices
+alone. Every other created block is assembled by splicing its
+components' rotations, and a block of one component has its
+component's rotation.
 
 Planarity holds by construction: every component embedding is planar
 (a traced one passed V - E + F = 2, and an edit adds or removes one
@@ -181,24 +180,19 @@ def _splices(block: Block):
                     yield child, s, t
 
 
-def _real_entries(block: Block, x: Vertex, seq) -> tuple:
-    """The block rotation's entries `seq` at x less its virtual ones,
-    opened at the least; a block without pairs has none."""
+def _real_entries(block: Block, block_rots: dict, x: Vertex) -> tuple:
+    """The block's rotation at x less its virtual entries, opened at the
+    least; a block without pairs has none, and a bridge's one entry is
+    its other end."""
+    if block.is_bridge:
+        (u, v), = block.edges
+        return (v,) if x == u else (u,)
+    seq = block_rots[block.name][x]
     if block.pairs:
         seq = tuple(w for w in seq
                     if ((x, w) if x < w else (w, x)) in block.edges)
     assert seq, "block holds a vertex with no real edge"
     return opened_at_least(seq)
-
-
-def _real_rotation(block: Block, block_rot: dict | None
-                   ) -> dict[Vertex, tuple]:
-    """The block's rotation filtered to its real edges, each vertex's
-    entries opened at the least one; a bridge has one at each end."""
-    if block.is_bridge:
-        (u, v), = block.edges
-        return {u: (v,), v: (u,)}
-    return {x: _real_entries(block, x, seq) for x, seq in block_rot.items()}
 
 
 def _far_sides(block: Block, comp: TriComp, pairs) -> dict[Edge, set]:
@@ -244,7 +238,6 @@ class Engine:
         self.comp_embs: dict[SpqrNode, Embedding] = {}
         self.colourings: dict = {}
         self.block_rots: dict = {}
-        self.real_rots: dict = {}
         self.graph_rot: dict[Vertex, tuple] = {}
         # Test hook: permutes the order of independent sub-updates.
         self._subupdate_order = None
@@ -456,8 +449,9 @@ class Engine:
         their entries patched, and only created blocks whose shape
         changed get new colourings and rotations. A derived block keeps
         its other components and their embeddings; unless `canonical()`
-        mirrored the one it edits, its block rotation, real-edge part
-        and graph rotation are patched at the edge's two ends."""
+        mirrored the one it edits, its block rotation and the graph
+        rotation are patched at the edge's two ends, where the graph
+        rotation gains or loses one entry."""
         derived = _derived_change(new_decomp)
         comp_embs = dict(self.comp_embs)
         if derived is not None:
@@ -489,42 +483,33 @@ class Engine:
             self.colourings, new_decomp, comp_embs, affected)
 
         block_rots = dict(self.block_rots)
-        real_rots = dict(self.real_rots)
         at = None if derived is None else self._edited_at(
             *derived, comp_embs, deleted or windows[0][1:3])
         if at is not None:
             blk, comp = derived
-            rot = block_rots[blk.name] = \
+            block_rots[blk.name] = \
                 self._patched_block(comp_embs, blk, comp, at)
-            was = real_rots[blk.name]
-            real = real_rots[blk.name] = dict(was)
-            step = 1 if deleted is None else -1
-            for x in at:
-                real[x] = _real_entries(blk, x, rot[x])
-                assert len(real[x]) == len(was[x]) + step, \
-                    "patched rotation misses an edge"
-            graph_rot = self._assemble_graph(new_decomp, real_rots,
+            graph_rot = self._assemble_graph(new_decomp, block_rots,
                                              self.graph_rot, at)
+            step = 1 if deleted is None else -1
+            assert all(len(graph_rot[x]) == len(self.graph_rot[x]) + step
+                       for x in at), "patched rotation misses an edge"
         else:
             for blk in new_decomp.replaced:
                 block_rots.pop(blk.name, None)
-                del real_rots[blk.name]
             for blk in new_decomp.created:
                 if not blk.is_bridge:
                     block_rots[blk.name] = \
                         self._assemble_block(comp_embs, blk) \
                         if blk.name in affected \
                         else self.block_rots[blk.name]
-                real_rots[blk.name] = _real_rotation(
-                    blk, block_rots.get(blk.name))
-            graph_rot = self._assemble_graph(new_decomp, real_rots,
+            graph_rot = self._assemble_graph(new_decomp, block_rots,
                                              self.graph_rot)
 
         self.decomp = new_decomp
         self.comp_embs = comp_embs
         self.colourings = colourings
         self.block_rots = block_rots
-        self.real_rots = real_rots
         self.graph_rot = graph_rot
 
     def _carry(self, new_decomp: DecompositionState, comp_embs: dict):
@@ -642,30 +627,28 @@ class Engine:
         return rot
 
     @staticmethod
-    def _assemble_graph(decomp: DecompositionState, real_rots: dict,
+    def _assemble_graph(decomp: DecompositionState, block_rots: dict,
                         base: dict | None = None, at=None
                         ) -> dict[Vertex, tuple]:
         """The graph rotation: at each vertex that lies in a block, the
-        real-edge rotations of its blocks concatenated in block-name
-        order; the others have none. Given `base`, the rotation of the
-        state `decomp` was patched from, it is a copy of `base` written
-        only at the vertices `at`, by default those of the blocks
-        `decomp` replaced or created; without one, it is written at
-        every vertex.
+        real entries of its blocks' rotations there (`_real_entries`),
+        concatenated in block-name order; the others have none. Given
+        `base`, the rotation of the state `decomp` was patched from, it
+        is a copy of `base` written only at the vertices `at`, by default
+        those of the blocks `decomp` replaced or created; without one,
+        it is written at every vertex.
 
-        Each block part read afresh (every part without `base`, those of
-        the created blocks with it and no `at`) must hold two entries
-        per edge of its block. Every block rotation holds each entry's
+        Each block read at all its vertices (every block without `base`,
+        the created ones with it and no `at`) must give two entries per
+        edge of the block. Every block rotation holds each entry's
         reverse and no repeated entry (an embedding's rotation does, and
         Euler's walk checks a spliced one), so that is a degree check at
-        each vertex of the block. The other parts passed when their
-        blocks were created, and a patch checks the degree at the two
-        vertices it writes, so every written vertex has as many entries
-        as edges. Euler's formula holds for the whole rotation
-        because it holds for each block rotation and genus adds over
-        blocks, so it is not checked here. The parts are stored per
-        block, so an edit of a past graph rotation reaches a later one
-        only at vertices no change touched since."""
+        each vertex of the block. The other blocks passed when they were
+        created, and a patch checks the degree at the two vertices it
+        writes, so every written vertex has as many entries as edges.
+        Euler's formula holds for the whole rotation because it holds
+        for each block rotation and genus adds over blocks, so it is not
+        checked here."""
         if base is None:
             rot: dict[Vertex, tuple] = {}
             fresh = decomp.blocks
@@ -676,18 +659,21 @@ class Engine:
             if at is None:
                 at = {x for blk in (*decomp.replaced, *fresh)
                       for x in blk.vertices}
-        assert all(sum(map(len, real_rots[blk.name].values()))
-                   == 2 * len(blk.edges) for blk in fresh), \
-            "graph rotation misses an edge"
+        read = dict.fromkeys((blk.name for blk in fresh), 0)
         for x in at:
             blocks = decomp.blocks_at(x)
-            if not blocks:
+            parts = [_real_entries(blk, block_rots, x) for blk in blocks]
+            for blk, part in zip(blocks, parts):
+                if blk.name in read:
+                    read[blk.name] += len(part)
+            if not parts:
                 rot.pop(x, None)
-            elif len(blocks) == 1:
-                rot[x] = real_rots[blocks[0].name][x]
+            elif len(parts) == 1:
+                rot[x] = parts[0]
             else:
-                rot[x] = tuple(w for blk in blocks
-                               for w in real_rots[blk.name][x])
+                rot[x] = tuple(w for part in parts for w in part)
+        assert all(read[blk.name] == 2 * len(blk.edges) for blk in fresh), \
+            "graph rotation misses an edge"
         return rot
 
     # -------------------------------------------------------------- queries

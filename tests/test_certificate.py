@@ -95,8 +95,7 @@ def test_certificate_agrees_with_the_static_oracle_on_small_states():
         assert certify_decomposition(n, st.edges, st) == []
         for old, new in _mutants(st):
             blocks = tuple(new if b is old else b for b in st.blocks)
-            bad = DecompositionState(n, st.edges, blocks, st.cut_vertices,
-                                     st._comp_of)
+            bad = DecompositionState(n, st.edges, blocks, st._comp_of)
             if bad.dump() != want:
                 assert certify_decomposition(n, st.edges, bad), bad.dump()
                 rejected += 1

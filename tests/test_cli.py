@@ -168,8 +168,9 @@ def test_check_state_flags_corrupt_rotation():
 
 def test_check_state_flags_a_block_rotation_unlike_its_rebuild():
     """Two entries swapped at one vertex of a 30-vertex grid's block
-    rotation, or of its real-edge part, differ from the rotation
-    assembled afresh from the component embeddings."""
+    rotation differ from the rotation assembled afresh from the
+    component embeddings, and swapped in the graph rotation, from the
+    graph rotation assembled from the block rotations."""
     eng = Engine(30)
     for i in range(5):
         for j in range(6):
@@ -178,15 +179,17 @@ def test_check_state_flags_a_block_rotation_unlike_its_rebuild():
                     eng.insert_edge(i * 6 + j, (i + di) * 6 + j + dj)
     assert check_state(eng) == []
     (blk,) = eng.decomp.blocks
-    block_rots, real_rots = eng.block_rots, eng.real_rots
-    for name, rots in (("block", "block_rots"), ("real", "real_rots")):
-        rot = getattr(eng, rots)[blk.name]
-        a, b, *rest = rot[8]
-        setattr(eng, rots, {**getattr(eng, rots),
-                            blk.name: {**rot, 8: (b, a, *rest)}})
-        assert f"block {blk.name}: {name} rotation differs from a " \
-            "rebuild" in check_state(eng)
-        eng.block_rots, eng.real_rots = block_rots, real_rots
+    block_rots, graph_rot = eng.block_rots, eng.graph_rot
+    rot = block_rots[blk.name]
+    a, b, *rest = rot[8]
+    eng.block_rots = {**block_rots, blk.name: {**rot, 8: (b, a, *rest)}}
+    assert f"block {blk.name}: block rotation differs from a rebuild" \
+        in check_state(eng)
+    eng.block_rots = block_rots
+    a, b, *rest = graph_rot[8]
+    eng.graph_rot = {**graph_rot, 8: (b, a, *rest)}
+    assert "graph rotation differs from a rebuild" in check_state(eng)
+    eng.graph_rot = graph_rot
     assert check_state(eng) == []
 
 
@@ -197,8 +200,7 @@ def test_check_state_flags_decomposition_desync():
     # the path's edge set, carrying the triangle's blocks and cut vertices
     tri = eng.decomp
     path = DecompositionState.from_edges(8, [(2, 3), (1, 3)])
-    eng.decomp = DecompositionState(8, path.edges, tri.blocks,
-                                    tri.cut_vertices, path._comp_of)
+    eng.decomp = DecompositionState(8, path.edges, tri.blocks, path._comp_of)
     assert any("decomposition" in v for v in check_state(eng))
 
 
@@ -206,8 +208,9 @@ def test_check_state_checks_the_decomposition_past_the_oracle_budget():
     """Past the static oracle's 20 vertices, check_state still compares
     the decomposition with a rebuild, checks that every edge lies in one
     block and that the cut vertices are the vertices in two or more
-    blocks, and certifies it: an S/R kind swap, two components merged
-    and an edge in no component are each caught."""
+    blocks, and certifies it: a vertex index that disagrees with the
+    blocks, an S/R kind swap, two components merged and an edge in no
+    component are each caught."""
     eng = Engine(30)
     for v in range(29):
         eng.insert_edge(v, v + 1)
@@ -215,20 +218,29 @@ def test_check_state_checks_the_decomposition_past_the_oracle_budget():
     assert check_state(eng) == []
     good = eng.decomp
     eng.decomp = DecompositionState(30, good.edges | {(0, 29)}, good.blocks,
-                                    good.cut_vertices, good._comp_of)
+                                    good._comp_of)
     msgs = check_state(eng)
     assert "decomposition differs from a rebuild" in msgs
     assert "edge (0, 29) lies in 0 blocks of the decomposition" in msgs
     assert "certificate: block B(0,1) is no block of the graph" in msgs
+    # a vertex index that lists vertex 5 in one of its two blocks, and
+    # one that lists it in a third block, which does not hold it
     eng.decomp = DecompositionState.from_edges(30, good.edges)
-    eng.decomp.cut_vertices = good.cut_vertices - {5}
+    at = eng.decomp._blocks_of_vertex
+    eng.decomp._blocks_of_vertex = {**at, 5: at[5][:1]}
     assert check_state(eng) == [
         "decomposition differs from a rebuild",
         "decomposition cut vertices are not the vertices in two or more "
         "blocks",
         "certificate: cut vertices " + str(sorted(good.cut_vertices - {5}))
         + " are not the DFS's " + str(sorted(good.cut_vertices)),
-        "certificate: the dump does not list the certified parts"]
+        "graph rotation cannot be rebuilt: "
+        "AssertionError('graph rotation misses an edge')"]
+    eng.decomp._blocks_of_vertex = {**at, 5: [(0, 1), *at[5]]}
+    assert check_state(eng) == [
+        "decomposition differs from a rebuild",
+        "certificate: the dump does not list the certified parts",
+        "graph rotation cannot be rebuilt: KeyError(5)"]
 
     # two K4s less 3-4 glued at the pair 3-4, then a 4-cycle, then a path
     eng = Engine(30)
@@ -247,7 +259,7 @@ def test_check_state_checks_the_decomposition_past_the_oracle_budget():
         eng.decomp = DecompositionState(
             30, good.edges,
             tuple(b for b in good.blocks if b.name not in names) + blocks,
-            good.cut_vertices, good._comp_of)
+            good._comp_of)
         return check_state(eng)
 
     msgs = corrupt(replace(glued, comps=(replace(r1, kind="S"), r2)),
@@ -385,20 +397,35 @@ def test_optimised_interpreter_answers_identically(tmp_path):
     random churn, and on a triangulated 5x5 grid whose square diagonals
     are each flipped and flipped back. Those changes delete and re-insert
     edges off the rim and at the vertices of its corner pairs, and most
-    patch the stored rotations in place of rebuilding them."""
+    patch the stored rotations in place of rebuilding them. Both traces
+    ask every kind of query; a rotation query names three neighbours of
+    a vertex, which an engine run alongside the churn supplies."""
     rng = random.Random(5)
+    ask = random.Random(6)
+    shadow = Engine(9)
     present: list = []
     lines = []
     for i in range(400):
         if present and rng.random() < 0.4:
             a, b = present.pop(rng.randrange(len(present)))
             lines.append(f"del {a} {b}")
+            shadow.delete_edge(a, b)
         else:
             a, b = sorted(rng.sample(range(9), 2))
             present.append((a, b))
             lines.append(f"add {a} {b}")
+            shadow.insert_edge(a, b)
         if i % 9 == 0:
             lines.append("pair? %d %d" % tuple(rng.sample(range(9), 2)))
+            lines += ["cut? %d" % ask.randrange(9),
+                      "block? %d %d" % tuple(ask.sample(range(9), 2)),
+                      "face? %d %d %d" % tuple(ask.sample(range(9), 3))]
+            hubs = sorted(v for v, seq in shadow.graph_rot.items()
+                          if len(seq) >= 3)
+            if hubs:
+                v = ask.choice(hubs)
+                lines.append("rot? %d %d %d %d" % (
+                    v, *ask.sample(shadow.graph_rot[v], 3)))
         if i % 40 == 0:
             lines.append("dump")
     grid = [(i * 5 + j, (i + di) * 5 + j + dj)
@@ -413,6 +440,9 @@ def test_optimised_interpreter_answers_identically(tmp_path):
             a, b, c, d = i * 5 + j, i * 5 + j + 1, i * 5 + j + 5, \
                 i * 5 + j + 6
             grid_lines += [f"del {a} {d}", f"add {b} {c}", "dump",
+                           "rot? 12 7 13 17", "rot? 12 17 13 7",
+                           f"face? {a} {b} {c}", f"face? {b} {d} {c}",
+                           f"cut? {a}", f"block? {a} {d}",
                            f"del {b} {c}", f"add {a} {d}", "dump"]
     src = str(Path(dynplanar.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -5,6 +5,7 @@ import random
 import sys
 import time
 
+import networkx as nx
 import pytest
 
 from dynplanar import decomposition
@@ -102,6 +103,83 @@ def test_bc_path_blocks():
     blocks, chain = bow.bc_path_blocks(3, 5)
     assert [b.name for b in blocks] == [(3, 4)]
     assert chain == [3, 5]
+
+
+def _block_forest(rng):
+    """A seeded forest of cycles, K4s and bridges, relabelled at random:
+    each piece is glued at one vertex to what is built, or starts a new
+    tree. The first three pieces are glued at one hub, a cut vertex of
+    three blocks. Returns the domain size, the edges and the hub."""
+    edges, n = [], 1
+    for k in range(rng.randint(8, 16)):
+        if k < 3:
+            root = 0
+        elif rng.random() < 0.15:
+            root, n = n, n + 1
+        else:
+            root = rng.randrange(n)
+        kind = rng.choice(("cycle", "k4", "bridge"))
+        size = {"cycle": rng.randint(3, 6), "k4": 4, "bridge": 2}[kind]
+        vs = [root, *range(n, n + size - 1)]
+        n += size - 1
+        if kind == "k4":
+            edges += [(x, y) for i, x in enumerate(vs) for y in vs[i + 1:]]
+        elif kind == "cycle":
+            edges += [(vs[i - 1], vs[i]) for i in range(size)]
+        else:
+            edges.append(tuple(vs))
+    label = list(range(n))
+    rng.shuffle(label)
+    return n, [(label[x], label[y]) for x, y in edges], label[0]
+
+
+def _networkx_bc_paths(g: nx.Graph):
+    """A function of a and b that gives the vertex sets of the blocks,
+    and the chain vertices, on the path from a to b in networkx's
+    block-cut tree of g."""
+    blocks = [frozenset(c) for c in nx.biconnected_components(g)]
+    cuts = set(nx.articulation_points(g))
+    tree = nx.Graph()
+    node = {}
+    for i, blk in enumerate(blocks):
+        tree.add_node(("B", i))
+        tree.add_edges_from((("B", i), ("C", x)) for x in blk & cuts)
+        node.update((x, ("C", x) if x in cuts else ("B", i)) for x in blk)
+
+    def path(a, b):
+        nodes = nx.shortest_path(tree, node[a], node[b])
+        chain = [x for kind, x in nodes if kind == "C" and x not in (a, b)]
+        return [blocks[i] for kind, i in nodes if kind == "B"], [a, *chain, b]
+    return path
+
+
+def test_bc_paths_are_networkx_block_cut_tree_paths():
+    """On seeded forests of cycles, K4s and bridges, for every pair of
+    connected vertices, the blocks and chain vertices of
+    `bc_path_blocks` are those on the path in networkx's block-cut tree;
+    a pair in two trees is refused. Some paths end at a cut vertex of
+    three blocks."""
+    hub_ends = 0
+    for seed in range(12):
+        rng = random.Random(900 + seed)
+        n, edges, hub = _block_forest(rng)
+        st = state(n, edges)
+        assert len(st.blocks_at(hub)) >= 3
+        g = nx.Graph(edges)
+        want = _networkx_bc_paths(g)
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                if not nx.has_path(g, a, b):
+                    with pytest.raises(GraphError):
+                        st.bc_path_blocks(a, b)
+                    continue
+                blocks, chain = st.bc_path_blocks(a, b)
+                assert ([blk.vertices for blk in blocks], chain) == \
+                    want(a, b), (seed, a, b)
+                hub_ends += hub in (a, b) and len(blocks) > 1
+    assert hub_ends >= 100, hub_ends
 
 
 # ----------------------------------------------------------------- SPQR ops
@@ -256,6 +334,26 @@ def triangulated_grid(rows, cols):
                         or (dj == 0 and j in (0, cols - 1))):
                     interior.append(e)
     return edges, interior
+
+
+def test_a_present_insert_or_an_absent_delete_returns_the_state(
+        monkeypatch):
+    """Adding an edge the state holds, or removing one it lacks, returns
+    the state itself and builds no block, on the triangulated 5x6 grid
+    whose one block holds 69 edges."""
+    edges, _ = triangulated_grid(5, 6)
+    st = state(30, edges)
+    builds = []
+    monkeypatch.setattr(decomposition, "_make_block",
+                        lambda *args: builds.append(args))
+    for u, v in edges:
+        assert st.with_edge(u, v) is st and st.with_edge(v, u) is st
+    for u in range(30):
+        for v in range(u + 1, 30):
+            if (u, v) not in st.edges:
+                assert st.without_edge(u, v) is st
+                assert st.without_edge(v, u, True) is st
+    assert builds == []
 
 
 def test_derived_blocks_equal_blocks_built_from_scratch(monkeypatch):

@@ -333,20 +333,18 @@ def test_shared_rim_edge_change_rebuilds_the_graph_rotation():
 
 def test_graph_assembly_catches_a_missing_edge():
     """K4 plus a pendant edge, with both entries of 0-1 left out of the
-    K4 block's real-edge rotation: what is left is still a planar
-    rotation scheme, so only the edge count can tell."""
+    K4 block's rotation: what is left is still a planar rotation scheme,
+    so only the edge count can tell."""
     eng = build(5, K4_ORDER_0 + [(3, 4)])
-    real_rots = dict(eng.real_rots)
-    real_rots[(0, 1)] = {
+    block_rots = dict(eng.block_rots)
+    short = block_rots[(0, 1)] = {
         x: tuple(w for w in seq if {x, w} != {0, 1})
-        for x, seq in real_rots[(0, 1)].items()}
-    short = {x: seq + real_rots[(3, 4)].get(x, ())
-             for x, seq in real_rots[(0, 1)].items()}
-    short[4] = real_rots[(3, 4)][4]
-    assert euler_per_component(short)
-    assert Engine._assemble_graph(eng.decomp, eng.real_rots) == eng.graph_rot
+        for x, seq in block_rots[(0, 1)].items()}
+    assert euler_per_component({**short, 3: short[3] + (4,), 4: (3,)})
+    assert Engine._assemble_graph(eng.decomp, eng.block_rots) \
+        == eng.graph_rot
     with pytest.raises(AssertionError, match="misses an edge"):
-        Engine._assemble_graph(eng.decomp, real_rots)
+        Engine._assemble_graph(eng.decomp, block_rots)
 
 
 # -------------------------------------------------------------- oracle sync
@@ -682,8 +680,8 @@ def test_rigid_changes_off_the_rim_search_no_cuts_and_trace_nothing(
 
     Each change also writes, by identity against the predecessor's, no
     entry of the vertex index of blocks and the entries at the edge's
-    two ends alone of the block rotation, its real-edge part and the
-    graph rotation, at every k. The rigid component's least vertex is a
+    two ends alone of the block rotation and the graph rotation, at
+    every k. The rigid component's least vertex is a
     corner, whose rotation these changes keep, so `canonical()` never
     mirrors it here."""
     edges = grid_edges(k, k)
@@ -704,7 +702,6 @@ def test_rigid_changes_off_the_rim_search_no_cuts_and_trace_nothing(
         (blk,) = eng.decomp.blocks
         return {"_blocks_of_vertex": eng.decomp._blocks_of_vertex,
                 "block_rots": eng.block_rots[blk.name],
-                "real_rots": eng.real_rots[blk.name],
                 "graph_rot": eng.graph_rot}
 
     def written(after, before):
@@ -717,8 +714,7 @@ def test_rigid_changes_off_the_rim_search_no_cuts_and_trace_nothing(
         counting("block builds", decomposition._triconnected_components))
     monkeypatch.setattr(rotation, "trace_orbits",
                         counting("traces", rotation.trace_orbits))
-    two_ends = {"_blocks_of_vertex": 0, "block_rots": 2, "real_rots": 2,
-                "graph_rot": 2}
+    two_ends = {"_blocks_of_vertex": 0, "block_rots": 2, "graph_rot": 2}
     for e in inner:
         before = indices()
         assert eng.delete_edge(*e).status == ACCEPTED
@@ -737,8 +733,8 @@ def test_patched_block_rotations_equal_rebuilt_ones(monkeypatch):
     """Seeded churn at domains 12 to 30, then random edges of triangulated
     5x5 to 7x7 grids, relabelled and inserted in shuffled order, deleted
     and re-inserted, a third of them at vertex 0. After every change
-    each block rotation and its real-edge part equal the ones assembled
-    from scratch from the component embeddings. The runs patch
+    each block rotation, and the graph rotation, equal the ones
+    assembled from scratch from the component embeddings. The runs patch
     off-pair face splits and derived deletes, patch changes with an end
     on a pair vertex of the block, and rebuild the derived blocks whose
     component `canonical()` mirrors; each case must occur."""
@@ -755,13 +751,10 @@ def test_patched_block_rotations_equal_rebuilt_ones(monkeypatch):
         return at
 
     def check(eng: Engine) -> None:
-        for blk in eng.decomp.blocks:
-            rot = None if blk.is_bridge \
-                else Engine._assemble_block(eng.comp_embs, blk)
-            if rot is not None:
-                assert eng.block_rots[blk.name] == rot, blk.name
-            assert eng.real_rots[blk.name] == \
-                engine._real_rotation(blk, rot), blk.name
+        rebuilt = {blk.name: Engine._assemble_block(eng.comp_embs, blk)
+                   for blk in eng.decomp.blocks if not blk.is_bridge}
+        assert eng.block_rots == rebuilt
+        assert eng.graph_rot == Engine._assemble_graph(eng.decomp, rebuilt)
 
     monkeypatch.setattr(Engine, "_edited_at", spied)
     for n in (12, 16, 20, 24, 30):
@@ -875,14 +868,19 @@ def test_change_work_at_the_end_of_a_long_path_is_that_of_a_short_one(
 def test_patched_states_equal_states_built_from_scratch():
     """Seeded churn at domains 8 to 60. After every accepted change and
     every rejection the patched state equals the state built from its
-    edge set alone: the dump, the cut vertices, connectivity between
-    active vertices, the BC adjacency, the block indices and the
-    separating pairs; and the graph rotation equals the one assembled
-    from every block part, and at checkpoints a fresh engine's. The
+    edge set alone: the dump, the blocks, the cut vertices and the block
+    indices, and for every pair of active vertices connectivity, the
+    separating-pair and cut-vertex answers and the BC path; and the
+    graph rotation equals the one assembled from every block rotation,
+    and at checkpoints a fresh engine's. The
     churn includes bridge deletes that split a component, level-0
     inserts that join two, level-1 inserts that merge a BC path and
     cycle deletes that break a block into bridges."""
     cases = dict.fromkeys(("split", "join", "merge", "unravel", "reject"), 0)
+
+    def bc_path(st, u, v):
+        blocks, chain = st.bc_path_blocks(u, v)
+        return [b.name for b in blocks], chain
 
     def check(eng: Engine) -> None:
         st = eng.decomp
@@ -890,15 +888,18 @@ def test_patched_states_equal_states_built_from_scratch():
         assert st.dump() == ref.dump()
         assert st.blocks == ref.blocks
         assert st.cut_vertices == ref.cut_vertices
-        assert st._pairs == ref._pairs
         assert st._block_by_name == ref._block_by_name
         assert st._blocks_of_vertex == ref._blocks_of_vertex
-        assert st._bc_adj == ref._bc_adj
         active = sorted({x for e in st.edges for x in e})
         for i, u in enumerate(active):
+            assert st.is_cut_vertex(u) == ref.is_cut_vertex(u), u
             for v in active[i + 1:]:
                 assert st.connected(u, v) == ref.connected(u, v), (u, v)
-        assert eng.graph_rot == Engine._assemble_graph(st, eng.real_rots)
+                assert st.is_separating_pair(u, v) == \
+                    ref.is_separating_pair(u, v), (u, v)
+                if ref.connected(u, v):
+                    assert bc_path(st, u, v) == bc_path(ref, u, v), (u, v)
+        assert eng.graph_rot == Engine._assemble_graph(st, eng.block_rots)
 
     for n in (8, 12, 20, 30, 45, 60):
         rng = random.Random(1500 + n)
