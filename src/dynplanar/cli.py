@@ -19,7 +19,7 @@ import re
 import sys
 from collections import Counter
 
-from .coherence import is_coherent
+from .coherence import build_block_paths, is_coherent
 from .decomposition import DecompositionState
 from .engine import Engine
 from .graph_core import (
@@ -61,7 +61,8 @@ def check_state(eng: Engine) -> list[str]:
     block, and the whole graph; every block rotation against a rebuild
     from the component embeddings, and the graph rotation against a
     rebuild from the block rotations; and coherence plus opposite pair
-    colours of every stored path.
+    colours of every stored path, and each block's stored paths, which
+    surgery reads, against a rebuild.
     """
     out: list[str] = []
     decomp = eng.decomp
@@ -147,6 +148,23 @@ def check_state(eng: Engine) -> list[str]:
                 if p.colour_of(s) == p.colour_of(t):
                     out.append(
                         f"pair {node[1]} in block {bname} is monochrome")
+    with_pairs = {blk.name: blk for blk in decomp.blocks if blk.pairs}
+    for bname in sorted(eng.colourings.keys() | with_pairs.keys()):
+        if bname not in with_pairs:
+            out.append(f"stored paths kept for block {bname}, which is no "
+                       "block with pairs")
+        elif bname not in eng.colourings:
+            out.append(f"stored paths missing for block {bname}")
+        else:
+            try:
+                rebuilt = build_block_paths(eng.comp_embs, with_pairs[bname])
+            except (AssertionError, GraphError, KeyError) as exc:
+                out.append(f"stored paths of block {bname} cannot be "
+                           f"rebuilt: {exc!r}")
+            else:
+                if eng.colourings[bname] != rebuilt:
+                    out.append(f"stored paths of block {bname} differ from "
+                               "a rebuild")
     return out
 
 

@@ -1,14 +1,18 @@
 """Maximal coherent SPQR-tree paths and separating-pair two-colourings.
 
-A path through a block's SPQR tree is coherent when every rigid component
-on it has the vertices of its flanking on-path pairs together on one face.
-Across such a path an edge can be inserted; the two-colouring of the pair
-vertices predicts which of the two new faces each vertex will border, so
-it drives the flip decisions of the insertion handlers.
+A path through a block's SPQR tree counts as coherent when every rigid
+component on it has the vertices of its flanking on-path pairs together
+on one face. Across such a path an edge can be inserted; the
+two-colouring of the pair vertices predicts which of the two new faces
+each vertex will border, so it fixes the flip of each component an
+insertion fuses.
 
 Only maximal coherent paths holding at least one P-node are stored; their
-endpoints are S/R nodes. Colours are path-scoped: a vertex shared by pairs
-of different paths may be coloured differently per path.
+endpoints are S/R nodes. Every coherent path lies in a stored one, and
+the corridor merge reads its colours there (`path_colours`), so the
+stored colourings must equal a rebuild. Colours are path-scoped: a
+vertex shared by pairs of different paths may be coloured differently
+per path.
 """
 from __future__ import annotations
 
@@ -174,6 +178,16 @@ def build_block_paths(embeddings, block: Block) -> tuple[CoherentPath, ...]:
         paths.append(CoherentPath(nd, tuple(sorted(colours.items()))))
     paths.sort(key=lambda p: p.nodes)
     return tuple(paths)
+
+
+def path_colours(paths, first: SpqrNode, last: SpqrNode
+                 ) -> dict[Vertex, int]:
+    """The colours of the stored path in `paths` through the P-nodes
+    `first` and `last`, and so through every node between them."""
+    for p in paths:
+        if first in p.nodes and last in p.nodes:
+            return dict(p.colours)
+    raise AssertionError(f"no stored path holds {first} and {last}")
 
 
 def update_colouring(old, decomp: DecompositionState, embeddings,

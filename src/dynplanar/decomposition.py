@@ -44,7 +44,8 @@ Tamassia), so only that component gains or loses the edge, a deletion
 provided the component stays triconnected. The caller that holds the
 component's embedding decides that from the two faces at the edge and
 passes the verdict in; a deletion handed no verdict rebuilds its
-block. Every other new block is built from its edges.
+block. The state names the block it derived and its changed
+component. Every other new block is built from its edges.
 
 SPQR-tree nodes, as the path operations name them:
 
@@ -678,19 +679,20 @@ def _make_block(edges: frozenset[Edge]) -> Block:
 
 
 def _derived_block(old: DecompositionState, diff: frozenset[Edge],
-                   stays_rigid: bool | None = None) -> Block | None:
+                   stays_rigid: bool | None = None
+                   ) -> tuple[Block, TriComp] | None:
     """The block that holds the one edge of `diff`, the edges by which
     the new edge set and `old.edges` differ, derived from its
-    predecessor B; None when B's SPQR tree may change shape.
+    predecessor B, with its one changed component; None when B's SPQR
+    tree may change shape.
 
     The edge u-v must lie inside one rigid component C of B and be no
     pair of B. An insertion then keeps every pair (an edge inside one
     rigid skeleton leaves the SPQR tree's shape alone), and so does a
     deletion after which C stays triconnected; C alone gains or loses
     the edge, and B's name, vertices, pairs, other components and tree
-    are kept, the tree as the same object, which marks the block as
-    derived. A deletion is derived only when `stays_rigid` says C stays
-    triconnected; None does not derive, and the block is rebuilt.
+    are kept. A deletion is derived only when `stays_rigid` says C
+    stays triconnected; None does not derive, and the block is rebuilt.
     """
     (e,) = diff
     u, v = e
@@ -707,11 +709,11 @@ def _derived_block(old: DecompositionState, diff: frozenset[Edge],
     if deleted and not stays_rigid:
         return None
     edit = frozenset.__sub__ if deleted else frozenset.__or__
-    comps = tuple(TriComp(c.name, "R", c.vertices, edit(c.real_edges, diff),
-                          c.pairs)
-                  if c is comp else c for c in blk.comps)
+    changed = TriComp(comp.name, "R", comp.vertices,
+                      edit(comp.real_edges, diff), comp.pairs)
+    comps = tuple(changed if c is comp else c for c in blk.comps)
     return Block(blk.name, blk.vertices, edit(blk.edges, diff), blk.pairs,
-                 comps, blk.tree)
+                 comps, blk.tree), changed
 
 
 def _spqr_tree(comps) -> dict[SpqrNode, tuple[SpqrNode, ...]]:
@@ -728,9 +730,7 @@ def _spqr_tree(comps) -> dict[SpqrNode, tuple[SpqrNode, ...]]:
 # ------------------------------------------------------------- tree walking
 
 def _tree_path(adj: dict, a, b):
-    """Unique path a..b in a forest given by adjacency; None if separated."""
-    if a not in adj or b not in adj:
-        return None
+    """The unique path a..b in a tree, given by adjacency, holding both."""
     prev = {a: None}
     frontier = [a]
     while frontier and b not in prev:
@@ -741,8 +741,6 @@ def _tree_path(adj: dict, a, b):
                     prev[y] = x
                     nxt.append(y)
         frontier = nxt
-    if b not in prev:
-        return None
     path = [b]
     while path[-1] != a:
         path.append(prev[path[-1]])
@@ -753,11 +751,12 @@ def _tree_path(adj: dict, a, b):
 # --------------------------------------------------------------- main state
 
 class DecompositionState:
-    """Snapshot of blocks, cut vertices, pairs, and triconnected comps."""
+    """Snapshot of blocks, cut vertices, pairs, and triconnected comps.
+    `derived` is `_derived_block`'s (block, component), else None."""
 
     __slots__ = (
         "n", "edges", "_comp_of", "_block_by_name", "_blocks_of_vertex",
-        "_pairs", "replaced", "created",
+        "_pairs", "replaced", "created", "derived",
     )
 
     def __init__(self, n: int, edges: frozenset[Edge],
@@ -768,6 +767,7 @@ class DecompositionState:
         self.edges = edges
         self._comp_of = comp_of
         self._index(_NO_BLOCKS, (), blocks)
+        self.derived = None
 
     @property
     def blocks(self) -> tuple[Block, ...]:
@@ -862,7 +862,7 @@ class DecompositionState:
             if len(diff) == 1 else None
         adj = lowpoint_cuts = None
         if derived is not None:
-            added = [derived]
+            added = [derived[0]]
         else:
             touched = frozenset().union(*(b.edges for b in removed)) ^ diff
             if len(diff) == 1 and diff <= eset:
@@ -878,6 +878,7 @@ class DecompositionState:
         state.n = n
         state.edges = eset
         state._index(base, removed, added)
+        state.derived = derived
         state._comp_of = base._relabel(state, diff, eset, adj)
 
         if __debug__ and derived is None:

@@ -14,13 +14,13 @@ accepted change:
 
 Each is the previous one patched: `Engine._commit` walks only the blocks
 the decomposition replaced and created, and the graph rotation is
-rewritten only at their vertices. A change that derives its block (an
-edge inside one rigid component) edits that component's embedding at
-the edge's two ends; unless `canonical()` mirrors the edit, the block
-rotation and the graph rotation are rewritten at those two vertices
-alone. Every other created block is assembled by splicing its
-components' rotations, and a block of one component has its
-component's rotation.
+rewritten only at their vertices. The decomposition names the block it
+derived (an edge inside one rigid component) and that component, whose
+embedding the change edits at the edge's two ends; unless `canonical()`
+mirrors the edit, the block rotation and the graph rotation are
+rewritten at those two vertices alone. Every other created block is
+assembled by splicing its components' rotations, and a block of one
+component has its component's rotation.
 
 Planarity holds by construction: every component embedding is planar
 (a traced one passed V - E + F = 2, and an edit adds or removes one
@@ -38,8 +38,10 @@ the corridor of the one window whose two endpoints it holds; a delete
 projects the one old rigid component whose vertex set contains it (a
 deletion merges only cycles). A corridor merge is the splice that
 assembles blocks, applied along the window path to rotation schemes
-once the two-colouring has fixed each one's flip. A face split is the
-corridor of one rigid component, which has no pairs and so no flip. A
+once the block's stored two-colouring has fixed each one's flip: the
+path lies in one stored coherent path, whose colours it reads. A face
+split is the corridor of one rigid component, which has no pairs and
+so no flip. A
 projection reads the far side of each new pair off the new block's SPQR
 tree. The gate returns the windows, so deciding and building walk the
 state once. Carrying by content key makes the whole state a pure
@@ -56,9 +58,9 @@ embedding, retracing only the faces at the edge.
 from __future__ import annotations
 
 from .coherence import (
-    colour_path,
     dump_colourings,
     node_label,
+    path_colours,
     update_colouring,
 )
 from .decomposition import Block, DecompositionState, SpqrNode, TriComp
@@ -213,19 +215,6 @@ def _far_sides(block: Block, comp: TriComp, pairs) -> dict[Edge, set]:
     return out
 
 
-def _derived_change(state: DecompositionState):
-    """(block, component) when `state` derived its one created block
-    from the one it replaced (the same SPQR tree object): the block and
-    its one component that is not, by identity, the predecessor's, a
-    rigid one. None for any other change."""
-    if len(state.created) != 1 or len(state.replaced) != 1:
-        return None
-    (blk,), (old,) = state.created, state.replaced
-    if blk.tree is not old.tree:
-        return None
-    return blk, next(c for c, o in zip(blk.comps, old.comps) if c is not o)
-
-
 # ------------------------------------------------------------------- engine
 
 class Engine:
@@ -313,18 +302,20 @@ class Engine:
         bypasses are derived from content after the change). A scheme
         whose window face crosses its seam the wrong way is mirrored, so
         every window face traverses its left seam pair top to bottom and
-        its right one bottom to top. Each is spliced into the rotation
-        built so far at its left pair, as blocks are assembled, which
-        lands it in the window face, and pairs the corridor dissolves
-        lose their virtual entries. Only the fused rotation becomes an
-        embedding, and u-v is drawn across its one face that holds every
-        window. A path of one rigid component has no pairs and so no
-        flip: a face split, which draws u-v across the stored window face
-        and retraces only the two faces it makes.
+        its right one bottom to top, top and bottom as the block's stored
+        colouring gives them. Each is spliced into the rotation built so
+        far at its left pair, as blocks are assembled, which lands it in
+        the window face, and pairs the corridor dissolves lose their
+        virtual entries. Only the fused rotation becomes an embedding,
+        and u-v is drawn across its one face that holds every window. A
+        path of one rigid component has no pairs and so no flip: a face
+        split, which draws u-v across the stored window face and retraces
+        only the two faces it makes.
         """
         comps = path[::2]
         pairs = [nd[1] for nd in path[1::2]]
-        colours = colour_path(self.comp_embs, path) if pairs else {}
+        colours = path_colours(self.colourings[block.name], path[1],
+                               path[-2]) if pairs else {}
         pair_verts = {x for p in pairs for x in p}
         assert u not in pair_verts and v not in pair_verts
 
@@ -447,16 +438,14 @@ class Engine:
         contains it. Only the blocks the new state replaced and created
         are walked: every stored relation is a copy of the old one with
         their entries patched, and only created blocks whose shape
-        changed get new colourings and rotations. A derived block keeps
-        its other components and their embeddings; unless `canonical()`
-        mirrored the one it edits, its block rotation and the graph
-        rotation are patched at the edge's two ends, where the graph
-        rotation gains or loses one entry."""
-        derived = _derived_change(new_decomp)
+        changed get new colourings and rotations. The block the new
+        state derived keeps its other components and their embeddings;
+        unless `canonical()` mirrors the one it edits, its block rotation
+        and the graph rotation are patched at the edge's two ends, where
+        the graph rotation gains or loses one entry."""
+        derived = new_decomp.derived
         comp_embs = dict(self.comp_embs)
         if derived is not None:
-            # the block keeps every other component as the same object,
-            # under the same node, and so its embedding
             created = [derived]
             affected = {derived[0].name}
         else:
@@ -466,8 +455,9 @@ class Engine:
             assert len(created) == len(windows), \
                 "a window fused other than one component"
         else:  # only the deleted edge's block is replaced
-            rigid = [c for c in self.decomp.block_of(*deleted).comps
-                     if c.kind == "R"]
+            (old,) = new_decomp.replaced
+            rigid = [c for c in old.comps if c.kind == "R"]
+        at = ()  # the vertices a derived change alone rewrites
         for blk, c in self._ordered(created):
             if deleted is None:
                 found = [w for w in windows if {w[1], w[2]} <= c.vertices]
@@ -478,33 +468,26 @@ class Engine:
                 else self._project_rigid(found[0], c, blk, deleted)
             assert _embedding_key(emb) == _content_key(c), \
                 f"surgery built another component than {c.name}"
-            comp_embs[(c.kind, c.name)] = emb.canonical()
+            comp_embs[(c.kind, c.name)] = canon = emb.canonical()
+            if derived is not None and canon is emb:
+                # an edit rewrites the edge's two ends; a mirror, all
+                at = deleted or windows[0][1:3]
         colourings = update_colouring(
             self.colourings, new_decomp, comp_embs, affected)
 
         block_rots = dict(self.block_rots)
-        at = None if derived is None else self._edited_at(
-            *derived, comp_embs, deleted or windows[0][1:3])
-        if at is not None:
-            blk, comp = derived
-            block_rots[blk.name] = \
-                self._patched_block(comp_embs, blk, comp, at)
-            graph_rot = self._assemble_graph(new_decomp, block_rots,
-                                             self.graph_rot, at)
-            step = 1 if deleted is None else -1
-            assert all(len(graph_rot[x]) == len(self.graph_rot[x]) + step
-                       for x in at), "patched rotation misses an edge"
-        else:
-            for blk in new_decomp.replaced:
-                block_rots.pop(blk.name, None)
-            for blk in new_decomp.created:
-                if not blk.is_bridge:
-                    block_rots[blk.name] = \
-                        self._assemble_block(comp_embs, blk) \
-                        if blk.name in affected \
-                        else self.block_rots[blk.name]
-            graph_rot = self._assemble_graph(new_decomp, block_rots,
-                                             self.graph_rot)
+        for blk in new_decomp.replaced:
+            block_rots.pop(blk.name, None)
+        for blk in new_decomp.created:
+            if not blk.is_bridge:
+                block_rots[blk.name] = self._assemble_block(
+                    comp_embs, blk, self.block_rots.get(blk.name), at) \
+                    if blk.name in affected else self.block_rots[blk.name]
+        graph_rot = self._assemble_graph(new_decomp, block_rots,
+                                         self.graph_rot, at or None)
+        step = 1 if deleted is None else -1
+        assert all(len(graph_rot[x]) == len(self.graph_rot[x]) + step
+                   for x in at), "patched rotation misses an edge"
 
         self.decomp = new_decomp
         self.comp_embs = comp_embs
@@ -548,26 +531,17 @@ class Engine:
                     created.append((blk, c))
         return created, affected
 
-    def _edited_at(self, blk: Block, comp: TriComp, comp_embs: dict,
-                   ends: Edge) -> Edge | None:
-        """The vertices at which the derived block's changed component
-        `comp` has a new rotation, when they are the changed edge's ends
-        alone: the edit rewrote those two and kept every other vertex's
-        rotation, by identity. None when `canonical()` mirrored the
-        edit, which rewrites every vertex, so one vertex off the edge
-        tells."""
-        node = ("R", comp.name)
-        rot, was = comp_embs[node].rot, self.comp_embs[node].rot
-        off = next(x for x in rot if x not in ends)
-        return None if rot[off] is not was[off] else ends
-
     # ------------------------------------------------------------- assembly
 
     @staticmethod
-    def _assemble_block(comp_embs: dict, block: Block) -> dict[Vertex, tuple]:
+    def _assemble_block(comp_embs: dict, block: Block, base=None,
+                        at=()) -> dict[Vertex, tuple]:
         """Splice the component embeddings into one block rotation, in
         the order `_splices` gives. A block of one component has its
-        component's rotation, shared, not copied.
+        component's rotation, shared, not copied. Given the vertices
+        `at`, the only ones at which the block's components changed, it
+        is `base`, the rotation of the block it was derived from,
+        rewritten there by `_block_entry`.
 
         Every component rotation is an `Embedding`'s, which is planar:
         a traced one passed V - E + F = 2, and an edit keeps it (a face
@@ -579,6 +553,11 @@ class Engine:
         if len(block.comps) == 1:
             c, = block.comps
             return comp_embs[(c.kind, c.name)].rot
+        if at:
+            rot = dict(base)
+            for x in at:
+                rot[x] = Engine._block_entry(comp_embs, block, x)
+            return rot
         order = _splices(block)
         rot = {x: list(seq) for x, seq in comp_embs[next(order)].rot.items()}
         spliced = 1
@@ -609,22 +588,6 @@ class Engine:
                 assert seq is None, "spliced components overlap off the pair"
                 seq = list(crot[x])
         return tuple(seq)
-
-    def _patched_block(self, comp_embs: dict, blk: Block, comp: TriComp,
-                       at: list) -> dict[Vertex, tuple]:
-        """The rotation of the derived block `blk`, whose rigid component
-        `comp` alone changed, and only at the vertices `at`: the old
-        block rotation rewritten there. A vertex that no pair of comp
-        holds lies in comp alone and takes comp's entry; a vertex of a
-        pair is rebuilt by `_block_entry`."""
-        crot = comp_embs[("R", comp.name)].rot
-        if len(blk.comps) == 1:
-            return crot
-        rot = dict(self.block_rots[blk.name])
-        for x in at:
-            rot[x] = self._block_entry(comp_embs, blk, x) \
-                if any(x in p for p in comp.pairs) else crot[x]
-        return rot
 
     @staticmethod
     def _assemble_graph(decomp: DecompositionState, block_rots: dict,

@@ -373,10 +373,11 @@ class Embedding:
 
     def canonical(self) -> Embedding:
         """The one of the reflection pair that serialises to the lesser
-        string. Rotations of one or two entries read alike both ways, so
-        the pair's serialisations first differ, at equal lengths, in the
-        segment of the least vertex of degree three or more, in a rigid
-        component its least vertex."""
+        string, this embedding itself unless it is the mirror. Rotations
+        of one or two entries read alike both ways, so the pair's
+        serialisations first differ, at equal lengths, in the segment of
+        the least vertex of degree three or more, in a rigid component
+        its least vertex."""
         rot = self.rot
         w = min(rot)
         if len(rot[w]) < 3:

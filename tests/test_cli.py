@@ -193,6 +193,46 @@ def test_check_state_flags_a_block_rotation_unlike_its_rebuild():
     assert check_state(eng) == []
 
 
+# two K4s less 3-4 glued at the pair 3-4: one block, R(1,2,3) P(3,4) R(3,4,5)
+GLUED_K4S = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+             (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]
+
+
+def glued_k4s() -> Engine:
+    eng = Engine(8)
+    for e in GLUED_K4S:
+        assert eng.insert_edge(*e).status == ACCEPTED
+    assert check_state(eng) == []
+    return eng
+
+
+def test_check_state_flags_stored_colours_unlike_their_rebuild():
+    """A stored path whose pair 3-4 has its two colours swapped is still
+    coherent and two-coloured, but differs from the paths rebuilt from
+    the component embeddings."""
+    eng = glued_k4s()
+    ((name, (path,)),) = eng.colourings.items()
+    swapped = replace(path, colours=tuple(
+        (v, 1 - c if v in (3, 4) else c) for v, c in path.colours))
+    assert swapped != path
+    eng.colourings = {name: (swapped,)}
+    assert check_state(eng) == [
+        f"stored paths of block {name} differ from a rebuild"]
+
+
+def test_check_state_flags_a_block_without_its_stored_paths():
+    """A block with pairs and no stored paths is flagged, and so are
+    stored paths under a name that is no block with pairs."""
+    eng = glued_k4s()
+    ((name, paths),) = eng.colourings.items()
+    eng.colourings = {}
+    assert check_state(eng) == [f"stored paths missing for block {name}"]
+    eng.colourings = {(5, 6): paths}
+    assert check_state(eng) == [
+        f"stored paths missing for block {name}",
+        "stored paths kept for block (5, 6), which is no block with pairs"]
+
+
 def test_check_state_flags_decomposition_desync():
     eng = Engine(8)
     for ab in [(1, 2), (2, 3), (1, 3)]:

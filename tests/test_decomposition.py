@@ -358,18 +358,21 @@ def test_a_present_insert_or_an_absent_delete_returns_the_state(
 
 def test_derived_blocks_equal_blocks_built_from_scratch(monkeypatch):
     """Every block derived from its predecessor equals the block built
-    from its edge set alone, SPQR tree included. Changes go through the
-    engine, whose deletions hand the face rule's verdict in."""
+    from its edge set alone, SPQR tree included, and the component it
+    names as changed is a component of that block. Changes go through
+    the engine, whose deletions hand the face rule's verdict in."""
     derived = {"ins": 0, "del": 0}
     real = decomposition._derived_block
 
     def checked(old, diff, stays_rigid=None):
-        blk = real(old, diff, stays_rigid)
-        if blk is not None:
+        got = real(old, diff, stays_rigid)
+        if got is not None:
+            blk, comp = got
             derived["del" if diff <= old.edges else "ins"] += 1
             fresh = _make_block(blk.edges)
             assert blk == fresh and blk.tree == fresh.tree, sorted(blk.edges)
-        return blk
+            assert comp in fresh.comps, sorted(blk.edges)
+        return got
 
     def change(eng, e):
         out = eng.delete_edge(*e) if eng.graph.has_edge(*e) \

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -207,6 +208,36 @@ def test_two_insertion_windows_commute():
         eng._subupdate_order = lambda ts, perm=perm: [ts[i] for i in perm]
         assert eng.insert_edge(3, 8).status == ACCEPTED
         assert eng.dump() == want
+
+
+def test_corridor_insert_reads_the_stored_colouring():
+    """The corridor merge takes each window component's flip from the
+    block's stored two-colouring. In a ring of four K4 gadgets the chord
+    2-10 crosses R(0,1,2) P(0,1) S P(8,9) R(8,10,11); with the colours
+    of 8 and 9 swapped in the stored path through it, the insert fails
+    an assert and leaves the state as it was, and with the stored path
+    intact it goes through."""
+    ring = [(4 * i + a, 4 * i + b) for i in range(4)
+            for a in range(4) for b in range(a + 1, 4)]
+    ring += [(4 * i + 1, 4 * (i + 1) % 16) for i in range(4)]
+    eng = build(16, ring)
+    (blk, _, _, path), = insert_ok(eng.decomp, eng.comp_embs, 2, 10)
+    pairs = path[1::2]
+    assert pairs == [("P", (0, 1)), ("P", (8, 9))]
+    stored = eng.colourings[blk.name]
+    k = next(i for i, p in enumerate(stored)
+             if set(pairs) <= set(p.nodes))
+    swapped = replace(stored[k], colours=tuple(
+        (x, 1 - c if x in (8, 9) else c) for x, c in stored[k].colours))
+    intact = eng.colourings
+    eng.colourings = {**intact, blk.name: (
+        *stored[:k], swapped, *stored[k + 1:])}
+    before = eng.dump()
+    with pytest.raises(AssertionError):
+        eng.insert_edge(2, 10)
+    assert eng.dump() == before
+    eng.colourings = intact
+    assert eng.insert_edge(2, 10).status == ACCEPTED
 
 
 def _wheel(hub: int, rim: list[int]) -> list[tuple[int, int]]:
@@ -737,18 +768,21 @@ def test_patched_block_rotations_equal_rebuilt_ones(monkeypatch):
     assembled from scratch from the component embeddings. The runs patch
     off-pair face splits and derived deletes, patch changes with an end
     on a pair vertex of the block, and rebuild the derived blocks whose
-    component `canonical()` mirrors; each case must occur."""
+    component `canonical()` mirrors; each case must occur. A commit's
+    graph assembly after a derived change tells the cases apart: it
+    patches the edge's two ends, or the whole block after a mirror."""
     cases = {"off pair": 0, "pair vertex": 0, "flip": 0}
-    edited_at = Engine._edited_at
+    assemble_graph = Engine._assemble_graph
 
-    def spied(self, blk, comp, *args):
-        at = edited_at(self, blk, comp, *args)
-        if at is None:
-            cases["flip"] += 1
-        else:
-            on_pair = any(x in p for x in at for p in comp.pairs)
-            cases["pair vertex" if on_pair else "off pair"] += 1
-        return at
+    def spied(decomp, block_rots, base=None, at=None):
+        if base is not None and decomp.derived is not None:
+            if at is None:
+                cases["flip"] += 1
+            else:
+                comp = decomp.derived[1]
+                on_pair = any(x in p for x in at for p in comp.pairs)
+                cases["pair vertex" if on_pair else "off pair"] += 1
+        return assemble_graph(decomp, block_rots, base, at)
 
     def check(eng: Engine) -> None:
         rebuilt = {blk.name: Engine._assemble_block(eng.comp_embs, blk)
@@ -756,7 +790,7 @@ def test_patched_block_rotations_equal_rebuilt_ones(monkeypatch):
         assert eng.block_rots == rebuilt
         assert eng.graph_rot == Engine._assemble_graph(eng.decomp, rebuilt)
 
-    monkeypatch.setattr(Engine, "_edited_at", spied)
+    monkeypatch.setattr(Engine, "_assemble_graph", staticmethod(spied))
     for n in (12, 16, 20, 24, 30):
         for seed in range(4):
             rng = random.Random(300 * n + seed)

@@ -3,9 +3,11 @@
 A SHA-256 digest of the status, change type and full `Engine.dump()`
 after every step of seeded change sequences. The sequences follow the
 criterion-1 corpus rule (delete a present edge with probability 0.45,
-else insert an absent pair), so the first are that corpus's seeds. A
-change to rotations, colourings or names anywhere along them changes
-the digest; update it only for a change that means to alter dumps.
+else insert an absent pair), so the first are that corpus's seeds; one
+more churns rings of K4 gadgets, whose corridors cross up to four
+separating pairs. A change to rotations, colourings or names anywhere
+along them changes the digest; update it only for a change that means
+to alter dumps.
 """
 from __future__ import annotations
 
@@ -25,6 +27,16 @@ PINNED = {
 }
 
 
+K4_RING_CHURN = (
+    (6, 8), 60,
+    "38253d364d006d2f3ffd790985d23fccfb861d41ef5971521af916a955437b78")
+
+
+def _record(h, out, eng: Engine) -> None:
+    h.update(f"{out.status} {out.change_type}\n".encode())
+    h.update(eng.dump().encode())
+
+
 def _digest(seeds, n: int, steps: int) -> str:
     h = hashlib.sha256()
     pairs = list(itertools.combinations(range(n), 2))
@@ -38,11 +50,38 @@ def _digest(seeds, n: int, steps: int) -> str:
             else:
                 absent = [p for p in pairs if p not in eng.graph.edges]
                 out = eng.insert_edge(*absent[rng.randrange(len(absent))])
-            h.update(f"{out.status} {out.change_type}\n".encode())
-            h.update(eng.dump().encode())
+            _record(h, out, eng)
+    return h.hexdigest()
+
+
+def _k4_ring_digest(ms, steps: int) -> str:
+    """A ring of m K4 gadgets, gadget i on 4i..4i+3 and its vertex 4i+1
+    linked to the next gadget's 4(i+1), built edge by edge; then each
+    seeded step toggles the chord 4i+2 - 4j+2 between two gadgets and
+    the gadget edge 4i+2 - 4i+3, deleting an edge the graph holds and
+    inserting one it lacks."""
+    h = hashlib.sha256()
+    for m in ms:
+        eng = Engine(4 * m)
+        ring = [(4 * i + a, 4 * i + b) for i in range(m)
+                for a in range(4) for b in range(a + 1, 4)]
+        ring += [(4 * i + 1, 4 * (i + 1) % (4 * m)) for i in range(m)]
+        for e in ring:
+            _record(h, eng.insert_edge(*e), eng)
+        rng = random.Random(m)
+        for _ in range(steps):
+            i, j = rng.sample(range(m), 2)
+            for e in ((4 * i + 2, 4 * j + 2), (4 * i + 2, 4 * i + 3)):
+                out = eng.delete_edge(*e) if eng.graph.has_edge(*e) \
+                    else eng.insert_edge(*e)
+                _record(h, out, eng)
     return h.hexdigest()
 
 
 def test_dumps_match_pinned_digests():
     got = {name: _digest(*spec[:3]) for name, spec in PINNED.items()}
     assert got == {name: spec[3] for name, spec in PINNED.items()}
+
+
+def test_k4_ring_churn_matches_pinned_digest():
+    assert _k4_ring_digest(*K4_RING_CHURN[:2]) == K4_RING_CHURN[2]
