@@ -60,9 +60,10 @@ def check_state(eng: Engine) -> list[str]:
     oracle's certificate past it; embedding validity of every component,
     block, and the whole graph; every block rotation against a rebuild
     from the component embeddings, and the graph rotation against a
-    rebuild from the block rotations; and coherence plus opposite pair
+    rebuild from the block rotations; coherence plus opposite pair
     colours of every stored path, and each block's stored paths, which
-    surgery reads, against a rebuild.
+    surgery reads, against a rebuild; and the dump formatted with the
+    engine's memo against a cold formatting (`Engine._dump({})`).
     """
     out: list[str] = []
     decomp = eng.decomp
@@ -71,6 +72,11 @@ def check_state(eng: Engine) -> list[str]:
     got = eng.dump_decomposition()
     if got != DecompositionState.from_edges(n, edges).dump():
         out.append("decomposition differs from a rebuild")
+    try:
+        if eng.dump() != eng._dump({})[0]:
+            out.append("dump differs from a cold formatting of the state")
+    except KeyError as exc:  # a block whose parts are not stored
+        out.append(f"dump cannot be formatted: {exc!r}")
     holders = Counter(e for blk in decomp.blocks for e in blk.edges)
     for e in sorted(holders.keys() | edges):
         if e not in edges or holders[e] != 1:
@@ -344,7 +350,8 @@ def fuzz(seed: int, domain: int, steps: int, strict: bool = False,
                 problems.append(
                     f"verdict {outcome.status} but oracle says "
                     f"planar={want}")
-            if outcome.status == REJECTED_NONPLANAR and eng.dump() != before:
+            if outcome.status == REJECTED_NONPLANAR and \
+                    eng._dump({})[0] != before:
                 problems.append("rejected insertion mutated the state")
         else:
             eng.delete_edge(a, b)

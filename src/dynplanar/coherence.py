@@ -208,12 +208,3 @@ def update_colouring(old, decomp: DecompositionState, embeddings,
             new[block.name] = old[block.name]
     return new
 
-
-def dump_colourings(by_block) -> list[str]:
-    sections = []
-    for name in by_block:
-        sec = [f"colourings B({name[0]},{name[1]})"]
-        sec += [p.dump_line() for p in by_block[name]]
-        sections.append(sec)
-    sections.sort(key=lambda sec: sec[0])
-    return [ln for sec in sections for ln in sec]

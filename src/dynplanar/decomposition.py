@@ -1126,8 +1126,17 @@ class DecompositionState:
     # ------------------------------------------------------------------ dump
 
     def dump(self) -> str:
-        """The BC forest and each block's SPQR tree, every part sorted
-        as text, so the order in which blocks are read does not show."""
+        """The BC forest and each block's SPQR tree (`spqr_section`),
+        every part sorted as text, so the order in which blocks are read
+        does not show."""
+        blocks = sorted(self._block_by_name.values(),
+                        key=lambda b: block_label(b.name))
+        return "\n".join([self.dump_bc_tree(), *(
+            spqr_section(b) for b in blocks if b.comps)])
+
+    def dump_bc_tree(self) -> str:
+        """The `bc-tree` section: block and cut-vertex nodes, then the
+        edges between them, each part sorted as text."""
         lines = ["bc-tree"]
         cuts = [(v, names) for v, names in self._blocks_of_vertex.items()
                 if len(names) >= 2]
@@ -1136,25 +1145,22 @@ class DecompositionState:
         lines += sorted(node_lines)
         lines += sorted(f"edge B({x},{y}) C({v})"
                         for v, names in cuts for (x, y) in names)
-        sections = []
-        for b in self._block_by_name.values():
-            if not b.comps:
-                continue
-            sec = [f"spqr-tree B({b.name[0]},{b.name[1]})"]
-            node_lines = [f"node P({s},{t})" for (s, t) in b.pairs]
-            node_lines += [
-                f"node {c.kind}({c.name[0]},{c.name[1]},{c.name[2]})"
-                for c in b.comps]
-            sec += sorted(node_lines)
-            edge_lines = []
-            for c in b.comps:
-                for (s, t) in c.pairs:
-                    edge_lines.append(
-                        f"edge P({s},{t}) "
-                        f"{c.kind}({c.name[0]},{c.name[1]},{c.name[2]})")
-            sec += sorted(edge_lines)
-            sections.append(sec)
-        sections.sort(key=lambda sec: sec[0])
-        for sec in sections:
-            lines += sec
         return "\n".join(lines)
+
+
+def block_label(name: BlockName) -> str:
+    """A block's name as dumps print it; sections are in this order."""
+    return f"B({name[0]},{name[1]})"
+
+
+def spqr_section(b: Block) -> str:
+    """The `spqr-tree` section of a block with components: its nodes,
+    then its tree edges, each part sorted as text."""
+    sec = [f"spqr-tree {block_label(b.name)}"]
+    sec += sorted([f"node P({s},{t})" for (s, t) in b.pairs] + [
+        f"node {c.kind}({c.name[0]},{c.name[1]},{c.name[2]})"
+        for c in b.comps])
+    sec += sorted(f"edge P({s},{t}) "
+                  f"{c.kind}({c.name[0]},{c.name[1]},{c.name[2]})"
+                  for c in b.comps for (s, t) in c.pairs)
+    return "\n".join(sec)

@@ -54,16 +54,32 @@ one place a deletion's successor state is decided, and handed to the
 decomposition state, which otherwise rebuilds the edge's block. A face
 split, or a deletion that leaves the component rigid, edits the stored
 embedding, retracing only the faces at the edge.
+
+A dump is formatted by value. Each block's four sections (spqr-tree,
+sr-embeddings, colourings, block-embedding) are kept as text, keyed by
+the `Block`, its block rotation, its stored `CoherentPath` tuple and
+its components' `Embedding`s, and each vertex's graph-embedding line by
+its `graph_rot` tuple. A dump reuses an entry only while every key is
+the object (`is`) the state holds, so it formats only what the changes
+since the last dump created. Only `Engine.dump` writes this memo, and
+it rebuilds it from the current blocks and vertices, so a change pays
+nothing for it and it holds no more than the graph. The same formatter
+given an empty memo gives a cold dump, which the checks that compare
+dumps across a change use: an object changed in place keeps its key.
 """
 from __future__ import annotations
 
-from .coherence import (
-    dump_colourings,
-    node_label,
-    path_colours,
-    update_colouring,
+from operator import is_
+
+from .coherence import node_label, path_colours, update_colouring
+from .decomposition import (
+    Block,
+    DecompositionState,
+    SpqrNode,
+    TriComp,
+    block_label,
+    spqr_section,
 )
-from .decomposition import Block, DecompositionState, SpqrNode, TriComp
 from .gate import insert_ok
 from .graph_core import (
     ACCEPTED,
@@ -215,6 +231,28 @@ def _far_sides(block: Block, comp: TriComp, pairs) -> dict[Edge, set]:
     return out
 
 
+def _block_sections(blk: Block, rot: dict, paths, *embs: Embedding):
+    """The dump text of a block with components: its label and its
+    `spqr-tree`, `sr-embeddings`, `colourings` (None without pairs) and
+    `block-embedding` sections. It reads nothing but its arguments: the
+    block, its rotation, its stored paths and its components'
+    embeddings in `blk.comps` order. A block rotation entry that is no
+    real edge of the block is virtual, marked `*`."""
+    label = block_label(blk.name)
+    sr = [f"sr-embeddings {label}"]
+    for c, emb in sorted(zip(blk.comps, embs),
+                         key=lambda ce: (ce[0].kind, ce[0].name)):
+        sr += [f"comp {node_label((c.kind, c.name))}", *emb.dump_lines()]
+    col = None if paths is None else "\n".join(
+        [f"colourings {label}", *(p.dump_line() for p in paths)])
+    be = [f"block-embedding {label}"]
+    for v in sorted(rot):
+        be.append(f"rot {v}: " + " ".join(
+            str(w) if canonical_edge(v, w) in blk.edges else f"{w}*"
+            for w in opened_at_least(rot[v])))
+    return label, spqr_section(blk), "\n".join(sr), col, "\n".join(be)
+
+
 # ------------------------------------------------------------------- engine
 
 class Engine:
@@ -230,6 +268,7 @@ class Engine:
         self.graph_rot: dict[Vertex, tuple] = {}
         # Test hook: permutes the order of independent sub-updates.
         self._subupdate_order = None
+        self._dumped: dict = {}  # written by dump() alone
 
     # ------------------------------------------------------------- changes
 
@@ -664,53 +703,40 @@ class Engine:
     def dump_decomposition(self) -> str:
         return self.decomp.dump()
 
-    def dump_sr_embeddings(self) -> str:
-        sections = []
-        for blk in self.decomp.blocks:
-            if not blk.comps:
-                continue
-            sec = [f"sr-embeddings B({blk.name[0]},{blk.name[1]})"]
-            for node in sorted((c.kind, c.name) for c in blk.comps):
-                sec.append(f"comp {node_label(node)}")
-                sec += self.comp_embs[node].dump_lines()
-            sections.append(sec)
-        sections.sort(key=lambda sec: sec[0])
-        return "\n".join(ln for sec in sections for ln in sec)
+    def dump(self) -> str:
+        """The five structures as canonical text, formatted with the memo
+        the previous dump left (`_dump`)."""
+        text, self._dumped = self._dump(self._dumped)
+        return text
 
-    def dump_colourings(self) -> str:
-        return "\n".join(dump_colourings(self.colourings))
-
-    def dump_block_embeddings(self) -> str:
-        sections = []
+    def _dump(self, memo: dict) -> tuple[str, dict]:
+        """The dump and the memo it was formatted with. `memo` maps each
+        block name to the arguments `_block_sections` last got and what
+        it returned, and each vertex to its graph rotation entry and its
+        line; an entry is reused only while each of them is the object
+        (`is`) the state holds now. Given {}, it formats every section:
+        a cold dump."""
+        new: dict = {}
         for blk in self.decomp.blocks:
             if blk.is_bridge:
                 continue
-            sec = [f"block-embedding B({blk.name[0]},{blk.name[1]})"]
-            rot = self.block_rots[blk.name]
-            for v in sorted(rot):
-                words = []
-                for w in opened_at_least(rot[v]):
-                    ce = canonical_edge(v, w)
-                    virtual = ce in blk.pairs and ce not in self.decomp.edges
-                    words.append(f"{w}*" if virtual else f"{w}")
-                sec.append(f"rot {v}: " + " ".join(words))
-            sections.append(sec)
-        sections.sort(key=lambda sec: sec[0])
-        return "\n".join(ln for sec in sections for ln in sec)
-
-    def dump_graph_embedding(self) -> str:
-        lines = ["graph-embedding"]
+            args = (blk, self.block_rots[blk.name],
+                    self.colourings.get(blk.name),
+                    *(self.comp_embs[(c.kind, c.name)] for c in blk.comps))
+            old = memo.get(blk.name)
+            if not old or not all(map(is_, old[0], args)):
+                old = (args, _block_sections(*args))
+            new[blk.name] = old
+        secs = sorted(sec for _, sec in new.values())  # in label order
+        parts = [self.decomp.dump_bc_tree()]
+        for i in range(1, 5):  # spqr-tree, ..., block-embedding
+            parts += [sec[i] for sec in secs if sec[i] is not None]
+        parts.append("graph-embedding")
         for v in sorted(self.graph_rot):
-            seq = opened_at_least(self.graph_rot[v])
-            lines.append(f"rot {v}: " + " ".join(str(x) for x in seq))
-        return "\n".join(lines)
-
-    def dump(self) -> str:
-        parts = [
-            self.dump_decomposition(),
-            self.dump_sr_embeddings(),
-            self.dump_colourings(),
-            self.dump_block_embeddings(),
-            self.dump_graph_embedding(),
-        ]
-        return "\n".join(p for p in parts if p)
+            seq, old = self.graph_rot[v], memo.get(v)
+            if not old or old[0] is not seq:
+                old = (seq, f"rot {v}: " +
+                       " ".join(map(str, opened_at_least(seq))))
+            new[v] = old
+            parts.append(old[1])
+        return "\n".join(parts), new

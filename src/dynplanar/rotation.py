@@ -397,8 +397,8 @@ class Embedding:
         lines = []
         for v in sorted(self.rot):
             seq = opened_at_least(self.rot[v])
-            lines.append(f"rot {v}: " + " ".join(str(x) for x in seq))
+            lines.append(f"rot {v}: " + " ".join(map(str, seq)))
         for bd in self.faces:
             mark = " outer" if bd == self.outer else ""
-            lines.append("face " + " ".join(str(x) for x in bd) + mark)
+            lines.append("face " + " ".join(map(str, bd)) + mark)
         return lines

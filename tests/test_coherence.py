@@ -6,13 +6,13 @@ from dynplanar.coherence import (
     CoherentPath,
     build_block_paths,
     colour_path,
-    dump_colourings,
     is_coherent,
     maximal_coherent_paths,
     node_label,
     update_colouring,
 )
 from dynplanar.decomposition import DecompositionState
+from dynplanar.engine import _block_sections
 from dynplanar.graph_core import GraphError
 from dynplanar.rotation import Embedding
 
@@ -242,7 +242,11 @@ def test_update_colouring_carries_untouched_blocks() -> None:
 
 def test_dump_colourings_frozen() -> None:
     decomp, embs = chained_wheels()
-    assert dump_colourings(update_colouring({}, decomp, embs, set())) == [
+    (blk,) = decomp.blocks
+    paths = update_colouring({}, decomp, embs, set())[blk.name]
+    sections = _block_sections(
+        blk, {}, paths, *(embs[(c.kind, c.name)] for c in blk.comps))
+    assert sections[3].split("\n") == [
         "colourings B(0,1)",
         "path R(0,1,2) P(3,4) R(3,4,5) P(6,7) R(6,7,8) : 3=0 4=1 6=0 7=1",
     ]

@@ -5,9 +5,11 @@ after every step of seeded change sequences. The sequences follow the
 criterion-1 corpus rule (delete a present edge with probability 0.45,
 else insert an absent pair), so the first are that corpus's seeds; one
 more churns rings of K4 gadgets, whose corridors cross up to four
-separating pairs. A change to rotations, colourings or names anywhere
-along them changes the digest; update it only for a change that means
-to alter dumps.
+separating pairs. The last dumps at seeded points only, so that a dump
+follows none, one or many changes and reuses more or less of the memo
+the dump before it left. A change to rotations, colourings or names
+anywhere along them changes the digest; update it only for a change
+that means to alter dumps.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import hashlib
 import itertools
 import random
 
+from block_chain import block_chain, triangulated_grid
 from dynplanar.engine import Engine
 
 PINNED = {
@@ -30,6 +33,10 @@ PINNED = {
 K4_RING_CHURN = (
     (6, 8), 60,
     "38253d364d006d2f3ffd790985d23fccfb861d41ef5971521af916a955437b78")
+
+SPARSE_DUMP_CHURN = (
+    300,
+    "b9c277ea7720769b23a381c313326ce240987a65722c0acea38053f4e329934d")
 
 
 def _record(h, out, eng: Engine) -> None:
@@ -78,6 +85,28 @@ def _k4_ring_digest(ms, steps: int) -> str:
     return h.hexdigest()
 
 
+def _sparse_dump_digest(steps: int) -> str:
+    """The block chain and a triangulated 5x6 grid, built edge by edge;
+    then each seeded step toggles an edge of the start graph, or one
+    time in five any pair, and is followed by a dump three times in
+    ten."""
+    h = hashlib.sha256()
+    for n, start in ((42, block_chain()[0]), (30, triangulated_grid(5, 6))):
+        eng = Engine(n)
+        for e in start:
+            h.update(f"{eng.insert_edge(*e).status}\n".encode())
+        rng = random.Random(n)
+        pairs = list(itertools.combinations(range(n), 2))
+        for _ in range(steps):
+            e = rng.choice(start) if rng.random() < 0.8 else rng.choice(pairs)
+            out = eng.delete_edge(*e) if eng.graph.has_edge(*e) \
+                else eng.insert_edge(*e)
+            h.update(f"{out.status} {out.change_type}\n".encode())
+            if rng.random() < 0.3:
+                h.update(eng.dump().encode())
+    return h.hexdigest()
+
+
 def test_dumps_match_pinned_digests():
     got = {name: _digest(*spec[:3]) for name, spec in PINNED.items()}
     assert got == {name: spec[3] for name, spec in PINNED.items()}
@@ -85,3 +114,7 @@ def test_dumps_match_pinned_digests():
 
 def test_k4_ring_churn_matches_pinned_digest():
     assert _k4_ring_digest(*K4_RING_CHURN[:2]) == K4_RING_CHURN[2]
+
+
+def test_sparse_dumps_match_pinned_digest():
+    assert _sparse_dump_digest(SPARSE_DUMP_CHURN[0]) == SPARSE_DUMP_CHURN[1]
