@@ -13,20 +13,19 @@ the corridor merge reads its colours there (`path_colours`), so the
 stored colourings must equal a rebuild. Colours are path-scoped: a
 vertex shared by pairs of different paths may be coloured differently
 per path.
+
+`build_block_paths` finds and colours them in one walk from each end
+candidate. A link (c, p, q), through which a path may pass component c
+from its pair p to its pair q, is decided once, by the face of c that
+holds both pairs; that face also carries the colours across c.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .decomposition import (
-    Block,
-    BlockName,
-    DecompositionState,
-    SpqrNode,
-    _tree_path,
-)
-from .graph_core import Edge, GraphError, Vertex
-from .rotation import Embedding, crossing
+from .decomposition import Block, BlockName, DecompositionState, SpqrNode
+from .graph_core import GraphError, Vertex
+from .rotation import crossing
 
 
 def node_label(node: SpqrNode) -> str:
@@ -64,57 +63,6 @@ def is_coherent(decomp: DecompositionState, embeddings, nodes) -> bool:
     return _windows_pass(embeddings, seq)
 
 
-# ---------------------------------------------------------------- colouring
-
-
-def _mates(emb: Embedding, pair_prev: Edge, pair_next: Edge) -> dict:
-    """Same-colour partner in pair_prev for each vertex of pair_next.
-
-    Both pair edges lie on the boundary of the window face; removing them
-    splits the boundary into two arcs, and the endpoints of each arc share
-    a colour. A vertex shared by both pairs is its own singleton arc.
-    """
-    bd = emb.common_face(set(pair_prev) | set(pair_next))
-    assert bd is not None, "window face missing during colouring"
-    prev, nxt = crossing(bd, pair_prev), crossing(bd, pair_next)
-    assert prev and nxt, "a path pair is not a window boundary edge"
-    assert set(prev) != set(nxt), "path pairs must be distinct"
-    mates = {nxt[0]: prev[1], nxt[1]: prev[0]}
-    assert set(mates) == set(pair_next)
-    assert set(mates.values()) == set(pair_prev)
-    for v, w in mates.items():
-        assert v == w or v not in pair_prev, "pinch vertex must self-map"
-    return mates
-
-
-def colour_path(embeddings, nodes) -> dict[Vertex, int]:
-    """Two-colouring of the pair vertices along a coherent path.
-
-    Propagates arc-mate equalities left to right, then flips if needed so
-    the least pair's lesser vertex gets colour 0.
-    """
-    path = [tuple(nd) for nd in nodes]
-    pair_pos = [i for i, nd in enumerate(path) if nd[0] == "P"]
-    assert pair_pos, "colouring needs at least one P-node"
-    assert all(j - i == 2 for i, j in zip(pair_pos, pair_pos[1:]))
-    s0, t0 = path[pair_pos[0]][1]
-    colours = {s0: 0, t0: 1}
-    for i, j in zip(pair_pos, pair_pos[1:]):
-        window = path[i + 1]
-        mates = _mates(embeddings[window], path[i][1], path[j][1])
-        for v, w in mates.items():
-            c = colours[w]
-            assert colours.get(v, c) == c, "colour conflict at shared vertex"
-            colours[v] = c
-    for i in pair_pos:
-        s, t = path[i][1]
-        assert colours[s] != colours[t], "pair vertices must differ in colour"
-    anchor = min(path[i][1] for i in pair_pos)[0]
-    if colours[anchor] == 1:
-        colours = {v: 1 - c for v, c in colours.items()}
-    return colours
-
-
 # ------------------------------------------------------------ stored paths
 
 
@@ -140,42 +88,72 @@ class CoherentPath:
         return f"path {names} : {cols}"
 
 
-def _end_extendable(embeddings, tree, comp_node: SpqrNode,
-                    pair_in: SpqrNode) -> bool:
-    for pn in tree[comp_node]:
-        if pn == pair_in:
-            continue
-        if comp_node[0] == "S":
-            return True
-        verts = set(pair_in[1]) | set(pn[1])
-        if embeddings[comp_node].common_face(verts) is not None:
-            return True
-    return False
-
-
-def maximal_coherent_paths(embeddings, block: Block):
-    """All maximal coherent paths of the block with at least one P-node."""
-    tree = block.tree
-    nodes = sorted((c.kind, c.name) for c in block.comps)
-    out = []
-    for i, x in enumerate(nodes):
-        for y in nodes[i + 1:]:
-            path = tuple(_tree_path(tree, x, y))
-            if not _windows_pass(embeddings, path):
-                continue
-            if _end_extendable(embeddings, tree, path[0], path[1]):
-                continue
-            if _end_extendable(embeddings, tree, path[-1], path[-2]):
-                continue
-            out.append(path)
-    return out
-
-
 def build_block_paths(embeddings, block: Block) -> tuple[CoherentPath, ...]:
+    """The block's maximal coherent paths, coloured, in node order.
+
+    A walk starts at each S/R node x and pair p that x links to no other
+    of its pairs, with p's lesser vertex coloured 0, follows links
+    outward, colouring as it goes, and stores x..y when y links its pair
+    onward to none and y > x, flipped so that its least pair's lesser
+    vertex gets colour 0.
+    """
+    tree = block.tree
+    links: dict = {}
+
+    def onward(c, p):
+        """The links (c, p, q), as q and each vertex of q with its
+        same-colour mate in p: removing both pairs from the face that
+        holds them leaves two arcs, whose ends share a colour."""
+        out = links.get((c, p))
+        if out is None:
+            out = links[(c, p)] = []
+            for q in tree[c]:
+                bd = q != p and embeddings[c].common_face({*p[1], *q[1]})
+                if bd:
+                    prev, nxt = crossing(bd, p[1]), crossing(bd, q[1])
+                    assert prev and nxt, \
+                        "a path pair is not a window boundary edge"
+                    out.append((q, ((nxt[0], prev[1]), (nxt[1], prev[0]))))
+        return out
+
     paths = []
-    for nd in maximal_coherent_paths(embeddings, block):
-        colours = colour_path(embeddings, nd)
-        paths.append(CoherentPath(nd, tuple(sorted(colours.items()))))
+    for x, pairs in tree.items():
+        if x[0] == "P":
+            continue
+        for p in pairs:
+            if onward(x, p):
+                continue
+            s, t = p[1]
+            # each entry: enter z through q, whose colours are cq, after
+            # path[:depth] and the first ncol colours
+            path: list = [x]
+            colours: dict = {}
+            todo = [(z, p, ((s, 0), (t, 1)), 1, 0)
+                    for z in tree[p] if z != x]
+            while todo:
+                z, q, cq, depth, ncol = todo.pop()
+                del path[depth:]
+                while len(colours) > ncol:
+                    colours.popitem()
+                for v, c in cq:
+                    assert colours.get(v, c) == c, \
+                        "colour conflict at shared vertex"
+                    colours[v] = c
+                path += q, z
+                out = onward(z, q)
+                if not out:
+                    if z > x:
+                        anchor = min(nd[1] for nd in path[1::2])[0]
+                        flip = colours[anchor]
+                        paths.append(CoherentPath(tuple(path), tuple(sorted(
+                            (v, c ^ flip) for v, c in colours.items()))))
+                    continue
+                for q2, mates in out:
+                    cq2 = tuple((v, colours[w]) for v, w in mates)
+                    assert cq2[0][1] != cq2[1][1], \
+                        "pair vertices must differ in colour"
+                    todo += ((z2, q2, cq2, len(path), len(colours))
+                             for z2 in tree[q2] if z2 != z)
     paths.sort(key=lambda p: p.nodes)
     return tuple(paths)
 

@@ -1131,26 +1131,27 @@ class DecompositionState:
         does not show."""
         blocks = sorted(self._block_by_name.values(),
                         key=lambda b: block_label(b.name))
-        return "\n".join([self.dump_bc_tree(), *(
+        return "\n".join([bc_section(self._blocks_of_vertex), *(
             spqr_section(b) for b in blocks if b.comps)])
-
-    def dump_bc_tree(self) -> str:
-        """The `bc-tree` section: block and cut-vertex nodes, then the
-        edges between them, each part sorted as text."""
-        lines = ["bc-tree"]
-        cuts = [(v, names) for v, names in self._blocks_of_vertex.items()
-                if len(names) >= 2]
-        node_lines = [f"node B({x},{y})" for x, y in self._block_by_name]
-        node_lines += [f"node C({v})" for v, _ in cuts]
-        lines += sorted(node_lines)
-        lines += sorted(f"edge B({x},{y}) C({v})"
-                        for v, names in cuts for (x, y) in names)
-        return "\n".join(lines)
 
 
 def block_label(name: BlockName) -> str:
     """A block's name as dumps print it; sections are in this order."""
     return f"B({name[0]},{name[1]})"
+
+
+def bc_section(blocks_of_vertex) -> str:
+    """The `bc-tree` section of a vertex index of block names: block and
+    cut-vertex nodes, then the edges between them, each part sorted as
+    text. Every block holds vertices, so the index names every block."""
+    cuts = [(v, names) for v, names in blocks_of_vertex.items()
+            if len(names) >= 2]
+    node_lines = [f"node B({x},{y})" for x, y in
+                  {name for names in blocks_of_vertex.values()
+                   for name in names}]
+    node_lines += [f"node C({v})" for v, _ in cuts]
+    return "\n".join(["bc-tree", *sorted(node_lines), *sorted(
+        f"edge B({x},{y}) C({v})" for v, names in cuts for (x, y) in names)])
 
 
 def spqr_section(b: Block) -> str:

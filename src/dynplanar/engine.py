@@ -58,10 +58,12 @@ embedding, retracing only the faces at the edge.
 A dump is formatted by value. Each block's four sections (spqr-tree,
 sr-embeddings, colourings, block-embedding) are kept as text, keyed by
 the `Block`, its block rotation, its stored `CoherentPath` tuple and
-its components' `Embedding`s, and each vertex's graph-embedding line by
-its `graph_rot` tuple. A dump reuses an entry only while every key is
-the object (`is`) the state holds, so it formats only what the changes
-since the last dump created. Only `Engine.dump` writes this memo, and
+its components' `Embedding`s, each vertex's graph-embedding line by
+its `graph_rot` tuple, and the bc-tree section by the decomposition's
+vertex index of block names, which a change inside a block shares. A
+dump reuses an entry only while every key is the object (`is`) the
+state holds, so it formats only what the changes since the last dump
+created. Only `Engine.dump` writes this memo, and
 it rebuilds it from the current blocks and vertices, so a change pays
 nothing for it and it holds no more than the graph. The same formatter
 given an empty memo gives a cold dump, which the checks that compare
@@ -77,6 +79,7 @@ from .decomposition import (
     DecompositionState,
     SpqrNode,
     TriComp,
+    bc_section,
     block_label,
     spqr_section,
 )
@@ -712,10 +715,11 @@ class Engine:
     def _dump(self, memo: dict) -> tuple[str, dict]:
         """The dump and the memo it was formatted with. `memo` maps each
         block name to the arguments `_block_sections` last got and what
-        it returned, and each vertex to its graph rotation entry and its
-        line; an entry is reused only while each of them is the object
-        (`is`) the state holds now. Given {}, it formats every section:
-        a cold dump."""
+        it returned, each vertex to its graph rotation entry and its
+        line, and "bc-tree" to the vertex index `bc_section` last got and
+        its section; an entry is reused only while each of them is the
+        object (`is`) the state holds now. Given {}, it formats every
+        section: a cold dump."""
         new: dict = {}
         for blk in self.decomp.blocks:
             if blk.is_bridge:
@@ -728,7 +732,11 @@ class Engine:
                 old = (args, _block_sections(*args))
             new[blk.name] = old
         secs = sorted(sec for _, sec in new.values())  # in label order
-        parts = [self.decomp.dump_bc_tree()]
+        at, old = self.decomp._blocks_of_vertex, memo.get("bc-tree")
+        if not old or old[0] is not at:
+            old = (at, bc_section(at))
+        new["bc-tree"] = old
+        parts = [old[1]]
         for i in range(1, 5):  # spqr-tree, ..., block-embedding
             parts += [sec[i] for sec in secs if sec[i] is not None]
         parts.append("graph-embedding")

@@ -434,12 +434,16 @@ def test_fuzz_via_main(capsys):
 
 def test_optimised_interpreter_answers_identically(tmp_path):
     """Stripping asserts (python -O) must not change any answer: on
-    random churn, and on a triangulated 5x5 grid whose square diagonals
-    are each flipped and flipped back. Those changes delete and re-insert
-    edges off the rim and at the vertices of its corner pairs, and most
-    patch the stored rotations in place of rebuilding them. Both traces
-    ask every kind of query; a rotation query names three neighbours of
-    a vertex, which an engine run alongside the churn supplies."""
+    random churn, on a triangulated 5x5 grid whose square diagonals
+    are each flipped and flipped back, and on a ring of six K4 gadgets
+    whose chords and gadget edges are toggled. The grid's changes delete
+    and re-insert edges off the rim and at the vertices of its corner
+    pairs, and most patch the stored rotations in place of rebuilding
+    them; the ring's chords cross corridors over several pairs and
+    recolour the ring, which is dumped after each toggle. The first two
+    traces ask every kind of query; a rotation query names three
+    neighbours of a vertex, which an engine run alongside the churn
+    supplies."""
     rng = random.Random(5)
     ask = random.Random(6)
     shadow = Engine(9)
@@ -484,13 +488,34 @@ def test_optimised_interpreter_answers_identically(tmp_path):
                            f"face? {a} {b} {c}", f"face? {b} {d} {c}",
                            f"cut? {a}", f"block? {a} {d}",
                            f"del {b} {c}", f"add {a} {d}", "dump"]
+    m = 6
+    ring = [(4 * i + a, 4 * i + b) for i in range(m)
+            for a in range(4) for b in range(a + 1, 4)]
+    ring += [(4 * i + 1, 4 * (i + 1) % (4 * m)) for i in range(m)]
+    ring_lines = [f"add {a} {b}" for a, b in ring] + ["dump"]
+    toggles = random.Random(7)
+    shadow = Engine(4 * m)
+    for e in ring:
+        shadow.insert_edge(*e)
+    for _ in range(40):
+        i, j = toggles.sample(range(m), 2)
+        a, b = (4 * i + 2, 4 * j + toggles.choice((2, 3))) \
+            if toggles.random() < 0.7 else (4 * i + 2, 4 * i + 3)
+        if shadow.graph.has_edge(a, b):
+            ring_lines.append(f"del {a} {b}")
+            shadow.delete_edge(a, b)
+        else:
+            ring_lines.append(f"add {a} {b}")
+            shadow.insert_edge(a, b)
+        ring_lines.append("dump")
     src = str(Path(dynplanar.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     outs = []
     for name, trace_lines, domain in (("churn", lines, 9),
-                                      ("grid", grid_lines, 25)):
+                                      ("grid", grid_lines, 25),
+                                      ("ring", ring_lines, 4 * m)):
         trace = tmp_path / f"{name}.txt"
         trace.write_text("\n".join(trace_lines) + "\n")
         runs = []
@@ -502,9 +527,13 @@ def test_optimised_interpreter_answers_identically(tmp_path):
             runs.append(proc)
         assert runs[0].stdout == runs[1].stdout, name
         outs.append(runs[0])
-    churn_run, grid_run = outs
+    churn_run, grid_run, ring_run = outs
     for proc in outs:
         assert proc.returncode == 0, proc.stderr.decode()
     text = churn_run.stdout.decode()
     assert "rejected nonplanar" in text and "\ntrue\n" in text
     assert grid_run.stdout.decode().count("accepted") == len(grid) + 64
+    ring_text = ring_run.stdout.decode()
+    assert "rejected nonplanar" in ring_text
+    assert any(line.startswith("path") and line.count("P(") >= 3
+               for line in ring_text.splitlines())

@@ -1,20 +1,24 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
+from block_chain import triangulated_grid
+from dynplanar import coherence, decomposition
 from dynplanar.coherence import (
     CoherentPath,
     build_block_paths,
-    colour_path,
     is_coherent,
-    maximal_coherent_paths,
     node_label,
     update_colouring,
 )
 from dynplanar.decomposition import DecompositionState
-from dynplanar.engine import _block_sections
-from dynplanar.graph_core import GraphError
+from dynplanar.engine import Engine, _block_sections
+from dynplanar.graph_core import ACCEPTED, GraphError
 from dynplanar.rotation import Embedding
+from reference_coherence import colour_path
 
 K4_ROT = {1: (2, 3, 4), 2: (1, 4, 3), 3: (1, 2, 4), 4: (1, 3, 2)}
 
@@ -192,19 +196,15 @@ def test_pinch_stored_path() -> None:
         "path R(1,2,4) P(1,2) S(1,2,3) P(1,3) R(1,3,6) : 1=0 2=1 3=1"
 
 
-def _contains(big: tuple, small: tuple) -> bool:
-    for cand in (big, big[::-1]):
-        for i in range(len(cand) - len(small) + 1):
-            if cand[i:i + len(small)] == small:
-                return True
-    return False
+PATH_CASES = ("3+ pairs", "P with 3+ components", "pinch vertex", "R end",
+              "S end")
 
 
-@pytest.mark.parametrize("make", [chained_wheels, k4_between_triangles,
-                                  pinched_k4s, rim_wheel_between_k4s])
-def test_stored_paths_are_exactly_the_maximal_coherent_ones(make) -> None:
-    decomp, embs = make()
-    blk = decomp.blocks[0]
+def _check_stored(decomp, embs, blk, stored, seen) -> None:
+    """`stored` holds the maximal coherent paths of blk by brute force
+    (the coherent `spqr_path` between every two components, less those
+    inside another), each coloured as the reference colours it alone;
+    `seen` counts the stored paths of each of PATH_CASES."""
     comp_nodes = sorted((c.kind, c.name) for c in blk.comps)
     coherent = []
     for i, x in enumerate(comp_nodes):
@@ -212,12 +212,150 @@ def test_stored_paths_are_exactly_the_maximal_coherent_ones(make) -> None:
             path = tuple(decomp.spqr_path(x, y))
             if is_coherent(decomp, embs, path):
                 coherent.append(path)
-    maximal = [p for p in coherent
-               if not any(q != p and _contains(q, p) for q in coherent)]
-    stored = maximal_coherent_paths(embs, blk)
-    assert sorted(stored) == sorted(maximal)
+    # tree paths: one holds another exactly when it holds its nodes
+    sets = [frozenset(p) for p in coherent]
+    maximal = [p for p, nodes in zip(coherent, sets)
+               if not any(nodes < other for other in sets)]
+    assert [p.nodes for p in stored] == sorted(maximal)
     for p in stored:
-        assert any(nd[0] == "P" for nd in p)
+        assert dict(p.colours) == colour_path(embs, p.nodes)
+        pairs = p.pair_nodes()
+        ends = {p.nodes[0][0], p.nodes[-1][0]}
+        seen["3+ pairs"] += len(pairs) >= 3
+        seen["P with 3+ components"] += any(len(blk.tree[q]) >= 3
+                                            for q in pairs)
+        seen["pinch vertex"] += any(set(q[1]) & set(r[1])
+                                    for q, r in zip(pairs, pairs[1:]))
+        seen["R end"] += "R" in ends
+        seen["S end"] += "S" in ends
+
+
+@pytest.mark.parametrize("make", [chained_wheels, k4_between_triangles,
+                                  pinched_k4s, rim_wheel_between_k4s])
+def test_stored_paths_are_exactly_the_maximal_coherent_ones(make) -> None:
+    decomp, embs = make()
+    blk = decomp.blocks[0]
+    stored = build_block_paths(embs, blk)
+    assert stored
+    _check_stored(decomp, embs, blk, stored, dict.fromkeys(PATH_CASES, 0))
+
+
+def k4_ring(m: int) -> Engine:
+    """A ring of m K4 gadgets, gadget i on 4i..4i+3 and its vertex 4i+1
+    linked to the next gadget's 4(i+1), built edge by edge."""
+    eng = Engine(4 * m)
+    for i in range(m):
+        for a, b in itertools.combinations(range(4), 2):
+            eng.insert_edge(4 * i + a, 4 * i + b)
+        eng.insert_edge(4 * i + 1, 4 * (i + 1) % (4 * m))
+    return eng
+
+
+def _toggle(eng: Engine, a: int, b: int) -> None:
+    if eng.graph.has_edge(a, b):
+        eng.delete_edge(a, b)
+    else:
+        eng.insert_edge(a, b)
+
+
+def _churned_engines(rng):
+    """Engines stepped at random, yielded after each step: the corpus
+    rule (delete a present edge with probability 0.45, else insert an
+    absent pair) at domains 8, 16 and 24; K4 rings of 4 and 8 gadgets
+    built whole, then toggling chords between gadgets and gadget edges;
+    and triangulated grids losing random edges one by one."""
+    for n, runs, steps in ((8, 20, 150), (16, 6, 200), (24, 4, 200)):
+        pairs = list(itertools.combinations(range(n), 2))
+        for _ in range(runs):
+            eng = Engine(n)
+            for _ in range(steps):
+                edges = sorted(eng.graph.edges)
+                if edges and rng.random() < 0.45:
+                    eng.delete_edge(*rng.choice(edges))
+                else:
+                    eng.insert_edge(*rng.choice(
+                        [e for e in pairs if e not in eng.graph.edges]))
+                yield eng
+    for m in (4, 8):
+        eng = k4_ring(m)
+        yield eng
+        for _ in range(100):
+            i, j = rng.sample(range(m), 2)
+            if rng.random() < 0.7:
+                _toggle(eng, 4 * i + rng.randrange(4),
+                        4 * j + rng.randrange(4))
+            else:
+                _toggle(eng, 4 * i + 2, 4 * i + 3)
+            yield eng
+    for _ in range(20):
+        rows, cols = rng.randint(3, 5), rng.randint(3, 6)
+        grid = triangulated_grid(rows, cols)
+        eng = Engine(rows * cols)
+        for e in grid:
+            eng.insert_edge(*e)
+        for e in rng.sample(grid, len(grid) // 2):
+            eng.delete_edge(*e)
+            yield eng
+
+
+def test_stored_paths_are_exactly_the_maximal_coherent_ones_under_churn():
+    """After every step of seeded engine runs, each block's stored paths
+    are the brute-force maximal coherent paths, coloured as the
+    reference colours each alone; a colouring is checked when it is a
+    new object. The runs must store at least 50 paths of each of
+    PATH_CASES."""
+    seen = dict.fromkeys(PATH_CASES, 0)
+    checked: dict = {}
+    for eng in _churned_engines(random.Random(22)):
+        for blk in eng.decomp.blocks:
+            stored = eng.colourings.get(blk.name)
+            if blk.pairs and checked.get(blk.name) is not stored:
+                checked[blk.name] = stored
+                _check_stored(eng.decomp, eng.comp_embs, blk, stored, seen)
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_ring_paths_decide_each_link_once(m, monkeypatch) -> None:
+    """A ring of m K4 gadgets is one block: a cycle component holding
+    each gadget's pair, and a rigid leaf per gadget. Its m(m-1)/2
+    stored paths are built with no `_tree_path` search and at most one
+    `common_face` call per ordered link (component, pair, pair); so are
+    the paths once a chord joins two opposite gadgets, which puts rigid
+    components inside paths."""
+    asked: dict = {}
+    real = Embedding.common_face
+
+    def spy(emb, vertex_set):
+        key = (id(emb), frozenset(vertex_set))
+        asked[key] = asked.get(key, 0) + 1
+        return real(emb, vertex_set)
+
+    def no_search(*args):
+        raise AssertionError("tree path search")
+
+    def built(eng):
+        (blk,) = eng.decomp.blocks
+        asked.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Embedding, "common_face", spy)
+            for module in (decomposition, coherence):
+                patch.setattr(module, "_tree_path", no_search, raising=False)
+            paths = build_block_paths(eng.comp_embs, blk)
+        links: dict = {}
+        for c in blk.comps:
+            emb = eng.comp_embs[(c.kind, c.name)]
+            for p, q in itertools.permutations(c.pairs, 2):
+                key = (id(emb), frozenset((*p, *q)))
+                links[key] = links.get(key, 0) + 1
+        assert asked and all(n <= links.get(key, 0)
+                             for key, n in asked.items())
+        return paths
+
+    eng = k4_ring(m)
+    assert len(built(eng)) == m * (m - 1) // 2
+    assert eng.insert_edge(2, 4 * (m // 2) + 2).status == ACCEPTED
+    assert built(eng) == eng.colourings[eng.decomp.blocks[0].name]
 
 
 # ----------------------------------------------------------- update + dump

@@ -8,7 +8,7 @@ import pytest
 
 import test_acceptance
 import test_engine
-from block_chain import block_chain
+from block_chain import block_chain, triangulated_grid
 from dynplanar import engine as engine_module
 from dynplanar.cli import fuzz
 from dynplanar.engine import Engine
@@ -86,11 +86,40 @@ def test_refusals_queries_and_repeated_dumps_format_nothing(formatted):
 def test_the_memo_holds_only_the_current_state():
     eng, _ = chain_engine()
     eng.dump()
-    assert len(eng._dumped) == 7 + len(eng.graph_rot)
+    assert len(eng._dumped) == 1 + 7 + len(eng.graph_rot)
+    assert eng._dumped["bc-tree"][0] is eng.decomp._blocks_of_vertex
     for e in sorted(eng.graph.edges):
         eng.delete_edge(*e)
     assert eng.dump() == Engine(42).dump()
-    assert eng._dumped == {}
+    assert eng._dumped == {"bc-tree": ({}, "bc-tree")}
+
+
+def test_the_bc_tree_is_formatted_when_its_index_changes(monkeypatch):
+    """The bc-tree section is reused while the decomposition's vertex
+    index of block names is the same object: deleting and re-inserting
+    edges inside the grid's one block formats it never, a bridge to a
+    new vertex once."""
+    calls: list = []
+    real = engine_module.bc_section
+
+    def spy(at):
+        calls.append(at)
+        return real(at)
+
+    monkeypatch.setattr(engine_module, "bc_section", spy)
+    eng = Engine(31)
+    for e in triangulated_grid(5, 6):
+        assert eng.insert_edge(*e).status == ACCEPTED
+    eng.dump()
+    calls.clear()
+    for e in ((7, 14), (8, 15), (13, 14), (0, 1)):
+        for change in (eng.delete_edge, eng.insert_edge):
+            assert change(*e).status == ACCEPTED
+            eng.dump()
+    assert calls == []
+    assert eng.insert_edge(29, 30).status == ACCEPTED
+    eng.dump()
+    assert calls == [eng.decomp._blocks_of_vertex]
 
 
 # --------------------------------------------------------- injected faults
