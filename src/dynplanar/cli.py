@@ -19,7 +19,7 @@ import re
 import sys
 from collections import Counter
 
-from .coherence import build_block_paths, is_coherent
+from .coherence import build_block_paths, is_coherent, node_label, pair_faces
 from .decomposition import DecompositionState
 from .engine import Engine
 from .graph_core import (
@@ -60,10 +60,12 @@ def check_state(eng: Engine) -> list[str]:
     oracle's certificate past it; embedding validity of every component,
     block, and the whole graph; every block rotation against a rebuild
     from the component embeddings, and the graph rotation against a
-    rebuild from the block rotations; coherence plus opposite pair
-    colours of every stored path, and each block's stored paths, which
-    surgery reads, against a rebuild; and the dump formatted with the
-    engine's memo against a cold formatting (`Engine._dump({})`).
+    rebuild from the block rotations; the stored pair-face entries,
+    which surgery reads, against a rebuild from each component's
+    embedding, none missing and none for a component that is gone;
+    coherence plus opposite pair colours of every maximal path listed
+    from them; and the dump formatted with the engine's memo against a
+    cold formatting (`Engine._dump({})`).
     """
     out: list[str] = []
     decomp = eng.decomp
@@ -140,7 +142,38 @@ def check_state(eng: Engine) -> list[str]:
         if rebuilt != eng.graph_rot:
             out.append("graph rotation differs from a rebuild")
 
-    for bname, paths in sorted(eng.colourings.items()):
+    with_pairs = {blk.name: blk for blk in decomp.blocks if blk.pairs}
+    for bname in sorted(eng.pair_faces.keys() - with_pairs.keys()):
+        out.append(f"pair faces kept for block {bname}, which is no block "
+                   "with pairs")
+    for bname, blk in with_pairs.items():
+        stored = eng.pair_faces.get(bname, {})
+        comps = {(c.kind, c.name): c for c in blk.comps}
+        for node in sorted(stored.keys() | comps.keys()):
+            label = node_label(node)
+            if node not in comps:
+                out.append(f"pair faces kept for {label}, which is no "
+                           f"component of block {bname}")
+                continue
+            if node not in stored:
+                out.append(f"pair faces missing for {label}")
+                continue
+            try:
+                fresh = pair_faces(eng.comp_embs[node], comps[node].pairs)
+            except (GraphError, KeyError, ValueError) as exc:
+                out.append(f"pair faces of {label} cannot be decided: "
+                           f"{exc!r}")
+                continue
+            if stored[node] != fresh:
+                out.append(f"pair faces of {label} differ from a rebuild")
+        if stored.keys() != comps.keys():
+            continue
+        try:
+            paths = build_block_paths(stored, blk)
+        except (AssertionError, KeyError) as exc:
+            out.append(f"stored paths of block {bname} cannot be listed: "
+                       f"{exc!r}")
+            continue
         for p in paths:
             try:
                 ok = is_coherent(eng.decomp, eng.comp_embs, p.nodes)
@@ -152,25 +185,8 @@ def check_state(eng: Engine) -> list[str]:
             for node in p.pair_nodes():
                 s, t = node[1]
                 if p.colour_of(s) == p.colour_of(t):
-                    out.append(
-                        f"pair {node[1]} in block {bname} is monochrome")
-    with_pairs = {blk.name: blk for blk in decomp.blocks if blk.pairs}
-    for bname in sorted(eng.colourings.keys() | with_pairs.keys()):
-        if bname not in with_pairs:
-            out.append(f"stored paths kept for block {bname}, which is no "
-                       "block with pairs")
-        elif bname not in eng.colourings:
-            out.append(f"stored paths missing for block {bname}")
-        else:
-            try:
-                rebuilt = build_block_paths(eng.comp_embs, with_pairs[bname])
-            except (AssertionError, GraphError, KeyError) as exc:
-                out.append(f"stored paths of block {bname} cannot be "
-                           f"rebuilt: {exc!r}")
-            else:
-                if eng.colourings[bname] != rebuilt:
-                    out.append(f"stored paths of block {bname} differ from "
-                               "a rebuild")
+                    out.append(f"pair {node[1]} in block {bname} is "
+                               "monochrome")
     return out
 
 

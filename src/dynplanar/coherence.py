@@ -7,25 +7,36 @@ two-colouring of the pair vertices predicts which of the two new faces
 each vertex will border, so it fixes the flip of each component an
 insertion fuses.
 
-Only maximal coherent paths holding at least one P-node are stored; their
-endpoints are S/R nodes. Every coherent path lies in a stored one, and
-the corridor merge reads its colours there (`path_colours`), so the
-stored colourings must equal a rebuild. Colours are path-scoped: a
-vertex shared by pairs of different paths may be coloured differently
-per path.
+The two-colouring is kept as a local relation (`pair_faces`): for each
+S/R component and each of its pairs (s, t), s < t, the face of the
+component that traverses s -> t and the face that traverses t -> s. An
+edge of a rigid component borders two faces and a cycle has two, so
+that is two entries per pair, and the relation is linear in the pairs.
+Two pairs of a component that share a face are linked: a path may pass
+the component from one to the other. Removing both pairs from that face
+leaves two arcs whose ends share a colour, so the colours of any path
+are the parity of the pairs' directions on the faces along it
+(`shared_face`). Links are not stored; a cycle with k pairs has
+k(k - 1) of them. A change decides entries only for the components it
+gave a new embedding or new pairs (`update_colouring`), and the
+corridor merge reads its colours off the entries along its window path,
+so the stored entries must equal a rebuild.
 
-`build_block_paths` finds and colours them in one walk from each end
-candidate. A link (c, p, q), through which a path may pass component c
-from its pair p to its pair q, is decided once, by the face of c that
-holds both pairs; that face also carries the colours across c.
+Only maximal coherent paths holding at least one P-node are listed;
+their endpoints are S/R nodes, and every coherent path lies in one.
+`build_block_paths` finds and colours them from the entries, in one walk
+from each end candidate, for dumps and checks. Colours are path-scoped:
+a vertex shared by pairs of different paths may be coloured differently
+per path.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .decomposition import Block, BlockName, DecompositionState, SpqrNode
-from .graph_core import GraphError, Vertex
-from .rotation import crossing
+from .graph_core import Edge, GraphError, Vertex
+from .rotation import Embedding, _orbit
 
 
 def node_label(node: SpqrNode) -> str:
@@ -63,7 +74,7 @@ def is_coherent(decomp: DecompositionState, embeddings, nodes) -> bool:
     return _windows_pass(embeddings, seq)
 
 
-# ------------------------------------------------------------ stored paths
+# ----------------------------------------------------------- maximal paths
 
 
 @dataclass(frozen=True)
@@ -88,8 +99,48 @@ class CoherentPath:
         return f"path {names} : {cols}"
 
 
-def build_block_paths(embeddings, block: Block) -> tuple[CoherentPath, ...]:
-    """The block's maximal coherent paths, coloured, in node order.
+# ------------------------------------------------------ the stored relation
+
+
+def pair_faces(emb: Embedding, pairs) -> dict[Edge, tuple[tuple, tuple]]:
+    """Each pair (s, t), s < t, of a component embedded by `emb`, with
+    the face of `emb` that traverses s -> t and the one that traverses
+    t -> s, as their stored boundaries. Each face that holds a pair is
+    walked once, and every pair on it reads the one boundary."""
+    rot = emb.rot
+    out = {p: [None, None] for p in sorted(pairs)}
+    for (s, t), faces in out.items():
+        for d, (x, y) in enumerate(((s, t), (t, s))):
+            if faces[d] is not None:
+                continue
+            cycle = _orbit(rot, x, y)
+            i = cycle.index(min(cycle))
+            faces[d] = bd = tuple(cycle[i:] + cycle[:i])
+            if len(out) == 1:
+                continue
+            for a, b in zip(bd, bd[1:] + bd[:1]):
+                on = out.get((a, b) if a < b else (b, a))
+                if on is not None:
+                    on[a > b] = bd
+    return {p: tuple(faces) for p, faces in out.items()}
+
+
+def shared_face(faces_p, faces_q):
+    """The first face two pairs p and q of a component share, given
+    their `pair_faces` entries, and the colour flip from p's lesser
+    vertex to q's, 0 or 1; None when they share no face. Removing both
+    pairs from the face leaves two arcs whose ends share a colour, so
+    the lesser vertices differ in colour when the face runs both pairs
+    the same way."""
+    for dp, bd in enumerate(faces_p):
+        if bd in faces_q:
+            return bd, 1 ^ dp ^ faces_q.index(bd)
+    return None
+
+
+def build_block_paths(store, block: Block) -> tuple[CoherentPath, ...]:
+    """The block's maximal coherent paths, coloured, in node order, read
+    off `store`, the `pair_faces` entries of its components by node.
 
     A walk starts at each S/R node x and pair p that x links to no other
     of its pairs, with p's lesser vertex coloured 0, follows links
@@ -101,19 +152,16 @@ def build_block_paths(embeddings, block: Block) -> tuple[CoherentPath, ...]:
     links: dict = {}
 
     def onward(c, p):
-        """The links (c, p, q), as q and each vertex of q with its
-        same-colour mate in p: removing both pairs from the face that
-        holds them leaves two arcs, whose ends share a colour."""
+        """The links (c, p, q), as q and the colour flip from p's lesser
+        vertex to q's: each pair q of c on a face that holds p."""
         out = links.get((c, p))
         if out is None:
             out = links[(c, p)] = []
-            for q in tree[c]:
-                bd = q != p and embeddings[c].common_face({*p[1], *q[1]})
-                if bd:
-                    prev, nxt = crossing(bd, p[1]), crossing(bd, q[1])
-                    assert prev and nxt, \
-                        "a path pair is not a window boundary edge"
-                    out.append((q, ((nxt[0], prev[1]), (nxt[1], prev[0]))))
+            entries = store[c]
+            for q, faces in entries.items():
+                link = q != p[1] and shared_face(entries[p[1]], faces)
+                if link:
+                    out.append((("P", q), link[1]))
         return out
 
     paths = []
@@ -148,41 +196,58 @@ def build_block_paths(embeddings, block: Block) -> tuple[CoherentPath, ...]:
                         paths.append(CoherentPath(tuple(path), tuple(sorted(
                             (v, c ^ flip) for v, c in colours.items()))))
                     continue
-                for q2, mates in out:
-                    cq2 = tuple((v, colours[w]) for v, w in mates)
-                    assert cq2[0][1] != cq2[1][1], \
-                        "pair vertices must differ in colour"
+                base = cq[0][1]  # the colour of q's lesser vertex
+                for q2, flip in out:
+                    c2 = base ^ flip
+                    cq2 = ((q2[1][0], c2), (q2[1][1], c2 ^ 1))
                     todo += ((z2, q2, cq2, len(path), len(colours))
                              for z2 in tree[q2] if z2 != z)
     paths.sort(key=lambda p: p.nodes)
     return tuple(paths)
 
 
-def path_colours(paths, first: SpqrNode, last: SpqrNode
-                 ) -> dict[Vertex, int]:
-    """The colours of the stored path in `paths` through the P-nodes
-    `first` and `last`, and so through every node between them."""
-    for p in paths:
-        if first in p.nodes and last in p.nodes:
-            return dict(p.colours)
-    raise AssertionError(f"no stored path holds {first} and {last}")
+def _has_face(emb: Embedding, bd) -> bool:
+    """Whether bd is a face of emb, whose faces are stored sorted."""
+    i = bisect_left(emb.faces, bd)
+    return i < len(emb.faces) and emb.faces[i] == bd
 
 
 def update_colouring(old, decomp: DecompositionState, embeddings,
-                     affected) -> dict[BlockName, tuple[CoherentPath, ...]]:
-    """`old` patched to the blocks `decomp` replaced and created: a
-    created block with pairs is coloured afresh when it is affected or
-    new by name, and otherwise carries the colouring of the replaced
-    block of its name bitwise; every other entry is carried."""
+                     old_embeddings) -> dict[BlockName, dict]:
+    """`old`, the `pair_faces` entries of the components of each block
+    with pairs, by block name, patched to the change to `decomp` whose
+    embeddings are `embeddings`, from `old_embeddings`. The replaced
+    blocks' entries go, and each created block with pairs gets its
+    components'. A pair keeps its old entry while its component keeps
+    the pair and both faces of the entry are faces of the component's
+    embedding, since each face the pair borders holds one of its two
+    directions; the other pairs get theirs afresh from the embedding.
+    A component whose every entry is kept keeps its old dict, and so
+    does a created block whose every component does."""
     new = dict(old)
-    for block in decomp.replaced:
-        new.pop(block.name, None)
-    for block in decomp.created:
-        if not block.pairs:
+    carried: dict = {}
+    for blk in decomp.replaced:
+        carried.update(new.pop(blk.name, ()))
+    for blk in decomp.created:
+        if not blk.pairs:
             continue
-        if block.name in affected or block.name not in old:
-            new[block.name] = build_block_paths(embeddings, block)
-        else:
-            new[block.name] = old[block.name]
+        entries = {}
+        for c in blk.comps:
+            node = (c.kind, c.name)
+            emb, was = embeddings[node], carried.get(node, {})
+            same = emb is old_embeddings.get(node)
+            if same and was.keys() == c.pairs:
+                entries[node] = was
+                continue
+            kept = {p: faces for p, faces in was.items() if p in c.pairs
+                    and (same or _has_face(emb, faces[0])
+                         and _has_face(emb, faces[1]))}
+            if len(kept) == len(was) == len(c.pairs):
+                entries[node] = was
+            else:
+                kept.update(pair_faces(emb, c.pairs - kept.keys()))
+                entries[node] = kept
+        prev = old.get(blk.name, {})
+        new[blk.name] = prev if len(prev) == len(entries) and all(
+            prev.get(nd) is e for nd, e in entries.items()) else entries
     return new
-

@@ -6,7 +6,9 @@ accepted change:
   1. the block/SPQR decomposition (the blocks a change touches are
      replaced, the others carried),
   2. one embedding per triconnected component,
-  3. the coherent-path two-colourings per block,
+  3. the two-colouring, as the faces that hold each pair of each S/R
+     component and the pair's direction on them (`coherence.pair_faces`),
+     per block with pairs,
   4. one rotation scheme per non-bridge block,
   5. the whole-graph rotation scheme: at each vertex, the entries of
      its blocks' rotations there less their virtual entries, the blocks
@@ -38,8 +40,9 @@ the corridor of the one window whose two endpoints it holds; a delete
 projects the one old rigid component whose vertex set contains it (a
 deletion merges only cycles). A corridor merge is the splice that
 assembles blocks, applied along the window path to rotation schemes
-once the block's stored two-colouring has fixed each one's flip: the
-path lies in one stored coherent path, whose colours it reads. A face
+once the stored two-colouring has fixed each one's flip: the colours
+are read off the pair-face entries of the components along the path,
+which also name each inner component's window face. A face
 split is the corridor of one rigid component, which has no pairs and
 so no flip. A
 projection reads the far side of each new pair off the new block's SPQR
@@ -56,24 +59,34 @@ split, or a deletion that leaves the component rigid, edits the stored
 embedding, retracing only the faces at the edge.
 
 A dump is formatted by value. Each block's four sections (spqr-tree,
-sr-embeddings, colourings, block-embedding) are kept as text, keyed by
-the `Block`, its block rotation, its stored `CoherentPath` tuple and
-its components' `Embedding`s, each vertex's graph-embedding line by
-its `graph_rot` tuple, and the bc-tree section by the decomposition's
-vertex index of block names, which a change inside a block shares. A
-dump reuses an entry only while every key is the object (`is`) the
-state holds, so it formats only what the changes since the last dump
-created. Only `Engine.dump` writes this memo, and
-it rebuilds it from the current blocks and vertices, so a change pays
-nothing for it and it holds no more than the graph. The same formatter
-given an empty memo gives a cold dump, which the checks that compare
-dumps across a change use: an object changed in place keeps its key.
+sr-embeddings, colourings, block-embedding) are kept as text: the
+colourings keyed by the block's SPQR tree and the dict of its
+components' pair-face entries, whose maximal coherent paths it lists,
+the others by the `Block`, its block rotation and its components'
+`Embedding`s. A change inside one rigid component keeps the tree, and
+the dict while every entry is kept, so its block's paths are walked
+again only when an entry changed. Each vertex's
+graph-embedding line is keyed by its `graph_rot` tuple, and the bc-tree
+section by the decomposition's vertex index of block names, which a
+change inside a block shares. A dump reuses an entry only while every
+key is the object (`is`) the state holds, so it formats only what the
+changes since the last dump created. Only `Engine.dump` writes this
+memo, and it rebuilds it from the current blocks and vertices, so a
+change pays nothing for it and it holds no more than the graph. The
+same formatter given an empty memo gives a cold dump, which the checks
+that compare dumps across a change use: an object changed in place
+keeps its key.
 """
 from __future__ import annotations
 
 from operator import is_
 
-from .coherence import node_label, path_colours, update_colouring
+from .coherence import (
+    build_block_paths,
+    node_label,
+    shared_face,
+    update_colouring,
+)
 from .decomposition import (
     Block,
     DecompositionState,
@@ -234,26 +247,33 @@ def _far_sides(block: Block, comp: TriComp, pairs) -> dict[Edge, set]:
     return out
 
 
-def _block_sections(blk: Block, rot: dict, paths, *embs: Embedding):
+def _block_sections(blk: Block, rot: dict, *embs: Embedding):
     """The dump text of a block with components: its label and its
-    `spqr-tree`, `sr-embeddings`, `colourings` (None without pairs) and
-    `block-embedding` sections. It reads nothing but its arguments: the
-    block, its rotation, its stored paths and its components'
-    embeddings in `blk.comps` order. A block rotation entry that is no
-    real edge of the block is virtual, marked `*`."""
+    `spqr-tree`, `sr-embeddings` and `block-embedding` sections. It
+    reads nothing but its arguments: the block, its rotation and its
+    components' embeddings in `blk.comps` order. A block rotation entry
+    that is no real edge of the block is virtual, marked `*`."""
     label = block_label(blk.name)
     sr = [f"sr-embeddings {label}"]
     for c, emb in sorted(zip(blk.comps, embs),
                          key=lambda ce: (ce[0].kind, ce[0].name)):
         sr += [f"comp {node_label((c.kind, c.name))}", *emb.dump_lines()]
-    col = None if paths is None else "\n".join(
-        [f"colourings {label}", *(p.dump_line() for p in paths)])
     be = [f"block-embedding {label}"]
     for v in sorted(rot):
         be.append(f"rot {v}: " + " ".join(
             str(w) if canonical_edge(v, w) in blk.edges else f"{w}*"
             for w in opened_at_least(rot[v])))
-    return label, spqr_section(blk), "\n".join(sr), col, "\n".join(be)
+    return label, spqr_section(blk), "\n".join(sr), "\n".join(be)
+
+
+def _colouring_section(blk: Block, store: dict) -> str | None:
+    """The `colourings` section of a block: its maximal coherent paths,
+    found from its components' pair-face entries in `store`, by block
+    name; None without pairs."""
+    if not blk.pairs:
+        return None
+    return "\n".join([f"colourings {block_label(blk.name)}", *(
+        p.dump_line() for p in build_block_paths(store[blk.name], blk))])
 
 
 # ------------------------------------------------------------------- engine
@@ -266,7 +286,8 @@ class Engine:
             raise DomainError(f"domain size must be a positive int, got {n!r}")
         self.decomp = DecompositionState.from_edges(n, ())
         self.comp_embs: dict[SpqrNode, Embedding] = {}
-        self.colourings: dict = {}
+        # block name -> node -> its `coherence.pair_faces` entries
+        self.pair_faces: dict = {}
         self.block_rots: dict = {}
         self.graph_rot: dict[Vertex, tuple] = {}
         # Test hook: permutes the order of independent sub-updates.
@@ -339,25 +360,39 @@ class Engine:
 
         Each component gives a rotation scheme and its window face, the
         face holding its anchors (u or v, and its flanking pairs): a rigid
-        component its stored rotation and the one such face, a cycle the
-        cycle through its anchors in their order around it (the arcs it
-        bypasses are derived from content after the change). A scheme
-        whose window face crosses its seam the wrong way is mirrored, so
-        every window face traverses its left seam pair top to bottom and
-        its right one bottom to top, top and bottom as the block's stored
-        colouring gives them. Each is spliced into the rotation built so
-        far at its left pair, as blocks are assembled, which lands it in
-        the window face, and pairs the corridor dissolves lose their
-        virtual entries. Only the fused rotation becomes an embedding,
-        and u-v is drawn across its one face that holds every window. A
-        path of one rigid component has no pairs and so no flip: a face
-        split, which draws u-v across the stored window face and retraces
-        only the two faces it makes.
+        component its stored rotation and the one such face, which for a
+        component between two pairs is the face their stored pair-face
+        entries share, a cycle the cycle through its anchors in their
+        order around it (the arcs it bypasses are derived from content
+        after the change). The pair colours are the parities of those
+        entries along the path, from 0 at the first pair's lesser vertex.
+        A scheme whose window face crosses its seam the wrong way is
+        mirrored, so every window face traverses its left seam pair top to
+        bottom and its right one bottom to top, top the vertex of colour
+        0. Each is spliced into the rotation built so far at its left
+        pair, as blocks are assembled, which lands it in the window face,
+        and pairs the corridor dissolves lose their virtual entries. Only
+        the fused rotation becomes an embedding, and u-v is drawn across
+        its one face that holds every window. A path of one rigid
+        component has no pairs and so no flip: a face split, which draws
+        u-v across the stored window face and retraces only the two faces
+        it makes.
         """
         comps = path[::2]
         pairs = [nd[1] for nd in path[1::2]]
-        colours = path_colours(self.colourings[block.name], path[1],
-                               path[-2]) if pairs else {}
+        colours = dict(zip(pairs[0], (0, 1))) if pairs else {}
+        inner = {}  # the window face of each component between two pairs
+        for i in range(1, len(pairs)):
+            p, q = pairs[i - 1], pairs[i]
+            entries = self.pair_faces[block.name][comps[i]]
+            link = shared_face(entries[p], entries[q])
+            assert link is not None, "window pairs share no face"
+            inner[i], flip = link
+            c = colours[p[0]] ^ flip
+            for x, cx in zip(q, (c, c ^ 1)):
+                assert colours.get(x, cx) == cx, \
+                    "colour conflict at shared vertex"
+                colours[x] = cx
         pair_verts = {x for p in pairs for x in p}
         assert u not in pair_verts and v not in pair_verts
 
@@ -379,7 +414,7 @@ class Engine:
                 crot = {bd[j]: (bd[(j + 1) % k], bd[j - 1]) for j in range(k)}
             else:
                 crot = emb.rot
-                bd = emb.common_face(anchors)
+                bd = inner.get(i) or emb.common_face(anchors)
             window_verts |= set(bd)
             if pairs:
                 want = (bottom(pairs[0]), top(pairs[0])) if i == 0 \
@@ -479,8 +514,9 @@ class Engine:
         whose two endpoints it holds, or the old rigid component that
         contains it. Only the blocks the new state replaced and created
         are walked: every stored relation is a copy of the old one with
-        their entries patched, and only created blocks whose shape
-        changed get new colourings and rotations. The block the new
+        their entries patched. Only the components given a new embedding
+        or new pairs get new pair-face entries, and only created blocks
+        whose shape changed get new rotations. The block the new
         state derived keeps its other components and their embeddings;
         unless `canonical()` mirrors the one it edits, its block rotation
         and the graph rotation are patched at the edge's two ends, where
@@ -514,8 +550,8 @@ class Engine:
             if derived is not None and canon is emb:
                 # an edit rewrites the edge's two ends; a mirror, all
                 at = deleted or windows[0][1:3]
-        colourings = update_colouring(
-            self.colourings, new_decomp, comp_embs, affected)
+        pair_faces = update_colouring(
+            self.pair_faces, new_decomp, comp_embs, self.comp_embs)
 
         block_rots = dict(self.block_rots)
         for blk in new_decomp.replaced:
@@ -533,7 +569,7 @@ class Engine:
 
         self.decomp = new_decomp
         self.comp_embs = comp_embs
-        self.colourings = colourings
+        self.pair_faces = pair_faces
         self.block_rots = block_rots
         self.graph_rot = graph_rot
 
@@ -618,7 +654,11 @@ class Engine:
         the same splices, of which only those at pairs through x write
         it. The components holding x form a subtree of the SPQR tree,
         and the first one the walk reaches gives x's entry before any
-        splice at x."""
+        splice at x. A vertex on no pair lies in one component, which
+        gives its entry as it is."""
+        if not any(x in p for p in block.pairs):
+            c = next(c for c in block.comps if x in c.vertices)
+            return comp_embs[(c.kind, c.name)].rot[x]
         order = _splices(block)
         rot = comp_embs[next(order)].rot
         seq = list(rot[x]) if x in rot else None
@@ -714,31 +754,39 @@ class Engine:
 
     def _dump(self, memo: dict) -> tuple[str, dict]:
         """The dump and the memo it was formatted with. `memo` maps each
-        block name to the arguments `_block_sections` last got and what
-        it returned, each vertex to its graph rotation entry and its
+        block name to its key, what `_block_sections` returned and its
+        colourings section: the key is the tree and pair-face entries the
+        colourings were listed from, then the arguments `_block_sections`
+        last got. It maps each vertex to its graph rotation entry and its
         line, and "bc-tree" to the vertex index `bc_section` last got and
-        its section; an entry is reused only while each of them is the
+        its section. An entry is reused only while each of them is the
         object (`is`) the state holds now. Given {}, it formats every
         section: a cold dump."""
         new: dict = {}
         for blk in self.decomp.blocks:
             if blk.is_bridge:
                 continue
-            args = (blk, self.block_rots[blk.name],
-                    self.colourings.get(blk.name),
-                    *(self.comp_embs[(c.kind, c.name)] for c in blk.comps))
+            key = (blk.tree, self.pair_faces.get(blk.name), blk,
+                   self.block_rots[blk.name],
+                   *(self.comp_embs[(c.kind, c.name)] for c in blk.comps))
             old = memo.get(blk.name)
-            if not old or not all(map(is_, old[0], args)):
-                old = (args, _block_sections(*args))
+            if not old or not all(map(is_, old[0], key)):
+                secs = old[1] if old and all(map(is_, old[0][2:], key[2:])) \
+                    else _block_sections(*key[2:])
+                col = old[2] if old and all(map(is_, old[0][:2], key[:2])) \
+                    else _colouring_section(blk, self.pair_faces)
+                old = (key, secs, col)
             new[blk.name] = old
-        secs = sorted(sec for _, sec in new.values())  # in label order
+        order = sorted(new.values(), key=lambda e: e[1][0])  # label order
         at, old = self.decomp._blocks_of_vertex, memo.get("bc-tree")
         if not old or old[0] is not at:
             old = (at, bc_section(at))
         new["bc-tree"] = old
         parts = [old[1]]
-        for i in range(1, 5):  # spqr-tree, ..., block-embedding
-            parts += [sec[i] for sec in secs if sec[i] is not None]
+        parts += [e[1][1] for e in order]  # spqr-tree
+        parts += [e[1][2] for e in order]  # sr-embeddings
+        parts += [e[2] for e in order if e[2] is not None]  # colourings
+        parts += [e[1][3] for e in order]  # block-embedding
         parts.append("graph-embedding")
         for v in sorted(self.graph_rot):
             seq, old = self.graph_rot[v], memo.get(v)

@@ -207,30 +207,38 @@ def glued_k4s() -> Engine:
 
 
 def test_check_state_flags_stored_colours_unlike_their_rebuild():
-    """A stored path whose pair 3-4 has its two colours swapped is still
-    coherent and two-coloured, but differs from the paths rebuilt from
-    the component embeddings."""
+    """A stored entry whose pair 3-4 has its two faces swapped, which
+    swaps the pair's colours, still lists a coherent, two-coloured path,
+    but differs from the entry decided from the component's embedding."""
     eng = glued_k4s()
-    ((name, (path,)),) = eng.colourings.items()
-    swapped = replace(path, colours=tuple(
-        (v, 1 - c if v in (3, 4) else c) for v, c in path.colours))
-    assert swapped != path
-    eng.colourings = {name: (swapped,)}
-    assert check_state(eng) == [
-        f"stored paths of block {name} differ from a rebuild"]
+    ((name, entries),) = eng.pair_faces.items()
+    node = ("R", (1, 2, 3))
+    swapped = {(3, 4): entries[node][(3, 4)][::-1]}
+    assert swapped != entries[node]
+    eng.pair_faces = {name: {**entries, node: swapped}}
+    assert check_state(eng) == ["pair faces of R(1,2,3) differ from a rebuild"]
 
 
 def test_check_state_flags_a_block_without_its_stored_paths():
-    """A block with pairs and no stored paths is flagged, and so are
-    stored paths under a name that is no block with pairs."""
+    """A block with pairs and no stored entries is flagged, component by
+    component, and its colourings cannot be listed for a dump; so are
+    entries under a name that is no block with pairs, and an entry for a
+    node that is no component of its block."""
     eng = glued_k4s()
-    ((name, paths),) = eng.colourings.items()
-    eng.colourings = {}
-    assert check_state(eng) == [f"stored paths missing for block {name}"]
-    eng.colourings = {(5, 6): paths}
+    ((name, entries),) = eng.pair_faces.items()
+    eng.pair_faces = {}
+    missing = [f"dump cannot be formatted: KeyError({name!r})",
+               "pair faces missing for R(1,2,3)",
+               "pair faces missing for R(3,4,5)"]
+    assert check_state(eng) == missing
+    eng.pair_faces = {(5, 6): entries}
+    assert check_state(eng) == missing[:1] + [
+        "pair faces kept for block (5, 6), which is no block with pairs",
+        *missing[1:]]
+    eng.pair_faces = {name: {**entries, ("S", (5, 6, 7)): {}}}
     assert check_state(eng) == [
-        f"stored paths missing for block {name}",
-        "stored paths kept for block (5, 6), which is no block with pairs"]
+        f"pair faces kept for S(5,6,7), which is no component of block "
+        f"{name}"]
 
 
 def test_check_state_flags_decomposition_desync():

@@ -2,25 +2,57 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import is_
 
 import pytest
 
 from block_chain import triangulated_grid
 from dynplanar import coherence, decomposition
+from dynplanar import engine as engine_module
 from dynplanar.coherence import (
     CoherentPath,
     build_block_paths,
     is_coherent,
     node_label,
+    pair_faces,
     update_colouring,
 )
 from dynplanar.decomposition import DecompositionState
-from dynplanar.engine import Engine, _block_sections
-from dynplanar.graph_core import ACCEPTED, GraphError
+from dynplanar.engine import Engine, _colouring_section
+from dynplanar.graph_core import (
+    ACCEPTED,
+    NOOP_ABSENT,
+    NOOP_DUPLICATE,
+    REJECTED_NONPLANAR,
+    GraphError,
+)
 from dynplanar.rotation import Embedding
 from reference_coherence import colour_path
 
 K4_ROT = {1: (2, 3, 4), 2: (1, 4, 3), 3: (1, 2, 4), 4: (1, 3, 2)}
+
+
+def k4_emb(a, b, c, d):
+    """K4_ROT with a, b, c, d in place of 1, 2, 3, 4."""
+    new = dict(zip((1, 2, 3, 4), (a, b, c, d)))
+    return Embedding({new[v]: tuple(new[w] for w in seq)
+                      for v, seq in K4_ROT.items()})
+
+
+def triangle_emb(a, b, c):
+    return Embedding({a: (b, c), b: (c, a), c: (a, b)})
+
+
+def stored(embs, blk):
+    """The pair-face entries of blk's components with pairs, decided
+    from their embeddings `embs`."""
+    return {(c.kind, c.name): pair_faces(embs[(c.kind, c.name)], c.pairs)
+            for c in blk.comps if c.pairs}
+
+
+def listed(embs, blk):
+    """blk's maximal coherent paths, listed from `stored` entries."""
+    return build_block_paths(stored(embs, blk), blk)
 
 
 def wheel_edges(hub, rim):
@@ -59,7 +91,9 @@ def k4_between_triangles():
     edges = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
              (1, 8), (2, 8), (3, 9), (4, 9)]
     decomp = DecompositionState.from_edges(10, edges)
-    embs = {("R", (1, 2, 3)): Embedding(K4_ROT)}
+    embs = {("R", (1, 2, 3)): Embedding(K4_ROT),
+            ("S", (1, 2, 8)): triangle_emb(1, 2, 8),
+            ("S", (3, 4, 9)): triangle_emb(3, 4, 9)}
     return decomp, embs
 
 
@@ -68,7 +102,9 @@ def pinched_k4s():
     edges = [(1, 2), (1, 4), (1, 5), (2, 4), (2, 5), (4, 5),
              (1, 3), (1, 6), (1, 7), (3, 6), (3, 7), (6, 7), (2, 3)]
     decomp = DecompositionState.from_edges(8, edges)
-    embs = {("S", (1, 2, 3)): Embedding({1: (2, 3), 2: (3, 1), 3: (1, 2)})}
+    embs = {("S", (1, 2, 3)): triangle_emb(1, 2, 3),
+            ("R", (1, 2, 4)): k4_emb(1, 2, 4, 5),
+            ("R", (1, 3, 6)): k4_emb(1, 3, 6, 7)}
     return decomp, embs
 
 
@@ -82,7 +118,9 @@ def rim_wheel_between_k4s():
              + [(1, 6), (1, 7), (2, 6), (2, 7), (6, 7)]
              + [(3, 8), (3, 9), (4, 8), (4, 9), (8, 9)])
     decomp = DecompositionState.from_edges(10, edges)
-    embs = {("R", (1, 2, 3)): wheel_emb(5, [1, 2, 3, 4])}
+    embs = {("R", (1, 2, 3)): wheel_emb(5, [1, 2, 3, 4]),
+            ("R", (1, 2, 6)): k4_emb(1, 2, 6, 7),
+            ("R", (3, 4, 8)): k4_emb(3, 4, 8, 9)}
     return decomp, embs
 
 
@@ -167,7 +205,7 @@ def test_colours_anchor_least_pair_vertex() -> None:
 
 def test_chain_stored_paths() -> None:
     decomp, embs = chained_wheels()
-    paths = build_block_paths(embs, decomp.blocks[0])
+    paths = listed(embs, decomp.blocks[0])
     assert len(paths) == 1
     assert paths[0].nodes == CHAIN_PATH
     assert paths[0].colours == ((3, 0), (4, 1), (6, 0), (7, 1))
@@ -181,7 +219,7 @@ def test_chain_stored_paths() -> None:
 
 def test_incoherent_window_splits_stored_paths() -> None:
     decomp, embs = k4_between_triangles()
-    paths = build_block_paths(embs, decomp.blocks[0])
+    paths = listed(embs, decomp.blocks[0])
     assert [p.dump_line() for p in paths] == [
         "path R(1,2,3) P(1,2) S(1,2,8) : 1=0 2=1",
         "path R(1,2,3) P(3,4) S(3,4,9) : 3=0 4=1",
@@ -190,7 +228,7 @@ def test_incoherent_window_splits_stored_paths() -> None:
 
 def test_pinch_stored_path() -> None:
     decomp, embs = pinched_k4s()
-    paths = build_block_paths(embs, decomp.blocks[0])
+    paths = listed(embs, decomp.blocks[0])
     assert len(paths) == 1
     assert paths[0].dump_line() == \
         "path R(1,2,4) P(1,2) S(1,2,3) P(1,3) R(1,3,6) : 1=0 2=1 3=1"
@@ -235,9 +273,9 @@ def _check_stored(decomp, embs, blk, stored, seen) -> None:
 def test_stored_paths_are_exactly_the_maximal_coherent_ones(make) -> None:
     decomp, embs = make()
     blk = decomp.blocks[0]
-    stored = build_block_paths(embs, blk)
-    assert stored
-    _check_stored(decomp, embs, blk, stored, dict.fromkeys(PATH_CASES, 0))
+    paths = build_block_paths(stored(embs, blk), blk)
+    assert paths
+    _check_stored(decomp, embs, blk, paths, dict.fromkeys(PATH_CASES, 0))
 
 
 def k4_ring(m: int) -> Engine:
@@ -299,19 +337,26 @@ def _churned_engines(rng):
 
 
 def test_stored_paths_are_exactly_the_maximal_coherent_ones_under_churn():
-    """After every step of seeded engine runs, each block's stored paths
-    are the brute-force maximal coherent paths, coloured as the
-    reference colours each alone; a colouring is checked when it is a
-    new object. The runs must store at least 50 paths of each of
+    """After every step of seeded engine runs, each block's paths listed
+    from the stored entries are the brute-force maximal coherent paths,
+    coloured as the reference colours each alone; a block is checked
+    when its tree, its components' embeddings or their stored entries
+    are new objects. The runs must list at least 50 paths of each of
     PATH_CASES."""
     seen = dict.fromkeys(PATH_CASES, 0)
     checked: dict = {}
     for eng in _churned_engines(random.Random(22)):
         for blk in eng.decomp.blocks:
-            stored = eng.colourings.get(blk.name)
-            if blk.pairs and checked.get(blk.name) is not stored:
-                checked[blk.name] = stored
-                _check_stored(eng.decomp, eng.comp_embs, blk, stored, seen)
+            if not blk.pairs:
+                continue
+            entries = eng.pair_faces[blk.name]
+            key = (blk.tree, entries, *(eng.comp_embs[(c.kind, c.name)]
+                                        for c in blk.comps))
+            old = checked.get(blk.name)
+            if old is None or not all(map(is_, old, key)):
+                checked[blk.name] = key
+                paths = build_block_paths(entries, blk)
+                _check_stored(eng.decomp, eng.comp_embs, blk, paths, seen)
     assert min(seen.values()) >= 50, seen
 
 
@@ -319,43 +364,145 @@ def test_stored_paths_are_exactly_the_maximal_coherent_ones_under_churn():
 def test_ring_paths_decide_each_link_once(m, monkeypatch) -> None:
     """A ring of m K4 gadgets is one block: a cycle component holding
     each gadget's pair, and a rigid leaf per gadget. Its m(m-1)/2
-    stored paths are built with no `_tree_path` search and at most one
-    `common_face` call per ordered link (component, pair, pair); so are
-    the paths once a chord joins two opposite gadgets, which puts rigid
-    components inside paths."""
-    asked: dict = {}
-    real = Embedding.common_face
+    maximal paths are listed from the stored pair-face entries alone,
+    with no `_tree_path` search and no face looked up or traced in an
+    embedding, and each link (component, pair, pair) is decided once: a
+    component's entries are read once per pair they hold. So are the
+    paths once a chord joins two opposite gadgets, which puts rigid
+    components inside paths, and they equal the paths of entries decided
+    afresh."""
+    reads: dict = {}
 
-    def spy(emb, vertex_set):
-        key = (id(emb), frozenset(vertex_set))
-        asked[key] = asked.get(key, 0) + 1
-        return real(emb, vertex_set)
+    class Counted(dict):
+        def __getitem__(self, node):
+            reads[node] = reads.get(node, 0) + 1
+            return dict.__getitem__(self, node)
 
     def no_search(*args):
-        raise AssertionError("tree path search")
+        raise AssertionError("search outside the stored entries")
 
     def built(eng):
         (blk,) = eng.decomp.blocks
-        asked.clear()
+        reads.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(Embedding, "common_face", spy)
+            patch.setattr(Embedding, "common_face", no_search)
             for module in (decomposition, coherence):
                 patch.setattr(module, "_tree_path", no_search, raising=False)
-            paths = build_block_paths(eng.comp_embs, blk)
-        links: dict = {}
-        for c in blk.comps:
-            emb = eng.comp_embs[(c.kind, c.name)]
-            for p, q in itertools.permutations(c.pairs, 2):
-                key = (id(emb), frozenset((*p, *q)))
-                links[key] = links.get(key, 0) + 1
-        assert asked and all(n <= links.get(key, 0)
-                             for key, n in asked.items())
+            patch.setattr(coherence, "_orbit", no_search)
+            paths = build_block_paths(Counted(eng.pair_faces[blk.name]), blk)
+        assert reads and all(n <= len(blk.tree[nd])
+                             for nd, n in reads.items())
+        assert paths == listed(eng.comp_embs, blk)
         return paths
 
     eng = k4_ring(m)
     assert len(built(eng)) == m * (m - 1) // 2
     assert eng.insert_edge(2, 4 * (m // 2) + 2).status == ACCEPTED
-    assert built(eng) == eng.colourings[eng.decomp.blocks[0].name]
+    built(eng)
+
+
+# ----------------------------------------------------- entries a change writes
+
+
+def _written(old: dict, new: dict) -> int:
+    """The (pair, face) entries the store `new` holds that the store
+    `old` does not: two for each pair whose faces are not the object
+    `old` holds for it in any block."""
+    was = {node: entries for block in old.values()
+           for node, entries in block.items()}
+    count = 0
+    for name, block in new.items():
+        if block is old.get(name):
+            continue
+        for node, entries in block.items():
+            prev = was.get(node, {})
+            count += sum(2 for p, faces in entries.items()
+                         if prev.get(p) is not faces)
+    return count
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_a_change_writes_the_entries_of_the_components_it_embedded(m):
+    """On a ring of m K4 gadgets, chords between opposite gadgets are
+    inserted and deleted and gadget edges deleted and re-inserted. Each
+    change writes exactly the (pair, face) entries of the components
+    whose embedding it wrote, and carries every other entry."""
+    eng = k4_ring(m)
+    half = 4 * (m // 2)
+    for i in (0, 3, m // 2 - 1):
+        for a, b in ((4 * i + 2, 4 * i + half + 2), (4 * i + 2, 4 * i + 3)):
+            for change in (eng.insert_edge, eng.delete_edge)[::(
+                    -1 if eng.graph.has_edge(a, b) else 1)]:
+                embs, entries = eng.comp_embs, eng.pair_faces
+                assert change(a, b).status == ACCEPTED
+                comps = {(c.kind, c.name): c for blk in eng.decomp.blocks
+                         for c in blk.comps}
+                embedded = [nd for nd, emb in eng.comp_embs.items()
+                            if emb is not embs.get(nd)]
+                assert embedded
+                assert _written(entries, eng.pair_faces) == sum(
+                    2 * len(comps[nd].pairs) for nd in embedded)
+                assert eng.pair_faces == {
+                    blk.name: stored(eng.comp_embs, blk)
+                    for blk in eng.decomp.blocks if blk.pairs}
+
+
+def test_a_derived_grid_change_writes_no_entry_and_walks_no_path(
+        monkeypatch) -> None:
+    """Changes inside the rigid component of a 6x6 triangulated grid that
+    touch none of its faces with pairs write no entry, list no path, and
+    leave the next dump's colourings section as the memo holds it; one
+    that touches such a face writes the entries of the pairs on it.
+    Rejections, no-ops and queries write nothing."""
+    calls: list = []
+    real = build_block_paths
+
+    def spy(store, blk):
+        calls.append(blk.name)
+        return real(store, blk)
+
+    eng = Engine(36)
+    for e in triangulated_grid(6, 6):
+        assert eng.insert_edge(*e).status == ACCEPTED
+    (blk,) = eng.decomp.blocks
+    assert sorted(blk.pairs) == [(4, 11), (24, 31)]
+    eng.dump()
+    monkeypatch.setattr(engine_module, "build_block_paths", spy)
+    for e in ((14, 21), (15, 21), (20, 21)):
+        for change in (eng.delete_edge, eng.insert_edge):
+            entries, memo = eng.pair_faces, eng._dumped[blk.name]
+            assert change(*e).status == ACCEPTED
+            assert eng.decomp.derived is not None
+            assert eng.pair_faces == entries
+            assert eng.pair_faces[blk.name] is entries[blk.name]
+            eng.dump()
+            assert eng._dumped[blk.name][2] is memo[2]  # colourings
+    assert calls == []
+
+    # a chord across the outer face, which borders both pairs, rewrites
+    # the rigid component's entries and keeps the triangles'
+    rigid = ("R", (0, 1, 2))
+    for change in (eng.insert_edge, eng.delete_edge):
+        entries = eng.pair_faces
+        assert change(0, 2).status == ACCEPTED
+        assert eng.decomp.derived is not None
+        assert _written(entries, eng.pair_faces) == 4
+        new = eng.pair_faces[blk.name]
+        assert all(new[nd] is was for nd, was in entries[blk.name].items()
+                   if nd != rigid)
+        eng.dump()
+    assert calls == [blk.name, blk.name]
+
+    entries = eng.pair_faces
+    assert eng.insert_edge(15, 20).status == REJECTED_NONPLANAR
+    assert eng.insert_edge(14, 21).status == NOOP_DUPLICATE
+    assert eng.delete_edge(0, 35).status == NOOP_ABSENT
+    eng.graph_rotation_query(14, 8, 15, 21)
+    eng.graph_face_query(14, 15, 21)
+    eng.decomp.is_separating_pair(4, 11)
+    assert eng.pair_faces is entries
+    eng.dump()
+    assert calls == [blk.name, blk.name]
 
 
 # ----------------------------------------------------------- update + dump
@@ -363,28 +510,42 @@ def test_ring_paths_decide_each_link_once(m, monkeypatch) -> None:
 
 def test_update_colouring_skips_pairless_blocks() -> None:
     decomp = DecompositionState.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 1)])
-    assert update_colouring({}, decomp, {}, set()) == {}
+    assert update_colouring({}, decomp, {}, {}) == {}
 
 
 def test_update_colouring_carries_untouched_blocks() -> None:
+    """A block rebuilt from its own edges replaces and recreates it.
+    Entries are carried when a component keeps its embedding and its
+    pairs; decided afresh from a new embedding, they keep each old
+    object they equal: all of them for a copy, the triangles' for a
+    mirror image, which only a rigid component's faces tell apart."""
     decomp, embs = k4_between_triangles()
-    old = update_colouring({}, decomp, embs, set())
-    blk = decomp.blocks[0].name
-    assert old == {blk: build_block_paths(embs, decomp.blocks[0])}
-    carried = update_colouring(old, decomp, embs, affected=set())
-    assert carried[blk] is old[blk]
-    rebuilt = update_colouring(old, decomp, embs, affected={blk})
-    assert rebuilt[blk] == old[blk]
-    assert rebuilt[blk] is not old[blk]
+    (blk,) = decomp.blocks
+    old = update_colouring({}, decomp, embs, {})
+    assert old == {blk.name: stored(embs, blk)}
+    assert sorted(old[blk.name]) == [("R", (1, 2, 3)), ("S", (1, 2, 8)),
+                                     ("S", (3, 4, 9))]
+    again = DecompositionState.from_edges(10, decomp.edges, decomp)
+    assert again.replaced == (blk,) and again.created[0] is not blk
+    assert update_colouring(old, again, embs, embs)[blk.name] \
+        is old[blk.name]
+    copies = {nd: Embedding(emb.rot) for nd, emb in embs.items()}
+    assert update_colouring(old, again, copies, embs)[blk.name] \
+        is old[blk.name]
+    mirrors = {nd: emb.flipped() for nd, emb in embs.items()}
+    new = update_colouring(old, again, mirrors, embs)[blk.name]
+    was = old[blk.name]
+    assert new == stored(mirrors, blk) != was
+    rigid = ("R", (1, 2, 3))
+    assert all(new[nd] is was[nd] for nd in was if nd != rigid)
+    assert all(new[rigid][p] is not was[rigid][p] for p in was[rigid])
 
 
 def test_dump_colourings_frozen() -> None:
     decomp, embs = chained_wheels()
     (blk,) = decomp.blocks
-    paths = update_colouring({}, decomp, embs, set())[blk.name]
-    sections = _block_sections(
-        blk, {}, paths, *(embs[(c.kind, c.name)] for c in blk.comps))
-    assert sections[3].split("\n") == [
+    store = update_colouring({}, decomp, embs, {})
+    assert _colouring_section(blk, store).split("\n") == [
         "colourings B(0,1)",
         "path R(0,1,2) P(3,4) R(3,4,5) P(6,7) R(6,7,8) : 3=0 4=1 6=0 7=1",
     ]
@@ -392,8 +553,8 @@ def test_dump_colourings_frozen() -> None:
 
 def test_coherent_path_is_hashable_value() -> None:
     decomp, embs = pinched_k4s()
-    a = build_block_paths(embs, decomp.blocks[0])
-    b = build_block_paths(embs, decomp.blocks[0])
+    a = listed(embs, decomp.blocks[0])
+    b = listed(embs, decomp.blocks[0])
     assert a == b
     assert {a[0]} == {b[0]}
     assert isinstance(a[0], CoherentPath)

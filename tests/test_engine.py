@@ -3,11 +3,11 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
 from dynplanar import decomposition, engine, rotation
+from dynplanar.coherence import build_block_paths
 from dynplanar.decomposition import TriComp
 from dynplanar.engine import Engine, insert_ok
 from dynplanar.graph_core import (
@@ -88,8 +88,9 @@ def test_k4_delete_dissolves_to_cycle_pair():
     assert (out.change_type.before_level, out.change_type.after_level) \
         == (3, 2)
     assert sorted(eng.comp_embs) == [("S", (1, 3, 4)), ("S", (2, 3, 4))]
-    lines = [p.dump_line()
-             for paths in eng.colourings.values() for p in paths]
+    (blk,) = eng.decomp.blocks
+    paths = build_block_paths(eng.pair_faces[blk.name], blk)
+    lines = [p.dump_line() for p in paths]
     assert lines == ["path S(1,3,4) P(3,4) S(2,3,4) : 3=0 4=1"]
 
     out = eng.insert_edge(1, 2)
@@ -212,11 +213,12 @@ def test_two_insertion_windows_commute():
 
 def test_corridor_insert_reads_the_stored_colouring():
     """The corridor merge takes each window component's flip from the
-    block's stored two-colouring. In a ring of four K4 gadgets the chord
-    2-10 crosses R(0,1,2) P(0,1) S P(8,9) R(8,10,11); with the colours
-    of 8 and 9 swapped in the stored path through it, the insert fails
-    an assert and leaves the state as it was, and with the stored path
-    intact it goes through."""
+    stored two-colouring. In a ring of four K4 gadgets the chord 2-10
+    crosses R(0,1,2) P(0,1) S P(8,9) R(8,10,11); with the direction of
+    8-9 on the cycle's faces swapped in the cycle's stored pair-face
+    entry, which swaps the colours of 8 and 9, the insert fails an
+    assert and leaves the state as it was, and with the entry intact it
+    goes through."""
     ring = [(4 * i + a, 4 * i + b) for i in range(4)
             for a in range(4) for b in range(a + 1, 4)]
     ring += [(4 * i + 1, 4 * (i + 1) % 16) for i in range(4)]
@@ -224,19 +226,17 @@ def test_corridor_insert_reads_the_stored_colouring():
     (blk, _, _, path), = insert_ok(eng.decomp, eng.comp_embs, 2, 10)
     pairs = path[1::2]
     assert pairs == [("P", (0, 1)), ("P", (8, 9))]
-    stored = eng.colourings[blk.name]
-    k = next(i for i, p in enumerate(stored)
-             if set(pairs) <= set(p.nodes))
-    swapped = replace(stored[k], colours=tuple(
-        (x, 1 - c if x in (8, 9) else c) for x, c in stored[k].colours))
-    intact = eng.colourings
-    eng.colourings = {**intact, blk.name: (
-        *stored[:k], swapped, *stored[k + 1:])}
+    cyc = path[2]
+    assert cyc[0] == "S"
+    intact = eng.pair_faces
+    entries = intact[blk.name]
+    swapped = {**entries[cyc], (8, 9): entries[cyc][(8, 9)][::-1]}
+    eng.pair_faces = {**intact, blk.name: {**entries, cyc: swapped}}
     before = eng.dump()
     with pytest.raises(AssertionError):
         eng.insert_edge(2, 10)
     assert eng.dump() == before
-    eng.colourings = intact
+    eng.pair_faces = intact
     assert eng.insert_edge(2, 10).status == ACCEPTED
 
 
