@@ -62,7 +62,8 @@ def check_state(eng: Engine) -> list[str]:
     from the component embeddings, and the graph rotation against a
     rebuild from the block rotations; the stored pair-face entries,
     which surgery reads, against a rebuild from each component's
-    embedding, none missing and none for a component that is gone;
+    embedding, none missing and none for a component that is gone or
+    has one pair;
     coherence plus opposite pair colours of every maximal path listed
     from them; and the dump formatted with the engine's memo against a
     cold formatting (`Engine._dump({})`).
@@ -149,11 +150,16 @@ def check_state(eng: Engine) -> list[str]:
     for bname, blk in with_pairs.items():
         stored = eng.pair_faces.get(bname, {})
         comps = {(c.kind, c.name): c for c in blk.comps}
-        for node in sorted(stored.keys() | comps.keys()):
+        linked = {nd for nd, c in comps.items() if len(c.pairs) >= 2}
+        for node in sorted(stored.keys() | linked):
             label = node_label(node)
             if node not in comps:
                 out.append(f"pair faces kept for {label}, which is no "
                            f"component of block {bname}")
+                continue
+            if node not in linked:
+                out.append(f"pair faces kept for {label}, which has one "
+                           "pair")
                 continue
             if node not in stored:
                 out.append(f"pair faces missing for {label}")
@@ -166,7 +172,7 @@ def check_state(eng: Engine) -> list[str]:
                 continue
             if stored[node] != fresh:
                 out.append(f"pair faces of {label} differ from a rebuild")
-        if stored.keys() != comps.keys():
+        if stored.keys() != linked:
             continue
         try:
             paths = build_block_paths(stored, blk)

@@ -8,10 +8,13 @@ each vertex will border, so it fixes the flip of each component an
 insertion fuses.
 
 The two-colouring is kept as a local relation (`pair_faces`): for each
-S/R component and each of its pairs (s, t), s < t, the face of the
-component that traverses s -> t and the face that traverses t -> s. An
-edge of a rigid component borders two faces and a cycle has two, so
-that is two entries per pair, and the relation is linear in the pairs.
+S/R component with two or more pairs and each of its pairs (s, t),
+s < t, the face of the component that traverses s -> t and the face
+that traverses t -> s. An edge of a rigid component borders two faces
+and a cycle has two, so that is two entries per pair, and the relation
+is linear in the pairs. A component with one pair links no pairs and is
+never inside a corridor, so nothing would read its entries and it has
+none.
 Two pairs of a component that share a face are linked: a path may pass
 the component from one to the other. Removing both pairs from that face
 leaves two arcs whose ends share a colour, so the colours of any path
@@ -153,10 +156,13 @@ def build_block_paths(store, block: Block) -> tuple[CoherentPath, ...]:
 
     def onward(c, p):
         """The links (c, p, q), as q and the colour flip from p's lesser
-        vertex to q's: each pair q of c on a face that holds p."""
+        vertex to q's: each pair q of c on a face that holds p. A
+        component with one pair links none and has no entries."""
         out = links.get((c, p))
         if out is None:
             out = links[(c, p)] = []
+            if len(tree[c]) == 1:
+                return out
             entries = store[c]
             for q, faces in entries.items():
                 link = q != p[1] and shared_face(entries[p[1]], faces)
@@ -217,11 +223,12 @@ def update_colouring(old, decomp: DecompositionState, embeddings,
     """`old`, the `pair_faces` entries of the components of each block
     with pairs, by block name, patched to the change to `decomp` whose
     embeddings are `embeddings`, from `old_embeddings`. The replaced
-    blocks' entries go, and each created block with pairs gets its
-    components'. A pair keeps its old entry while its component keeps
-    the pair and both faces of the entry are faces of the component's
-    embedding, since each face the pair borders holds one of its two
-    directions; the other pairs get theirs afresh from the embedding.
+    blocks' entries go, and each created block with pairs gets those of
+    its components with two or more pairs. A pair keeps its old entry
+    while its component keeps the pair and both faces of the entry are
+    faces of the component's embedding, since each face the pair borders
+    holds one of its two directions; the other pairs get theirs afresh
+    from the embedding.
     A component whose every entry is kept keeps its old dict, and so
     does a created block whose every component does."""
     new = dict(old)
@@ -233,6 +240,8 @@ def update_colouring(old, decomp: DecompositionState, embeddings,
             continue
         entries = {}
         for c in blk.comps:
+            if len(c.pairs) == 1:
+                continue
             node = (c.kind, c.name)
             emb, was = embeddings[node], carried.get(node, {})
             same = emb is old_embeddings.get(node)

@@ -34,18 +34,28 @@ empty state with every edge touched.
 
 A block's pairs and components depend only on the block's own edges.
 A block with as many edges as vertices is a cycle, one S component
-with no pairs; every other block goes through the path search. That
-each R component is triconnected is checked by the oracle's
-certificate, not here. When the two edge sets differ in one edge that
-lies inside one rigid component of its block and is no pair there, the
-new block is derived from the old one: an edge inside one rigid
-skeleton leaves the SPQR tree's shape alone (Di Battista and
-Tamassia), so only that component gains or loses the edge, a deletion
-provided the component stays triconnected. The caller that holds the
-component's embedding decides that from the two faces at the edge and
-passes the verdict in; a deletion handed no verdict rebuilds its
-block. The state names the block it derived and its changed
-component. Every other new block is built from its edges.
+with no pairs; any other block built from its edges goes through the
+path search. That each R component is triconnected is checked by the
+oracle's certificate, not here.
+
+When one edge changes in the one block it touches, local rules derive
+the new block and its SPQR tree from the old ones (Di Battista and
+Tamassia), and the path search is kept for the blocks they leave:
+- an edge at a pair of the block (a bundle edge) changes the block's
+  edges alone, and only a deletion that leaves the pair's P-node with
+  two cycle components changes the tree: it merges them into one;
+- a chord of one cycle component splits it into two cycles, joined by
+  the new pair, whose P-node holds the edge;
+- an edge inside one rigid component leaves the tree's shape alone:
+  only that component gains or loses the edge, a deletion provided the
+  component stays triconnected. The caller that holds the component's
+  embedding decides that from the two faces at the edge and passes the
+  verdict in; a deletion handed no verdict rebuilds its block.
+The tree is patched at the nodes a rule touches, each adjacency tuple
+in the order the builder gives it. The state names what the rule
+changed: the edge, the new block and the components it replaced. Every
+other new block is built from its edges, among them a deletion that
+breaks a rigid or a cycle component and an insert across components.
 
 SPQR-tree nodes, as the path operations name them:
 
@@ -54,10 +64,12 @@ SPQR-tree nodes, as the path operations name them:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .graph_core import DomainError, Edge, GraphError, Vertex, canonical_edge
 
@@ -102,6 +114,17 @@ class Block:
     @property
     def is_bridge(self) -> bool:
         return len(self.vertices) == 2
+
+
+class LocalChange(NamedTuple):
+    """What a local rule changed (`_local_block`): the edge, the new
+    block, and the components of the old block it dropped and those it
+    made in their place. A bundle edge drops and makes none."""
+
+    edge: Edge
+    block: Block
+    gone: tuple[TriComp, ...]
+    made: tuple[TriComp, ...]
 
 
 # ---------------------------------------------------------- local searches
@@ -678,42 +701,136 @@ def _make_block(edges: frozenset[Edge]) -> Block:
     return Block(name, vset, edges, pairs, tuple(comps), _spqr_tree(comps))
 
 
-def _derived_block(old: DecompositionState, diff: frozenset[Edge],
-                   stays_rigid: bool | None = None
-                   ) -> tuple[Block, TriComp] | None:
-    """The block that holds the one edge of `diff`, the edges by which
-    the new edge set and `old.edges` differ, derived from its
-    predecessor B, with its one changed component; None when B's SPQR
-    tree may change shape.
+def _local_block(blk: Block, e: Edge, deleted: bool,
+                 stays_rigid: bool | None = None) -> LocalChange | None:
+    """The block B with the edge e = u-v inserted or `deleted`, built from
+    B by a local rule (Di Battista and Tamassia); None when no rule
+    applies and the block is built from its edges. B is the one block
+    the change touches, and it holds u and v.
 
-    The edge u-v must lie inside one rigid component C of B and be no
-    pair of B. An insertion then keeps every pair (an edge inside one
-    rigid skeleton leaves the SPQR tree's shape alone), and so does a
-    deletion after which C stays triconnected; C alone gains or loses
-    the edge, and B's name, vertices, pairs, other components and tree
-    are kept. A deletion is derived only when `stays_rigid` says C
-    stays triconnected; None does not derive, and the block is rebuilt.
+    - A bundle edge, u-v at a pair of B, changes B's edges alone: the
+      P-node gains or loses its real edge. A deletion that leaves the
+      P-node with two cycle components merges them into one.
+    - A chord u-v of one cycle component S splits S into the cycles
+      u..v + (u, v), joined by the new pair, whose P-node holds u-v.
+    - An edge inside one rigid component C that is no pair leaves the
+      tree's shape alone: C alone gains or loses the edge, a deletion
+      provided C stays triconnected. That is `stays_rigid`'s verdict,
+      and a deletion handed none is not derived.
+
+    Anything else (a deleted edge of a cycle, an edge across components)
+    may re-split the block, which the path search then builds.
     """
-    (e,) = diff
     u, v = e
-    blk = old._shared_block(u, v)
-    if blk is None or e in blk.pairs:
-        return None
-    comp = next((c for c in blk.comps if c.kind == "R"
-                 and u in c.vertices and v in c.vertices), None)
-    if comp is None:
-        return None
-    deleted = e in old.edges
-    assert not deleted or e in comp.real_edges, "deleted edge is not real"
-    # an added edge cannot lower C's connectivity, so only a deletion asks
-    if deleted and not stays_rigid:
-        return None
-    edit = frozenset.__sub__ if deleted else frozenset.__or__
-    changed = TriComp(comp.name, "R", comp.vertices,
-                      edit(comp.real_edges, diff), comp.pairs)
-    comps = tuple(changed if c is comp else c for c in blk.comps)
-    return Block(blk.name, blk.vertices, edit(blk.edges, diff), blk.pairs,
-                 comps, blk.tree), changed
+    edges = blk.edges - {e} if deleted else blk.edges | {e}
+    if e in blk.pairs:
+        around = blk.tree[("P", e)]
+        if not (deleted and len(around) == 2
+                and around[0][0] == around[1][0] == "S"):
+            return LocalChange(e, Block(blk.name, blk.vertices, edges,
+                                        blk.pairs, blk.comps, blk.tree),
+                               (), ())
+        # the components are in name order, and names are unique
+        a, b = gone = tuple(blk.comps[bisect_left(blk.comps, nd[1],
+                                                  key=_name)]
+                            for nd in around)
+        vs = a.vertices | b.vertices
+        made = (TriComp(tuple(sorted(vs)[:3]), "S", vs,
+                        a.real_edges | b.real_edges,
+                        (a.pairs | b.pairs) - {e}),)
+        pairs = blk.pairs - {e}
+    else:
+        # two components share vertices only at a pair, so at most one
+        # holds both ends of an edge that is no pair
+        comp = next((c for c in blk.comps
+                     if u in c.vertices and v in c.vertices), None)
+        if comp is None:
+            return None
+        gone = (comp,)
+        if comp.kind == "S":
+            if deleted:
+                return None
+            made = _split_cycle(comp, e)
+            pairs = blk.pairs | {e}
+        else:
+            assert not deleted or e in comp.real_edges, \
+                "deleted edge is not real"
+            # an added edge cannot lower C's connectivity, so only a
+            # deletion asks
+            if deleted and not stays_rigid:
+                return None
+            real = comp.real_edges - {e} if deleted \
+                else comp.real_edges | {e}
+            made = (TriComp(comp.name, "R", comp.vertices, real, comp.pairs),)
+            return LocalChange(e, Block(
+                blk.name, blk.vertices, edges, blk.pairs,
+                tuple(made[0] if c is comp else c for c in blk.comps),
+                blk.tree), gone, made)
+    comps = sorted([c for c in blk.comps if c not in gone] + list(made),
+                   key=_name)
+    return LocalChange(e, Block(blk.name, blk.vertices, edges, pairs,
+                                tuple(comps),
+                                _patched_tree(blk.tree, gone, made)),
+                       gone, made)
+
+
+def _split_cycle(comp: TriComp, e: Edge) -> tuple[TriComp, ...]:
+    """The two cycles a chord e = u-v splits the cycle component `comp`
+    into, in name order: each arc u..v of comp closed by the virtual
+    edge u-v, which is a new pair."""
+    u, v = e
+    nbrs: dict[Vertex, list[Vertex]] = {}
+    for edge_set in (comp.real_edges, comp.pairs):
+        for x, y in edge_set:
+            nbrs.setdefault(x, []).append(y)
+            nbrs.setdefault(y, []).append(x)
+    out = []
+    for x in nbrs[u]:
+        prev = u
+        real, pairs, vs = set(), {e}, [u]
+        while True:
+            f = (prev, x) if prev < x else (x, prev)
+            (real if f in comp.real_edges else pairs).add(f)
+            vs.append(x)
+            if x == v:
+                break
+            a, b = nbrs[x]
+            prev, x = x, b if a == prev else a
+        out.append(TriComp(tuple(sorted(vs)[:3]), "S", frozenset(vs),
+                           frozenset(real), frozenset(pairs)))
+    out.sort(key=_name)
+    return tuple(out)
+
+
+def _patched_tree(tree, gone, made) -> dict[SpqrNode, tuple[SpqrNode, ...]]:
+    """`tree` with the nodes of the components `gone` replaced by those of
+    the components `made`, written only at those nodes and at the P-nodes
+    of their pairs; a P-node left without components goes. Each
+    adjacency tuple is sorted, as `_spqr_tree` builds it."""
+    new = dict(tree)
+    at: dict[SpqrNode, list[SpqrNode]] = {}  # the patched P-nodes
+    for c in gone:
+        node = (c.kind, c.name)
+        del new[node]
+        for p in c.pairs:
+            pn = ("P", p)
+            if pn not in at:
+                at[pn] = list(tree[pn])
+            at[pn].remove(node)
+    for c in made:
+        node = (c.kind, c.name)
+        new[node] = tuple(("P", p) for p in sorted(c.pairs))
+        for p in c.pairs:
+            pn = ("P", p)
+            if pn not in at:
+                at[pn] = list(tree.get(pn, ()))
+            at[pn].append(node)
+    for pn, nbrs in at.items():
+        if nbrs:
+            new[pn] = tuple(sorted(nbrs))
+        else:
+            del new[pn]
+    return new
 
 
 def _spqr_tree(comps) -> dict[SpqrNode, tuple[SpqrNode, ...]]:
@@ -752,7 +869,8 @@ def _tree_path(adj: dict, a, b):
 
 class DecompositionState:
     """Snapshot of blocks, cut vertices, pairs, and triconnected comps.
-    `derived` is `_derived_block`'s (block, component), else None."""
+    `derived` is the `LocalChange` a local rule built the one changed
+    block by, else None."""
 
     __slots__ = (
         "n", "edges", "_comp_of", "_block_by_name", "_blocks_of_vertex",
@@ -845,10 +963,12 @@ class DecompositionState:
 
         The patch replaces the blocks the change touches (every block
         unless the edge sets differ in one edge) by the blocks of their
-        edges with the change applied. Those are one block after an
-        insert, and after a deletion that leaves its rigid component
-        rigid; otherwise a lowpoint search over them finds them. Every
-        other block is kept.
+        edges with the change applied. When one edge changes in the one
+        block it touches, a local rule may build the new block from the
+        old one (`_local_block`), and the state names it in `derived`.
+        Otherwise the new blocks are built from their edges: one block
+        after an insert, and after a deletion those a lowpoint search
+        over the touched edges finds. Every other block is kept.
         """
         base = carry_from if carry_from is not None \
             else cls(n, frozenset(), (), {})
@@ -858,11 +978,14 @@ class DecompositionState:
         else:
             eset, diff = edges, frozenset((edge,))
         removed = base._touched_by(diff)
-        derived = _derived_block(base, diff, stays_rigid) \
-            if len(diff) == 1 else None
+        derived = None
+        if len(diff) == 1 and len(removed) == 1:
+            (e,) = diff
+            derived = _local_block(removed[0], e, e in base.edges,
+                                   stays_rigid)
         adj = lowpoint_cuts = None
         if derived is not None:
-            added = [derived[0]]
+            added = [derived.block]
         else:
             touched = frozenset().union(*(b.edges for b in removed)) ^ diff
             if len(diff) == 1 and diff <= eset:
@@ -885,8 +1008,8 @@ class DecompositionState:
             # the new blocks partition the touched edges, and share at
             # most one vertex with any other block; the predecessor's
             # blocks passed the same, so every edge lies in one block.
-            # A derived block is its predecessor with the one edge added
-            # or removed, on the same vertices, so it passes as that did
+            # A local block is its predecessor with the one edge added or
+            # removed, on the same vertices, so it passes as that did
             assert sum(len(b.edges) for b in added) == len(touched) and \
                 frozenset().union(*(b.edges for b in added)) == touched, \
                 "an edge lies in other than exactly one block"

@@ -16,13 +16,21 @@ accepted change:
 
 Each is the previous one patched: `Engine._commit` walks only the blocks
 the decomposition replaced and created, and the graph rotation is
-rewritten only at their vertices. The decomposition names the block it
-derived (an edge inside one rigid component) and that component, whose
-embedding the change edits at the edge's two ends; unless `canonical()`
-mirrors the edit, the block rotation and the graph rotation are
-rewritten at those two vertices alone. Every other created block is
-assembled by splicing its components' rotations, and a block of one
-component has its component's rotation.
+rewritten only at their vertices. The decomposition names the block a
+local rule built and what the rule changed, and the commit follows it:
+- a bundle edge (a real edge at a separating pair) changes no
+  component, so every embedding, colouring entry and block rotation is
+  carried, and the graph rotation is rewritten at the pair's two ends,
+  where the bundle entry turns real or virtual;
+- a chord that splits a cycle component, or a deletion that merges two
+  back, derives the new cycles' embeddings from content and reassembles
+  the block;
+- an edge inside one rigid component is an edit of its embedding at the
+  edge's two ends; unless `canonical()` mirrors the edit, the block
+  rotation and the graph rotation are rewritten at those two vertices
+  alone.
+Every other created block is assembled by splicing its components'
+rotations, and a block of one component has its component's rotation.
 
 Planarity holds by construction: every component embedding is planar
 (a traced one passed V - E + F = 2, and an edit adds or removes one
@@ -516,51 +524,26 @@ class Engine:
         are walked: every stored relation is a copy of the old one with
         their entries patched. Only the components given a new embedding
         or new pairs get new pair-face entries, and only created blocks
-        whose shape changed get new rotations. The block the new
-        state derived keeps its other components and their embeddings;
-        unless `canonical()` mirrors the one it edits, its block rotation
-        and the graph rotation are patched at the edge's two ends, where
-        the graph rotation gains or loses one entry."""
-        derived = new_decomp.derived
-        comp_embs = dict(self.comp_embs)
-        if derived is not None:
-            created = [derived]
-            affected = {derived[0].name}
+        whose shape changed get new rotations.
+
+        A block a local rule built (`new_decomp.derived`) is patched by
+        what the rule changed. A bundle edge changes no component: every
+        embedding, entry and block rotation is carried, and the graph
+        rotation is patched at the pair's two ends, which gain or lose
+        the entry as a real one. A split or merge of cycles derives the
+        new cycles and reassembles the block. A change inside one rigid
+        component edits that component; unless `canonical()` mirrors the
+        edit, its block rotation and the graph rotation are patched at
+        the edge's two ends, where the graph rotation gains or loses one
+        entry."""
+        local = new_decomp.derived
+        if local is not None and not local.gone:  # a bundle edge
+            assert not windows, "a bundle edge crossed a window"
+            comp_embs, pair_faces = self.comp_embs, self.pair_faces
+            block_rots, at = self.block_rots, local.edge
         else:
-            created, affected = self._carry(new_decomp, comp_embs)
-
-        if deleted is None:
-            assert len(created) == len(windows), \
-                "a window fused other than one component"
-        else:  # only the deleted edge's block is replaced
-            (old,) = new_decomp.replaced
-            rigid = [c for c in old.comps if c.kind == "R"]
-        at = ()  # the vertices a derived change alone rewrites
-        for blk, c in self._ordered(created):
-            if deleted is None:
-                found = [w for w in windows if {w[1], w[2]} <= c.vertices]
-            else:
-                found = [s for s in rigid if c.vertices <= s.vertices]
-            assert len(found) == 1, f"no one source for component {c.name}"
-            emb = self._merge_corridor(*found[0]) if deleted is None \
-                else self._project_rigid(found[0], c, blk, deleted)
-            assert _embedding_key(emb) == _content_key(c), \
-                f"surgery built another component than {c.name}"
-            comp_embs[(c.kind, c.name)] = canon = emb.canonical()
-            if derived is not None and canon is emb:
-                # an edit rewrites the edge's two ends; a mirror, all
-                at = deleted or windows[0][1:3]
-        pair_faces = update_colouring(
-            self.pair_faces, new_decomp, comp_embs, self.comp_embs)
-
-        block_rots = dict(self.block_rots)
-        for blk in new_decomp.replaced:
-            block_rots.pop(blk.name, None)
-        for blk in new_decomp.created:
-            if not blk.is_bridge:
-                block_rots[blk.name] = self._assemble_block(
-                    comp_embs, blk, self.block_rots.get(blk.name), at) \
-                    if blk.name in affected else self.block_rots[blk.name]
+            comp_embs, pair_faces, block_rots, at = self._embed(
+                new_decomp, windows, deleted)
         graph_rot = self._assemble_graph(new_decomp, block_rots,
                                          self.graph_rot, at or None)
         step = 1 if deleted is None else -1
@@ -572,6 +555,60 @@ class Engine:
         self.pair_faces = pair_faces
         self.block_rots = block_rots
         self.graph_rot = graph_rot
+
+    def _embed(self, new_decomp: DecompositionState, windows,
+               deleted: Edge | None):
+        """The component embeddings, pair-face entries and block
+        rotations of `new_decomp`, patched from this engine's, and the
+        vertices `at` at which alone the graph rotation changes, or ()
+        to rewrite it at the replaced and created blocks' vertices."""
+        local = new_decomp.derived
+        comp_embs = dict(self.comp_embs)
+        if local is None:
+            created, affected = self._carry(new_decomp, comp_embs)
+        else:
+            created, affected = [], {local.block.name}
+            for c in local.gone:
+                del comp_embs[(c.kind, c.name)]
+            for c in local.made:
+                if c.kind == "S":
+                    comp_embs[(c.kind, c.name)] = _cycle_embedding(c)
+                else:
+                    created.append((local.block, c))
+
+        if deleted is None:
+            assert len(created) == len(windows), \
+                "a window fused other than one component"
+        else:  # only the deleted edge's block is replaced
+            (old,) = new_decomp.replaced
+            rigid = [c for c in old.comps if c.kind == "R"]
+        at = ()  # the vertices a rigid edit alone rewrites
+        for blk, c in self._ordered(created):
+            if deleted is None:
+                found = [w for w in windows if {w[1], w[2]} <= c.vertices]
+            else:
+                found = [s for s in rigid if c.vertices <= s.vertices]
+            assert len(found) == 1, f"no one source for component {c.name}"
+            emb = self._merge_corridor(*found[0]) if deleted is None \
+                else self._project_rigid(found[0], c, blk, deleted)
+            assert _embedding_key(emb) == _content_key(c), \
+                f"surgery built another component than {c.name}"
+            comp_embs[(c.kind, c.name)] = canon = emb.canonical()
+            if local is not None and canon is emb:
+                # an edit rewrites the edge's two ends; a mirror, all
+                at = local.edge
+        pair_faces = update_colouring(
+            self.pair_faces, new_decomp, comp_embs, self.comp_embs)
+
+        block_rots = dict(self.block_rots)
+        for blk in new_decomp.replaced:
+            block_rots.pop(blk.name, None)
+        for blk in new_decomp.created:
+            if not blk.is_bridge:
+                block_rots[blk.name] = self._assemble_block(
+                    comp_embs, blk, self.block_rots.get(blk.name), at) \
+                    if blk.name in affected else self.block_rots[blk.name]
+        return comp_embs, pair_faces, block_rots, at
 
     def _carry(self, new_decomp: DecompositionState, comp_embs: dict):
         """Patch comp_embs for the replaced and created blocks: carry the

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dynplanar
+from block_chain import block_chain, chain_toggles
 from dynplanar.cli import check_state, fuzz, main, run_trace
 from dynplanar.decomposition import DecompositionState
 from dynplanar.engine import Engine
@@ -194,13 +195,15 @@ def test_check_state_flags_a_block_rotation_unlike_its_rebuild():
 
 
 # two K4s less 3-4 glued at the pair 3-4: one block, R(1,2,3) P(3,4) R(3,4,5)
-GLUED_K4S = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4),
-             (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)]
+# three K4s less an edge, chained at the pairs {3,4} and {5,6}: only the
+# middle one, R(3,4,5), has two pairs and so stored entries
+CHAINED_K4S = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (3, 6),
+               (4, 5), (4, 6), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8)]
 
 
-def glued_k4s() -> Engine:
-    eng = Engine(8)
-    for e in GLUED_K4S:
+def chained_k4s() -> Engine:
+    eng = Engine(9)
+    for e in CHAINED_K4S:
         assert eng.insert_edge(*e).status == ACCEPTED
     assert check_state(eng) == []
     return eng
@@ -210,25 +213,26 @@ def test_check_state_flags_stored_colours_unlike_their_rebuild():
     """A stored entry whose pair 3-4 has its two faces swapped, which
     swaps the pair's colours, still lists a coherent, two-coloured path,
     but differs from the entry decided from the component's embedding."""
-    eng = glued_k4s()
+    eng = chained_k4s()
     ((name, entries),) = eng.pair_faces.items()
-    node = ("R", (1, 2, 3))
-    swapped = {(3, 4): entries[node][(3, 4)][::-1]}
+    node = ("R", (3, 4, 5))
+    swapped = {**entries[node], (3, 4): entries[node][(3, 4)][::-1]}
     assert swapped != entries[node]
     eng.pair_faces = {name: {**entries, node: swapped}}
-    assert check_state(eng) == ["pair faces of R(1,2,3) differ from a rebuild"]
+    assert check_state(eng) == ["pair faces of R(3,4,5) differ from a rebuild"]
 
 
 def test_check_state_flags_a_block_without_its_stored_paths():
     """A block with pairs and no stored entries is flagged, component by
-    component, and its colourings cannot be listed for a dump; so are
-    entries under a name that is no block with pairs, and an entry for a
-    node that is no component of its block."""
-    eng = glued_k4s()
+    component with two or more pairs, and its colourings cannot be
+    listed for a dump; so are entries under a name that is no block with
+    pairs, an entry for a node that is no component of its block, and an
+    entry for a component with one pair."""
+    eng = chained_k4s()
     ((name, entries),) = eng.pair_faces.items()
+    assert list(entries) == [("R", (3, 4, 5))]
     eng.pair_faces = {}
     missing = [f"dump cannot be formatted: KeyError({name!r})",
-               "pair faces missing for R(1,2,3)",
                "pair faces missing for R(3,4,5)"]
     assert check_state(eng) == missing
     eng.pair_faces = {(5, 6): entries}
@@ -239,6 +243,9 @@ def test_check_state_flags_a_block_without_its_stored_paths():
     assert check_state(eng) == [
         f"pair faces kept for S(5,6,7), which is no component of block "
         f"{name}"]
+    eng.pair_faces = {name: {**entries, ("R", (1, 2, 3)): {}}}
+    assert check_state(eng) == [
+        "pair faces kept for R(1,2,3), which has one pair"]
 
 
 def test_check_state_flags_decomposition_desync():
@@ -448,10 +455,12 @@ def test_optimised_interpreter_answers_identically(tmp_path):
     and re-insert edges off the rim and at the vertices of its corner
     pairs, and most patch the stored rotations in place of rebuilding
     them; the ring's chords cross corridors over several pairs and
-    recolour the ring, which is dumped after each toggle. The first two
-    traces ask every kind of query; a rotation query names three
-    neighbours of a vertex, which an engine run alongside the churn
-    supplies."""
+    recolour the ring, which is dumped after each toggle. On the block
+    chain, the glued pairs' shared edges (bundle edges) and the cycles'
+    chords are toggled, each change dumped: local rules build those
+    blocks, splitting and merging cycles. The first two traces ask every
+    kind of query; a rotation query names three neighbours of a vertex,
+    which an engine run alongside the churn supplies."""
     rng = random.Random(5)
     ask = random.Random(6)
     shadow = Engine(9)
@@ -516,6 +525,23 @@ def test_optimised_interpreter_answers_identically(tmp_path):
             ring_lines.append(f"add {a} {b}")
             shadow.insert_edge(a, b)
         ring_lines.append("dump")
+    chain, _ = block_chain()
+    chain_lines = [f"add {a} {b}" for a, b in chain] + ["dump"]
+    toggles = chain_toggles()
+    toggles = toggles["shared"] + toggles["chord"]
+    flips = random.Random(8)
+    shadow = Engine(42)
+    for e in chain:
+        shadow.insert_edge(*e)
+    for _ in range(60):
+        a, b = flips.choice(toggles)
+        if shadow.graph.has_edge(a, b):
+            chain_lines.append(f"del {a} {b}")
+            shadow.delete_edge(a, b)
+        else:
+            chain_lines.append(f"add {a} {b}")
+            shadow.insert_edge(a, b)
+        chain_lines.append("dump")
     src = str(Path(dynplanar.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -523,7 +549,8 @@ def test_optimised_interpreter_answers_identically(tmp_path):
     outs = []
     for name, trace_lines, domain in (("churn", lines, 9),
                                       ("grid", grid_lines, 25),
-                                      ("ring", ring_lines, 4 * m)):
+                                      ("ring", ring_lines, 4 * m),
+                                      ("chain", chain_lines, 42)):
         trace = tmp_path / f"{name}.txt"
         trace.write_text("\n".join(trace_lines) + "\n")
         runs = []
@@ -535,7 +562,7 @@ def test_optimised_interpreter_answers_identically(tmp_path):
             runs.append(proc)
         assert runs[0].stdout == runs[1].stdout, name
         outs.append(runs[0])
-    churn_run, grid_run, ring_run = outs
+    churn_run, grid_run, ring_run, chain_run = outs
     for proc in outs:
         assert proc.returncode == 0, proc.stderr.decode()
     text = churn_run.stdout.decode()
@@ -545,3 +572,4 @@ def test_optimised_interpreter_answers_identically(tmp_path):
     assert "rejected nonplanar" in ring_text
     assert any(line.startswith("path") and line.count("P(") >= 3
                for line in ring_text.splitlines())
+    assert chain_run.stdout.decode().count("accepted") == len(chain) + 60

@@ -44,10 +44,10 @@ def triangle_emb(a, b, c):
 
 
 def stored(embs, blk):
-    """The pair-face entries of blk's components with pairs, decided
-    from their embeddings `embs`."""
+    """The pair-face entries of blk's components with two or more pairs,
+    decided from their embeddings `embs`."""
     return {(c.kind, c.name): pair_faces(embs[(c.kind, c.name)], c.pairs)
-            for c in blk.comps if c.pairs}
+            for c in blk.comps if len(c.pairs) >= 2}
 
 
 def listed(embs, blk):
@@ -426,7 +426,8 @@ def test_a_change_writes_the_entries_of_the_components_it_embedded(m):
     """On a ring of m K4 gadgets, chords between opposite gadgets are
     inserted and deleted and gadget edges deleted and re-inserted. Each
     change writes exactly the (pair, face) entries of the components
-    whose embedding it wrote, and carries every other entry."""
+    with two or more pairs whose embedding it wrote, and carries every
+    other entry; a component with one pair has none."""
     eng = k4_ring(m)
     half = 4 * (m // 2)
     for i in (0, 3, m // 2 - 1):
@@ -441,7 +442,8 @@ def test_a_change_writes_the_entries_of_the_components_it_embedded(m):
                             if emb is not embs.get(nd)]
                 assert embedded
                 assert _written(entries, eng.pair_faces) == sum(
-                    2 * len(comps[nd].pairs) for nd in embedded)
+                    2 * len(comps[nd].pairs) for nd in embedded
+                    if len(comps[nd].pairs) >= 2)
                 assert eng.pair_faces == {
                     blk.name: stored(eng.comp_embs, blk)
                     for blk in eng.decomp.blocks if blk.pairs}
@@ -517,15 +519,20 @@ def test_update_colouring_carries_untouched_blocks() -> None:
     """A block rebuilt from its own edges replaces and recreates it.
     Entries are carried when a component keeps its embedding and its
     pairs; decided afresh from a new embedding, they keep each old
-    object they equal: all of them for a copy, the triangles' for a
-    mirror image, which only a rigid component's faces tell apart."""
+    object they equal: all of them for a copy, the triangle's for a
+    mirror image, which only a rigid component's faces tell apart. The
+    block is a K4 between triangles on {1,2} and {3,4}, with a second
+    K4 on the first triangle's edge {2,8}; only the middle K4 and that
+    triangle have two pairs, and only they have entries."""
     decomp, embs = k4_between_triangles()
+    edges = decomp.edges | {(2, 10), (2, 11), (8, 10), (8, 11), (10, 11)}
+    decomp = DecompositionState.from_edges(12, edges)
+    embs[("R", (2, 8, 10))] = k4_emb(2, 8, 10, 11)
     (blk,) = decomp.blocks
     old = update_colouring({}, decomp, embs, {})
     assert old == {blk.name: stored(embs, blk)}
-    assert sorted(old[blk.name]) == [("R", (1, 2, 3)), ("S", (1, 2, 8)),
-                                     ("S", (3, 4, 9))]
-    again = DecompositionState.from_edges(10, decomp.edges, decomp)
+    assert sorted(old[blk.name]) == [("R", (1, 2, 3)), ("S", (1, 2, 8))]
+    again = DecompositionState.from_edges(12, decomp.edges, decomp)
     assert again.replaced == (blk,) and again.created[0] is not blk
     assert update_colouring(old, again, embs, embs)[blk.name] \
         is old[blk.name]

@@ -25,6 +25,8 @@ from dynplanar.oracle import (
     static_decomposition,
     tree_path,
 )
+from block_chain import block_chain, chain_toggles
+from block_chain import triangulated_grid as chain_grid
 from reference_blocks import reference_block
 
 BOWTIE = [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)]
@@ -357,21 +359,22 @@ def test_a_present_insert_or_an_absent_delete_returns_the_state(
 
 
 def test_derived_blocks_equal_blocks_built_from_scratch(monkeypatch):
-    """Every block derived from its predecessor equals the block built
-    from its edge set alone, SPQR tree included, and the component it
-    names as changed is a component of that block. Changes go through
-    the engine, whose deletions hand the face rule's verdict in."""
+    """Every block derived from its predecessor by an edge inside one
+    rigid component equals the block built from its edge set alone, SPQR
+    tree included, and the component it names as changed is a component
+    of that block. Changes go through the engine, whose deletions hand
+    the face rule's verdict in."""
     derived = {"ins": 0, "del": 0}
-    real = decomposition._derived_block
+    real = decomposition._local_block
 
-    def checked(old, diff, stays_rigid=None):
-        got = real(old, diff, stays_rigid)
-        if got is not None:
-            blk, comp = got
-            derived["del" if diff <= old.edges else "ins"] += 1
-            fresh = _make_block(blk.edges)
-            assert blk == fresh and blk.tree == fresh.tree, sorted(blk.edges)
-            assert comp in fresh.comps, sorted(blk.edges)
+    def checked(blk, e, deleted, stays_rigid=None):
+        got = real(blk, e, deleted, stays_rigid)
+        if got is not None and got.made and got.made[0].kind == "R":
+            derived["del" if deleted else "ins"] += 1
+            fresh = _make_block(got.block.edges)
+            assert got.block == fresh and got.block.tree == fresh.tree, \
+                sorted(got.block.edges)
+            assert got.made[0] in fresh.comps, sorted(got.block.edges)
         return got
 
     def change(eng, e):
@@ -381,7 +384,7 @@ def test_derived_blocks_equal_blocks_built_from_scratch(monkeypatch):
             assert eng.decomp.blocks == state(eng.graph.n,
                                               eng.graph.edges).blocks
 
-    monkeypatch.setattr(decomposition, "_derived_block", checked)
+    monkeypatch.setattr(decomposition, "_local_block", checked)
     for n in (8, 12, 16, 20, 24):
         rng = random.Random(n)
         pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -402,6 +405,80 @@ def test_derived_blocks_equal_blocks_built_from_scratch(monkeypatch):
         change(eng, e)
         change(eng, e)
     assert derived["ins"] >= 50 and derived["del"] >= 50, derived
+
+
+def _rule(local) -> str:
+    """The local rule that built a block (`DecompositionState.derived`)."""
+    if not local.gone:
+        return "bundle"
+    if len(local.gone) == 2:
+        return "merge"
+    return "split" if len(local.made) == 2 else "rigid"
+
+
+def _ring_toggles(m):
+    """Edges to toggle on a ring of m K4 gadgets: chords of the ring's
+    cycle component, the real edge at each gadget's pair, an edge inside
+    each gadget and chords between gadgets."""
+    out = []
+    for i in range(m):
+        out += [(4 * i, 4 * i + 1), (4 * i + 2, 4 * i + 3)]
+        for j in range(i + 1, m):
+            out += [(4 * i + 2, 4 * j + 2), (4 * i, 4 * j)]
+            if j != i + 1:
+                out.append((4 * i + 1, 4 * j))
+    return out
+
+
+def test_local_blocks_equal_blocks_built_from_scratch():
+    """After every accepted step, the block a local rule built equals the
+    block the path search builds from its edges: the same components,
+    pairs and SPQR tree, each adjacency tuple in the same order. The
+    steps are seeded churn by the acceptance corpus's rule at domains 8
+    and 16, spoke, rim, shared-edge and chord toggles on the block
+    chain, toggles of ring chords, gadget edges and chords between
+    gadgets on rings of 4 and 8 K4 gadgets, and edge toggles on a
+    triangulated 6x6 grid. Each rule builds at least 20 blocks."""
+    seen = dict.fromkeys(("bundle", "merge", "split", "rigid"), 0)
+
+    def step(eng, e):
+        change = eng.delete_edge if eng.graph.has_edge(*e) \
+            else eng.insert_edge
+        if change(*e).status != ACCEPTED or eng.decomp.derived is None:
+            return
+        local = eng.decomp.derived
+        seen[_rule(local)] += 1
+        fresh = _make_block(local.block.edges)
+        # dicts compare each adjacency tuple, and tuples their order
+        assert local.block == fresh and local.block.tree == fresh.tree, \
+            (_rule(local), sorted(local.block.edges))
+
+    for n in (8, 16):
+        pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for seed in range(8):
+            rng = random.Random(100 * n + seed)
+            eng = Engine(n)
+            for _ in range(150):
+                edges = sorted(eng.graph.edges)
+                if edges and rng.random() < 0.45:
+                    step(eng, rng.choice(edges))
+                else:
+                    step(eng, rng.choice([p for p in pool
+                                          if p not in eng.graph.edges]))
+    rng = random.Random(24)
+    chain = [e for kind in chain_toggles().values() for e in kind]
+    ring_edges = {m: _k4_ring(rng, m, 0) for m in (4, 8)}
+    for n, start, toggles in (
+            (42, block_chain()[0], chain),
+            (16, ring_edges[4], _ring_toggles(4)),
+            (32, ring_edges[8], _ring_toggles(8)),
+            (36, chain_grid(6, 6), chain_grid(6, 6))):
+        eng = Engine(n)
+        for e in start:
+            assert eng.insert_edge(*e).status == ACCEPTED
+        for _ in range(300):
+            step(eng, rng.choice(toggles))
+    assert min(seen.values()) >= 20, seen
 
 
 def test_grid_changes_inside_the_rigid_component_search_no_pairs(

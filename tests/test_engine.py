@@ -26,6 +26,7 @@ from dynplanar.oracle import (
     validate_rotation,
 )
 from dynplanar.rotation import Embedding, euler_per_component
+from block_chain import block_chain, chain_toggles
 from reference_blocks import cut_vertices
 
 K4_ORDER = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
@@ -760,6 +761,52 @@ def test_rigid_changes_off_the_rim_search_no_cuts_and_trace_nothing(
         assert eng.dump() == start, e
 
 
+def test_bundle_edges_and_cycle_chords_run_no_path_search(monkeypatch):
+    """On the block chain, deleting and re-inserting each glued pair's
+    shared edge, a real edge at a separating pair (a bundle edge), and
+    inserting and deleting each chord of a cycle block, which splits the
+    cycle in two and merges it back, build their blocks by local rules:
+    no path search runs. A bundle change keeps its block's rotation and
+    every graph rotation entry off the pair's two ends, by identity, and
+    writes those two. After each change the engine dumps as a fresh one
+    loaded with its edges."""
+    calls = []
+    search = decomposition._triconnected_components
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    edges, _ = block_chain()
+    eng = build(42, edges)
+    toggles = chain_toggles()
+    monkeypatch.setattr(decomposition, "_triconnected_components", counted)
+    made = {"bundle": 0, "split": 0, "merge": 0}
+    for kind, e in [("shared", e) for e in toggles["shared"]] + \
+            [("chord", e) for e in toggles["chord"]]:
+        for change in (eng.delete_edge, eng.insert_edge)[::(
+                1 if eng.graph.has_edge(*e) else -1)]:
+            name = eng.decomp.block_of(*e).name
+            rot, graph_rot = eng.block_rots[name], eng.graph_rot
+            assert change(*e).status == ACCEPTED
+            local = eng.decomp.derived
+            assert calls == [] and local is not None, (kind, e)
+            if kind == "shared":
+                made["bundle"] += 1
+                assert local.gone == local.made == ()
+                assert eng.block_rots[name] is rot
+                assert sorted(x for x, seq in eng.graph_rot.items()
+                              if seq is not graph_rot.get(x)) == list(e)
+                assert eng.graph_rot.keys() == graph_rot.keys()
+            else:
+                made["split" if len(local.made) == 2 else "merge"] += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(decomposition, "_triconnected_components",
+                              search)
+                assert eng.dump() == build(42, sorted(eng.graph.edges)).dump()
+    assert made == {"bundle": 4, "split": 19, "merge": 19}, made
+
+
 def test_patched_block_rotations_equal_rebuilt_ones(monkeypatch):
     """Seeded churn at domains 12 to 30, then random edges of triangulated
     5x5 to 7x7 grids, relabelled and inserted in shuffled order, deleted
@@ -775,11 +822,13 @@ def test_patched_block_rotations_equal_rebuilt_ones(monkeypatch):
     assemble_graph = Engine._assemble_graph
 
     def spied(decomp, block_rots, base=None, at=None):
-        if base is not None and decomp.derived is not None:
+        local = decomp.derived
+        if base is not None and local is not None and local.made \
+                and local.made[0].kind == "R":
             if at is None:
                 cases["flip"] += 1
             else:
-                comp = decomp.derived[1]
+                comp = local.made[0]
                 on_pair = any(x in p for x in at for p in comp.pairs)
                 cases["pair vertex" if on_pair else "off pair"] += 1
         return assemble_graph(decomp, block_rots, base, at)
