@@ -8,8 +8,10 @@ The fuzz driver replays seeded random changes, choosing uniformly among
 the change types that are currently legal (so rare level transitions get
 exercised), and checks the full invariant suite against the brute-force
 oracles after every step. Violations are reported with greedily
-minimized reproducer traces; identical seeds give byte-identical
-reports.
+minimized reproducer traces. The report ends with counts: the accepted,
+rejected and deleted changes, and the accepted ones by the local rule
+that built their block, or `rebuilt`. It holds no timings, so identical
+seeds give byte-identical reports.
 """
 from __future__ import annotations
 
@@ -274,6 +276,10 @@ def run_trace(lines, domain: int) -> tuple[list[str], int]:
 # components makes a bridge, a cycle through two or more blocks puts its
 # ends in no rigid component, and a rigid component stays rigid
 _INSERT_AFTER = {0: 1, 1: 2, 3: 3}
+# the local rules of `decomposition._local_block`, then the blocks built
+# from their edges
+_RULES = ("bundle", "merge", "split", "rigid", "resplit", "fusion",
+          "rebuilt")
 
 
 def _legal_moves(eng: Engine):
@@ -354,6 +360,8 @@ def fuzz(seed: int, domain: int, steps: int, strict: bool = False,
     lines = [f"fuzz seed={seed} domain={domain} steps={steps}"]
     violations = 0
     tally = {"accepted": 0, "rejected": 0, "deleted": 0}
+    # accepted changes by the local rule that built their block
+    rules = dict.fromkeys(_RULES, 0)
     for step in range(1, steps + 1):
         moves = _legal_moves(eng)
         kind = rng.choice(sorted(moves))
@@ -378,6 +386,10 @@ def fuzz(seed: int, domain: int, steps: int, strict: bool = False,
         else:
             eng.delete_edge(a, b)
             tally["deleted"] += 1
+            got = True
+        if got:
+            local = eng.decomp.derived
+            rules["rebuilt" if local is None else local.rule] += 1
         problems += check_state(eng)
 
         for p in problems:
@@ -392,6 +404,7 @@ def fuzz(seed: int, domain: int, steps: int, strict: bool = False,
                 break
     lines.append("accepted {accepted} rejected {rejected} "
                  "deleted {deleted}".format(**tally))
+    lines.append("rules " + " ".join(f"{k} {n}" for k, n in rules.items()))
     lines.append(f"violations {violations}")
     return "\n".join(lines), violations
 

@@ -41,21 +41,28 @@ oracle's certificate, not here.
 When one edge changes in the one block it touches, local rules derive
 the new block and its SPQR tree from the old ones (Di Battista and
 Tamassia), and the path search is kept for the blocks they leave:
-- an edge at a pair of the block (a bundle edge) changes the block's
-  edges alone, and only a deletion that leaves the pair's P-node with
-  two cycle components changes the tree: it merges them into one;
-- a chord of one cycle component splits it into two cycles, joined by
-  the new pair, whose P-node holds the edge;
-- an edge inside one rigid component leaves the tree's shape alone:
-  only that component gains or loses the edge, a deletion provided the
-  component stays triconnected. The caller that holds the component's
-  embedding decides that from the two faces at the edge and passes the
-  verdict in; a deletion handed no verdict rebuilds its block.
+- bundle: an edge at a pair of the block changes the block's edges
+  alone;
+- merge: a bundle deletion that leaves the pair's P-node with two cycle
+  components merges them into one;
+- split: a chord of one cycle component splits it into two cycles,
+  joined by the new pair, whose P-node holds the edge;
+- rigid: an edge inside one rigid component leaves the tree's shape
+  alone, a deletion provided the component stays triconnected;
+- resplit: a deletion that leaves a rigid component with separating
+  pairs replaces it with the chain of pieces between them;
+- fusion: an insert across the components of a window path fuses them
+  into one rigid component, and each arc a cycle on the path bypasses
+  becomes a cycle of its own.
+The caller that holds the rigid component's embedding reads a deletion's
+separating pairs off the two faces at the edge and passes them in, and
+an insert brings the gate's window; without them the block is rebuilt.
 The tree is patched at the nodes a rule touches, each adjacency tuple
 in the order the builder gives it. The state names what the rule
-changed: the edge, the new block and the components it replaced. Every
-other new block is built from its edges, among them a deletion that
-breaks a rigid or a cycle component and an insert across components.
+changed: the rule, the edge, the new block and the components it
+replaced. Every other new block is built from its edges, among them a
+deletion from a cycle component, which breaks its block, and an insert
+across blocks.
 
 SPQR-tree nodes, as the path operations name them:
 
@@ -117,10 +124,12 @@ class Block:
 
 
 class LocalChange(NamedTuple):
-    """What a local rule changed (`_local_block`): the edge, the new
-    block, and the components of the old block it dropped and those it
-    made in their place. A bundle edge drops and makes none."""
+    """What a local rule changed (`_local_block`): the rule's name, the
+    edge, the new block, and the components of the old block it dropped
+    and those it made in their place. A bundle edge drops and makes
+    none."""
 
+    rule: str
     edge: Edge
     block: Block
     gone: tuple[TriComp, ...]
@@ -701,25 +710,32 @@ def _make_block(edges: frozenset[Edge]) -> Block:
     return Block(name, vset, edges, pairs, tuple(comps), _spqr_tree(comps))
 
 
-def _local_block(blk: Block, e: Edge, deleted: bool,
-                 stays_rigid: bool | None = None) -> LocalChange | None:
+def _local_block(blk: Block, e: Edge, deleted: bool, pairs=None,
+                 window=None) -> LocalChange | None:
     """The block B with the edge e = u-v inserted or `deleted`, built from
     B by a local rule (Di Battista and Tamassia); None when no rule
     applies and the block is built from its edges. B is the one block
     the change touches, and it holds u and v.
 
-    - A bundle edge, u-v at a pair of B, changes B's edges alone: the
-      P-node gains or loses its real edge. A deletion that leaves the
-      P-node with two cycle components merges them into one.
-    - A chord u-v of one cycle component S splits S into the cycles
-      u..v + (u, v), joined by the new pair, whose P-node holds u-v.
-    - An edge inside one rigid component C that is no pair leaves the
-      tree's shape alone: C alone gains or loses the edge, a deletion
-      provided C stays triconnected. That is `stays_rigid`'s verdict,
-      and a deletion handed none is not derived.
+    - bundle: u-v at a pair of B changes B's edges alone: the P-node
+      gains or loses its real edge.
+    - merge: a bundle deletion that leaves the P-node with two cycle
+      components merges them into one.
+    - split: a chord u-v of one cycle component S splits S into the
+      cycles u..v + (u, v), joined by the new pair, whose P-node holds
+      u-v.
+    - rigid: an edge inside one rigid component C that is no pair leaves
+      the tree's shape alone: C alone gains or loses the edge, a deletion
+      provided C stays triconnected, which `pairs`, the separating pairs
+      C has without the edge, says when empty.
+    - resplit: a deletion from C that `pairs` names pairs for replaces C
+      with the pieces C - e splits into (`_resplit`).
+    - fusion: an insert across the components of the gate's `window`
+      (its block, ends and SPQR path) fuses the path into one rigid
+      component (`_fuse`).
 
-    Anything else (a deleted edge of a cycle, an edge across components)
-    may re-split the block, which the path search then builds.
+    A deletion handed no `pairs`, a deleted edge of a cycle and an insert
+    across components without its window are not derived.
     """
     u, v = e
     edges = blk.edges - {e} if deleted else blk.edges | {e}
@@ -727,79 +743,231 @@ def _local_block(blk: Block, e: Edge, deleted: bool,
         around = blk.tree[("P", e)]
         if not (deleted and len(around) == 2
                 and around[0][0] == around[1][0] == "S"):
-            return LocalChange(e, Block(blk.name, blk.vertices, edges,
-                                        blk.pairs, blk.comps, blk.tree),
-                               (), ())
-        # the components are in name order, and names are unique
-        a, b = gone = tuple(blk.comps[bisect_left(blk.comps, nd[1],
-                                                  key=_name)]
-                            for nd in around)
-        vs = a.vertices | b.vertices
-        made = (TriComp(tuple(sorted(vs)[:3]), "S", vs,
-                        a.real_edges | b.real_edges,
-                        (a.pairs | b.pairs) - {e}),)
-        pairs = blk.pairs - {e}
-    else:
-        # two components share vertices only at a pair, so at most one
-        # holds both ends of an edge that is no pair
-        comp = next((c for c in blk.comps
-                     if u in c.vertices and v in c.vertices), None)
-        if comp is None:
+            return LocalChange("bundle", e, Block(
+                blk.name, blk.vertices, edges, blk.pairs, blk.comps,
+                blk.tree), (), ())
+        gone = tuple(_comp(blk, nd) for nd in around)
+        made = (_merged(*gone, e),)
+        return _replaced("merge", blk, e, edges, blk.pairs - {e}, gone, made)
+    if window is not None and len(window[3]) > 1:
+        return _fuse(blk, e, edges, *window[1:])
+    # two components share vertices only at a pair, so at most one holds
+    # both ends of an edge that is no pair
+    comp = next((c for c in blk.comps
+                 if u in c.vertices and v in c.vertices), None)
+    if comp is None:
+        return None
+    if comp.kind == "S":
+        if deleted:
             return None
-        gone = (comp,)
-        if comp.kind == "S":
-            if deleted:
-                return None
-            made = _split_cycle(comp, e)
-            pairs = blk.pairs | {e}
-        else:
-            assert not deleted or e in comp.real_edges, \
-                "deleted edge is not real"
-            # an added edge cannot lower C's connectivity, so only a
-            # deletion asks
-            if deleted and not stays_rigid:
-                return None
-            real = comp.real_edges - {e} if deleted \
-                else comp.real_edges | {e}
-            made = (TriComp(comp.name, "R", comp.vertices, real, comp.pairs),)
-            return LocalChange(e, Block(
-                blk.name, blk.vertices, edges, blk.pairs,
-                tuple(made[0] if c is comp else c for c in blk.comps),
-                blk.tree), gone, made)
+        return _replaced("split", blk, e, edges, blk.pairs | {e}, (comp,),
+                         _split_cycle(comp, e))
+    assert not deleted or e in comp.real_edges, "deleted edge is not real"
+    # an added edge cannot lower C's connectivity, so only a deletion asks
+    if deleted:
+        if pairs is None:
+            return None
+        if pairs:
+            return _resplit(blk, comp, e, edges, pairs)
+    real = comp.real_edges - {e} if deleted else comp.real_edges | {e}
+    made = (TriComp(comp.name, "R", comp.vertices, real, comp.pairs),)
+    return LocalChange("rigid", e, Block(
+        blk.name, blk.vertices, edges, blk.pairs,
+        tuple(made[0] if c is comp else c for c in blk.comps),
+        blk.tree), (comp,), made)
+
+
+def _comp(blk: Block, node: SpqrNode) -> TriComp:
+    """The component of the block at an S or R node. The components are
+    in name order, and names are unique."""
+    return blk.comps[bisect_left(blk.comps, node[1], key=_name)]
+
+
+def _replaced(rule, blk, e, edges, pairs, gone, made) -> LocalChange:
+    """The change by `rule` that gives the block `edges` and `pairs` and
+    replaces its components `gone` by `made`, the tree patched to
+    match."""
     comps = sorted([c for c in blk.comps if c not in gone] + list(made),
                    key=_name)
-    return LocalChange(e, Block(blk.name, blk.vertices, edges, pairs,
-                                tuple(comps),
-                                _patched_tree(blk.tree, gone, made)),
+    return LocalChange(rule, e, Block(blk.name, blk.vertices, edges, pairs,
+                                      tuple(comps),
+                                      _patched_tree(blk.tree, gone, made)),
                        gone, made)
+
+
+def _cycle(vs, real, pairs) -> TriComp:
+    """The cycle component on the vertices `vs` with these edges."""
+    vs = frozenset(vs)
+    return TriComp(tuple(sorted(vs)[:3]), "S", vs, frozenset(real),
+                   frozenset(pairs))
+
+
+def _merged(a: TriComp, b: TriComp, p: Edge) -> TriComp:
+    """The one cycle of two cycle components joined at their pair p."""
+    return _cycle(a.vertices | b.vertices, a.real_edges | b.real_edges,
+                  (a.pairs | b.pairs) - {p})
+
+
+def _resplit(blk: Block, comp: TriComp, e: Edge, edges, pairs
+             ) -> LocalChange:
+    """The block less e = u-v, a real edge of its rigid component C that
+    leaves C with the separating `pairs`, in order from u's side to v's.
+
+    The pairs nest, so C - e is a chain of pieces, piece i between pairs
+    i - 1 and i, u in the first and v in the last. A vertex of pairs j..k
+    lies in pieces j..k + 1. Each other vertex lies in one piece, found
+    by walking C's skeleton through the vertices on no pair: the piece
+    of u, of v, or the one piece the pair vertices the walk meets share.
+    An edge of the skeleton goes to the one piece both its ends lie in,
+    unless it is one of the pairs: a real edge there stays at the new
+    P-node, and a virtual one is a pair of C, whose P-node the new one
+    joins. A piece whose edges are as many as its vertices is a cycle,
+    the others are rigid. A cycle piece merges with an old cycle
+    component beyond one of C's pairs when their P-node is left with the
+    two of them and no real edge. Two pieces never merge: the pairs
+    cross none, and a new pair with a cycle on each side and no edge of
+    its own would be crossed by a pair of one vertex from each cycle."""
+    u, v = e
+    k = len(pairs)
+    at: dict[Vertex, tuple[int, int]] = {}  # vertex -> its first, last piece
+    for i, p in enumerate(pairs):
+        for x in p:
+            at[x] = (at[x][0] if x in at else i, i + 1)
+    on_pair = set(at)
+    real = comp.real_edges - {e}
+    nbrs: dict[Vertex, list[Vertex]] = {}
+    for x, y in itertools.chain(real, comp.pairs):
+        nbrs.setdefault(x, []).append(y)
+        nbrs.setdefault(y, []).append(x)
+    for s in nbrs:
+        if s in at:
+            continue
+        group, seen, a, b = [s], {s}, 0, k
+        for x in group:  # the group grows as the walk reaches vertices
+            for y in nbrs[x]:
+                if y in on_pair:
+                    a, b = max(a, at[y][0]), min(b, at[y][1])
+                elif y not in seen:
+                    seen.add(y)
+                    group.append(y)
+        i = 0 if u in seen else k if v in seen else a
+        assert i in (0, k) or a == b, "pieces do not nest"
+        for x in group:
+            at[x] = (i, i)
+    new = set(pairs)
+    parts: list = [([], []) for _ in range(k + 1)]
+    for i, p in enumerate(pairs):
+        parts[i][1].append(p)
+        parts[i + 1][1].append(p)
+    for d, group in enumerate((real, comp.pairs)):
+        for f in group:
+            if f not in new:
+                x, y = f
+                i = max(at[x][0], at[y][0])
+                assert i == min(at[x][1], at[y][1]), "edge across pieces"
+                parts[i][d].append(f)
+    node = (comp.kind, comp.name)
+    gone, made, lost = [comp], [], set()
+    for i, (r, ps) in enumerate(parts):
+        vs = frozenset(x for f in itertools.chain(r, ps) for x in f)
+        if len(r) + len(ps) != len(vs):
+            made.append(TriComp(tuple(sorted(vs)[:3]), "R", vs,
+                                frozenset(r), frozenset(ps)))
+            continue
+        c = _cycle(vs, r, ps)
+        for q in ps:
+            around = blk.tree.get(("P", q), ())
+            if len(around) == 2 and q not in new and q not in edges:
+                d = _comp(blk, around[around[0] == node])
+                if d.kind == "S":
+                    c = _merged(c, d, q)
+                    gone.append(d)
+                    lost.add(q)
+        assert not (i and made[-1].kind == "S" and pairs[i - 1] not in
+                    blk.pairs and pairs[i - 1] not in edges), \
+            "two cycle pieces meet at a bare new pair"
+        made.append(c)
+    return _replaced("resplit", blk, e, edges, (blk.pairs | new) - lost,
+                     tuple(gone), tuple(made))
+
+
+def _fuse(blk: Block, e: Edge, edges, a: Vertex, b: Vertex, path
+          ) -> LocalChange:
+    """The block plus e, inserted across the SPQR `path` from a component
+    that holds a to one that holds b, which it fuses into one rigid
+    component R. A pair of the path whose P-node has no third component
+    dissolves, its real edge, if any, becoming one of R; the others stay
+    pairs, of R. A rigid component on the path joins R whole. A cycle
+    keeps in R only the cycle through its anchors (a or its left pair,
+    and b or its right pair): an arc between two anchors that is one
+    edge joins R, and each longer one becomes a cycle component of its
+    own, closed by a new pair, which R shares."""
+    gone = tuple(_comp(blk, nd) for nd in path[::2])
+    window = {nd[1] for nd in path[1::2]}
+    kept = {p for p in window if len(blk.tree[("P", p)]) > 2}
+    real = {e} | {p for p in window - kept if p in edges}
+    pairs = set(kept)
+    vs: set[Vertex] = set()
+    arcs = []
+    for i, c in enumerate(gone):
+        if c.kind == "R":
+            vs |= c.vertices
+            real |= c.real_edges
+            pairs |= c.pairs - window
+            continue
+        anchors = set(path[2 * i - 1][1]) if i else {a}
+        anchors |= set(path[2 * i + 1][1]) if 2 * i + 1 < len(path) else {b}
+        vs |= anchors
+        for arc, r, ps in _arcs(c, anchors):
+            if len(arc) == 2:
+                real.update(r)
+                pairs.update(p for p in ps if p not in window)
+                continue
+            x, y = arc[0], arc[-1]
+            p = (x, y) if x < y else (y, x)
+            pairs.add(p)
+            arcs.append(_cycle(arc, r, ps + [p]))
+    vs = frozenset(vs)
+    fused = TriComp(tuple(sorted(vs)[:3]), "R", vs, frozenset(real),
+                    frozenset(pairs))
+    arcs.sort(key=_name)
+    return _replaced("fusion", blk, e, edges,
+                     (blk.pairs - window | kept).union(
+                         *(c.pairs for c in arcs)),
+                     gone, (fused, *arcs))
+
+
+def _arcs(comp: TriComp, anchors):
+    """The arcs of the cycle component `comp` between its `anchors`
+    around it, from the least anchor on: each as its vertices, anchor to
+    anchor, and its real and its virtual edges."""
+    nbrs: dict[Vertex, list[Vertex]] = {}
+    for x, y in itertools.chain(comp.real_edges, comp.pairs):
+        nbrs.setdefault(x, []).append(y)
+        nbrs.setdefault(y, []).append(x)
+    start = min(anchors)
+    out = []
+    vs, real, virtual = [start], [], []
+    prev, x = start, nbrs[start][0]
+    while True:
+        f = (prev, x) if prev < x else (x, prev)
+        (real if f in comp.real_edges else virtual).append(f)
+        vs.append(x)
+        if x in anchors:
+            out.append((vs, real, virtual))
+            if x == start:
+                return out
+            vs, real, virtual = [x], [], []
+        p, q = nbrs[x]
+        prev, x = x, q if p == prev else p
 
 
 def _split_cycle(comp: TriComp, e: Edge) -> tuple[TriComp, ...]:
     """The two cycles a chord e = u-v splits the cycle component `comp`
     into, in name order: each arc u..v of comp closed by the virtual
     edge u-v, which is a new pair."""
-    u, v = e
-    nbrs: dict[Vertex, list[Vertex]] = {}
-    for edge_set in (comp.real_edges, comp.pairs):
-        for x, y in edge_set:
-            nbrs.setdefault(x, []).append(y)
-            nbrs.setdefault(y, []).append(x)
-    out = []
-    for x in nbrs[u]:
-        prev = u
-        real, pairs, vs = set(), {e}, [u]
-        while True:
-            f = (prev, x) if prev < x else (x, prev)
-            (real if f in comp.real_edges else pairs).add(f)
-            vs.append(x)
-            if x == v:
-                break
-            a, b = nbrs[x]
-            prev, x = x, b if a == prev else a
-        out.append(TriComp(tuple(sorted(vs)[:3]), "S", frozenset(vs),
-                           frozenset(real), frozenset(pairs)))
-    out.sort(key=_name)
-    return tuple(out)
+    return tuple(sorted((_cycle(vs, r, ps + [e])
+                         for vs, r, ps in _arcs(comp, e)), key=_name))
 
 
 def _patched_tree(tree, gone, made) -> dict[SpqrNode, tuple[SpqrNode, ...]]:
@@ -951,15 +1119,17 @@ class DecompositionState:
     @classmethod
     def from_edges(cls, n: int, edges,
                    carry_from: DecompositionState | None = None,
-                   stays_rigid: bool | None = None,
-                   edge: Edge | None = None) -> DecompositionState:
+                   edge: Edge | None = None, pairs=None,
+                   window=None) -> DecompositionState:
         """State of an edge set, patched from `carry_from` or else from
-        the empty state. When the edge set is `carry_from`'s less one
-        real edge of a rigid component, `stays_rigid` says whether that
-        component stays triconnected without it; None rebuilds the
-        edge's block. A caller that knows the one canonical `edge` by
+        the empty state. A caller that knows the one canonical `edge` by
         which `edges` differs from `carry_from`'s passes it, and `edges`
         as a frozenset of canonical edges, so neither set is compared.
+        When that edge is a deleted real edge of a rigid component,
+        `pairs` are the separating pairs the component has without it,
+        in order from the edge's lesser end, and none when it stays
+        rigid; None rebuilds the edge's block. An inserted edge may come
+        with the gate's `window` in its block.
 
         The patch replaces the blocks the change touches (every block
         unless the edge sets differ in one edge) by the blocks of their
@@ -981,8 +1151,8 @@ class DecompositionState:
         derived = None
         if len(diff) == 1 and len(removed) == 1:
             (e,) = diff
-            derived = _local_block(removed[0], e, e in base.edges,
-                                   stays_rigid)
+            derived = _local_block(removed[0], e, e in base.edges, pairs,
+                                   window)
         adj = lowpoint_cuts = None
         if derived is not None:
             added = [derived.block]
@@ -1084,25 +1254,29 @@ class DecompositionState:
             comp_of[x] = label
         return comp_of
 
-    def with_edge(self, u: Vertex, v: Vertex) -> DecompositionState:
-        """The state plus u-v; this state when it holds u-v already."""
+    def with_edge(self, u: Vertex, v: Vertex,
+                  window=None) -> DecompositionState:
+        """The state plus u-v; this state when it holds u-v already. The
+        gate's `window` for the insert, if it has one in u and v's
+        block, lets a local rule fuse the components it crosses."""
         e = canonical_edge(u, v)
         if e in self.edges:
             return self
         return DecompositionState.from_edges(
-            self.n, self.edges | {e}, self, edge=e)
+            self.n, self.edges | {e}, self, e, window=window)
 
     def without_edge(self, u: Vertex, v: Vertex,
-                     stays_rigid: bool | None = None) -> DecompositionState:
+                     pairs=None) -> DecompositionState:
         """The state less u-v; this state when it lacks u-v. When u-v is
-        a real edge of a rigid component, `stays_rigid` says whether that
-        component stays triconnected without it; None rebuilds the
-        edge's block."""
+        a real edge of a rigid component, `pairs` are the separating
+        pairs that component has without it, in order from the lesser
+        of u and v (`rotation.pairs_without`); None rebuilds the edge's
+        block."""
         e = canonical_edge(u, v)
         if e not in self.edges:
             return self
         return DecompositionState.from_edges(
-            self.n, self.edges - {e}, self, stays_rigid, e)
+            self.n, self.edges - {e}, self, e, pairs)
 
     def connected(self, u: Vertex, v: Vertex) -> bool:
         """True iff u and v lie in one component (u == u counts)."""

@@ -17,18 +17,21 @@ accepted change:
 Each is the previous one patched: `Engine._commit` walks only the blocks
 the decomposition replaced and created, and the graph rotation is
 rewritten only at their vertices. The decomposition names the block a
-local rule built and what the rule changed, and the commit follows it:
-- a bundle edge (a real edge at a separating pair) changes no
-  component, so every embedding, colouring entry and block rotation is
-  carried, and the graph rotation is rewritten at the pair's two ends,
-  where the bundle entry turns real or virtual;
-- a chord that splits a cycle component, or a deletion that merges two
-  back, derives the new cycles' embeddings from content and reassembles
-  the block;
-- an edge inside one rigid component is an edit of its embedding at the
-  edge's two ends; unless `canonical()` mirrors the edit, the block
-  rotation and the graph rotation are rewritten at those two vertices
-  alone.
+local rule built, the rule and what it changed, and the commit follows
+the rule's name (`Engine._embed`):
+- bundle (a real edge at a separating pair) changes no component, so
+  every embedding, colouring entry and block rotation is carried, and
+  the graph rotation is rewritten at the pair's two ends, where the
+  bundle entry turns real or virtual;
+- rigid, an edge inside one rigid component, is an edit of its
+  embedding at the edge's two ends; unless `canonical()` mirrors the
+  edit, the block rotation and the graph rotation are rewritten at
+  those two vertices alone;
+- split, merge, resplit and fusion embed the components the rule made:
+  a cycle from its content, the rigid piece of a resplit by projecting
+  the old rigid component, and the fused component of a fusion by the
+  corridor merge. Every other component keeps its embedding, and the
+  block is reassembled.
 Every other created block is assembled by splicing its components'
 rotations, and a block of one component has its component's rotation.
 
@@ -40,31 +43,32 @@ more components are spliced; `cli.check_state` and the benchmark
 validate every rotation after every change.
 
 One rule, in `Engine._commit`, decides each new component's embedding:
-a component whose block the change kept or whose content key is
-unchanged carries it; a new cycle derives its unique rotation scheme
-from content; a rigid component whose content key the predecessor lacks
-is built by surgery and canonicalised. An insert builds it by merging
-the corridor of the one window whose two endpoints it holds; a delete
-projects the one old rigid component whose vertex set contains it (a
-deletion merges only cycles). A corridor merge is the splice that
-assembles blocks, applied along the window path to rotation schemes
-once the stored two-colouring has fixed each one's flip: the colours
-are read off the pair-face entries of the components along the path,
-which also name each inner component's window face. A face
-split is the corridor of one rigid component, which has no pairs and
-so no flip. A
-projection reads the far side of each new pair off the new block's SPQR
-tree. The gate returns the windows, so deciding and building walk the
-state once. Carrying by content key makes the whole state a pure
-function of the edge set, which the decomposition state holds.
+a component whose block the change kept, that a local rule left alone,
+or whose content key is unchanged carries it; a new cycle derives its
+unique rotation scheme from content; a rigid component whose content key
+the predecessor lacks is built by surgery and canonicalised. An insert
+builds it by merging the corridor of the one window whose two endpoints
+it holds; a delete projects the one old rigid component whose vertex set
+contains it (a deletion merges only cycles). A corridor merge is the
+splice that assembles blocks, applied along the window path to rotation
+schemes once the stored two-colouring has fixed each one's flip: the
+colours are read off the pair-face entries of the components along the
+path, which also name each inner component's window face. A face split
+is the corridor of one rigid component, which has no pairs and so no
+flip. A projection reads the far side of each new pair off the new
+block's SPQR tree. The gate returns the windows, so deciding, deriving
+the new tree and building walk the state once. Carrying by content key
+makes the whole state a pure function of the edge set, which the
+decomposition state holds.
 
 A change inside one rigid component is decided and applied on the faces
-at its edge. Whether the component stays rigid without a deleted real
-edge is read off the two faces at the edge, in `Engine._without`, the
-one place a deletion's successor state is decided, and handed to the
-decomposition state, which otherwise rebuilds the edge's block. A face
-split, or a deletion that leaves the component rigid, edits the stored
-embedding, retracing only the faces at the edge.
+at its edge. The separating pairs the component has without a deleted
+real edge are read off the two faces at the edge, in `Engine._without`,
+the one place a deletion's successor state is decided, and handed to the
+decomposition state, which re-splits the component along them, or
+otherwise rebuilds the edge's block. A face split, or a deletion that
+leaves the component rigid, edits the stored embedding, retracing only
+the faces at the edge.
 
 A dump is formatted by value. Each block's four sections (spqr-tree,
 sr-embeddings, colourings, block-embedding) are kept as text: the
@@ -130,7 +134,7 @@ from .rotation import (
     face_name,
     opened_at,
     opened_at_least,
-    stays_triconnected,
+    pairs_without,
 )
 
 ContentKey = tuple  # (frozenset of vertices, frozenset of edges)
@@ -316,7 +320,8 @@ class Engine:
         windows = insert_ok(self.decomp, self.comp_embs, a, b)
         if windows is None:
             return ChangeOutcome(REJECTED_NONPLANAR)
-        new_decomp = self.decomp.with_edge(a, b)
+        new_decomp = self.decomp.with_edge(
+            a, b, windows[0] if len(windows) == 1 else None)
         change = EdgeChangeType(
             INSERT,
             self.decomp.level_between(a, b),
@@ -344,14 +349,14 @@ class Engine:
 
     def _without(self, a: Vertex, b: Vertex) -> DecompositionState:
         """The state less the edge a-b. When a-b is a real edge of a rigid
-        component, whether that component stays rigid without it is read
-        off the two faces at the edge in its embedding."""
+        component, the separating pairs that component has without it
+        are read off the two faces at the edge in its embedding."""
         e = canonical_edge(a, b)
         rigid = next((c for c in self.decomp.block_of(a, b).comps
                       if c.kind == "R" and e in c.real_edges), None)
-        stays_rigid = None if rigid is None else stays_triconnected(
-            self.comp_embs[("R", rigid.name)], a, b)
-        return self.decomp.without_edge(a, b, stays_rigid)
+        pairs = None if rigid is None else pairs_without(
+            self.comp_embs[("R", rigid.name)], *e)
+        return self.decomp.without_edge(a, b, pairs)
 
     def _ordered(self, tasks: list) -> list:
         if self._subupdate_order is not None:
@@ -527,17 +532,13 @@ class Engine:
         whose shape changed get new rotations.
 
         A block a local rule built (`new_decomp.derived`) is patched by
-        what the rule changed. A bundle edge changes no component: every
-        embedding, entry and block rotation is carried, and the graph
-        rotation is patched at the pair's two ends, which gain or lose
-        the entry as a real one. A split or merge of cycles derives the
-        new cycles and reassembles the block. A change inside one rigid
-        component edits that component; unless `canonical()` mirrors the
-        edit, its block rotation and the graph rotation are patched at
-        the edge's two ends, where the graph rotation gains or loses one
-        entry."""
+        what the rule changed, as its name says. A bundle edge changes no
+        component: every embedding, entry and block rotation is carried,
+        and the graph rotation is patched at the pair's two ends, which
+        gain or lose the entry as a real one. The other rules go through
+        `_embed`."""
         local = new_decomp.derived
-        if local is not None and not local.gone:  # a bundle edge
+        if local is not None and local.rule == "bundle":
             assert not windows, "a bundle edge crossed a window"
             comp_embs, pair_faces = self.comp_embs, self.pair_faces
             block_rots, at = self.block_rots, local.edge
@@ -561,7 +562,16 @@ class Engine:
         """The component embeddings, pair-face entries and block
         rotations of `new_decomp`, patched from this engine's, and the
         vertices `at` at which alone the graph rotation changes, or ()
-        to rewrite it at the replaced and created blocks' vertices."""
+        to rewrite it at the replaced and created blocks' vertices.
+
+        A block built from its edges carries what `_carry` finds by
+        content key. A block a local rule built carries every component
+        the rule left alone, by identity, and embeds those it made: a
+        cycle from content, a rigid component by surgery on the window
+        of an insert or on the one rigid component the deletion's rule
+        dropped. Only the rigid rule's edit, unless `canonical()`
+        mirrors it, is patched at the edge's two ends; every other
+        derived block is reassembled."""
         local = new_decomp.derived
         comp_embs = dict(self.comp_embs)
         if local is None:
@@ -581,7 +591,8 @@ class Engine:
                 "a window fused other than one component"
         else:  # only the deleted edge's block is replaced
             (old,) = new_decomp.replaced
-            rigid = [c for c in old.comps if c.kind == "R"]
+            rigid = [c for c in (old.comps if local is None else local.gone)
+                     if c.kind == "R"]
         at = ()  # the vertices a rigid edit alone rewrites
         for blk, c in self._ordered(created):
             if deleted is None:
@@ -594,7 +605,7 @@ class Engine:
             assert _embedding_key(emb) == _content_key(c), \
                 f"surgery built another component than {c.name}"
             comp_embs[(c.kind, c.name)] = canon = emb.canonical()
-            if local is not None and canon is emb:
+            if local is not None and local.rule == "rigid" and canon is emb:
                 # an edit rewrites the edge's two ends; a mirror, all
                 at = local.edge
         pair_faces = update_colouring(

@@ -24,14 +24,14 @@ exactly one carries three given vertices in a given order. Of an
 embedding and its mirror, the canonical one serialises to the lesser
 string, which one vertex decides.
 
-The faces at an edge also decide whether a triconnected graph stays
-triconnected without it (`stays_triconnected`).
+The faces at an edge also give the separating pairs that a
+triconnected graph has without the edge (`pairs_without`).
 """
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 
-from .graph_core import Edge, GraphError, Vertex, canonical_edge
+from .graph_core import Edge, GraphError, Vertex
 
 FaceId = tuple[int, int, int]
 
@@ -144,29 +144,57 @@ def _orbit(rot, u, v) -> list:
             return cycle
 
 
-def stays_triconnected(emb, u, v) -> bool:
-    """Whether the triconnected graph that emb embeds stays triconnected
-    without its edge u-v.
+def pairs_without(emb, u, v) -> tuple[Edge, ...]:
+    """The separating pairs of the triconnected graph that emb embeds,
+    less its edge u-v, in order from u's side to v's; none when it stays
+    triconnected.
 
     Let f1 and f2 be the two faces at u-v; f1 - {u,v} and f2 - {u,v} are
-    disjoint. The graph less u-v has a separating pair exactly when some
-    third face holds a vertex of each (Di Battista and Tamassia), so
-    only the faces at the vertices of the shorter of f1, f2 are traced.
+    disjoint. The vertex pairs that separate the graph less u-v are the
+    pairs {x, y}, x on f1 - {u,v} and y on f2 - {u,v}, that some third
+    face holds (Di Battista and Tamassia), so only the faces at the
+    vertices of the shorter of f1, f2 are traced. Each such pair parts u
+    from v. Number each face's vertices by their distance from u along
+    it: a pair that another separates, one of whose ends comes before
+    and the other after the pair's own, is inside a cycle and no pair of
+    the SPQR tree. The others nest, in the order of those numbers.
     """
     rot = emb.rot
     f1, f2 = _orbit(rot, u, v), _orbit(rot, v, u)
-    if len(f1) > len(f2):
-        f1, f2 = f2, f1
-    far = set(f2) - {u, v}
-    k = len(f1)
-    for i, x in enumerate(f1):
-        if x == u or x == v:
-            continue
+    # f1 runs u, v, ... and f2 runs v, u, ...
+    face, other = (f1, f2) if len(f1) <= len(f2) else (f2, f1)
+    far = set(other[2:])
+    k = len(face)
+    hits = []
+    for i in range(2, k):
+        x, on_face = face[i], face[(i + 1) % k]
         for w in rot[x]:
-            # the dart x -> f1[i + 1] lies on f1 itself
-            if w != f1[(i + 1) % k] and not far.isdisjoint(_orbit(rot, x, w)):
-                return False
-    return True
+            # the dart x -> face[i + 1] lies on the face itself
+            if w != on_face:
+                orbit = _orbit(rot, x, w)
+                if not far.isdisjoint(orbit):
+                    hits.append((x, orbit))
+    if not hits:
+        return ()
+    # each face's vertices numbered by their distance from u along it
+    at1 = {x: i for i, x in enumerate(reversed(f1[2:]), 1)}
+    at2 = {y: i for i, y in enumerate(f2[2:], 1)}
+    cuts = sorted({(at1[x], at2[y], x, y) if face is f1
+                   else (at1[y], at2[x], y, x)
+                   for x, orbit in hits for y in orbit if y in far})
+    # the greatest second number before each first number, and the least
+    # after it
+    before, after = {}, {}
+    top = 0
+    for i, j, _, _ in cuts:
+        before.setdefault(i, top)
+        top = max(top, j)
+    low = len(at2) + 1
+    for i, j, _, _ in reversed(cuts):
+        after.setdefault(i, low)
+        low = min(low, j)
+    return tuple((x, y) if x < y else (y, x) for i, j, x, y in cuts
+                 if before[i] <= j <= after[i])
 
 
 def face_name(boundary) -> FaceId:
@@ -277,7 +305,7 @@ class Embedding:
         return frozenset(self.rot)
 
     def edge_set(self) -> frozenset[Edge]:
-        return frozenset(canonical_edge(u, v)
+        return frozenset((u, v) if u < v else (v, u)
                          for u, seq in self.rot.items() for v in seq)
 
     # -------------------------------------------------------------- queries

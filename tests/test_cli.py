@@ -338,9 +338,21 @@ def test_check_state_checks_the_decomposition_past_the_oracle_budget():
 # --------------------------------------------------------------------- fuzz
 
 def test_fuzz_clean_run_no_violations():
+    """A clean run reports no violation, and tallies every accepted
+    change under the rule that built its block."""
     report, violations = fuzz(3, 8, 80)
     assert violations == 0
-    assert report.splitlines()[-1] == "violations 0"
+    lines = report.splitlines()
+    assert lines[-1] == "violations 0"
+    counts = lines[-3].split()
+    tally = dict(zip(counts[::2], map(int, counts[1::2])))
+    words = lines[-2].split()
+    assert words[0] == "rules"
+    rules = dict(zip(words[1::2], map(int, words[2::2])))
+    assert list(rules) == ["bundle", "merge", "split", "rigid", "resplit",
+                           "fusion", "rebuilt"]
+    assert sum(rules.values()) == tally["accepted"] + tally["deleted"]
+    assert rules["resplit"] and rules["fusion"] and rules["rebuilt"]
 
 
 def test_fuzz_reports_are_byte_identical():
@@ -458,7 +470,10 @@ def test_optimised_interpreter_answers_identically(tmp_path):
     recolour the ring, which is dumped after each toggle. On the block
     chain, the glued pairs' shared edges (bundle edges) and the cycles'
     chords are toggled, each change dumped: local rules build those
-    blocks, splitting and merging cycles. The first two traces ask every
+    blocks, splitting and merging cycles. Then each wheel spoke and rim
+    edge, and each cycle edge, is deleted and re-inserted, each change
+    dumped: the wheels' rigid components break into pieces and fuse back
+    by local rules. The first two traces ask every
     kind of query; a rotation query names three neighbours of a vertex,
     which an engine run alongside the churn supplies."""
     rng = random.Random(5)
@@ -527,8 +542,8 @@ def test_optimised_interpreter_answers_identically(tmp_path):
         ring_lines.append("dump")
     chain, _ = block_chain()
     chain_lines = [f"add {a} {b}" for a, b in chain] + ["dump"]
-    toggles = chain_toggles()
-    toggles = toggles["shared"] + toggles["chord"]
+    kinds = chain_toggles()
+    toggles = kinds["shared"] + kinds["chord"]
     flips = random.Random(8)
     shadow = Engine(42)
     for e in chain:
@@ -542,6 +557,9 @@ def test_optimised_interpreter_answers_identically(tmp_path):
             chain_lines.append(f"add {a} {b}")
             shadow.insert_edge(a, b)
         chain_lines.append("dump")
+    breaks = kinds["spoke"] + kinds["rim"]
+    for a, b in breaks:
+        chain_lines += [f"del {a} {b}", "dump", f"add {a} {b}", "dump"]
     src = str(Path(dynplanar.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -572,4 +590,5 @@ def test_optimised_interpreter_answers_identically(tmp_path):
     assert "rejected nonplanar" in ring_text
     assert any(line.startswith("path") and line.count("P(") >= 3
                for line in ring_text.splitlines())
-    assert chain_run.stdout.decode().count("accepted") == len(chain) + 60
+    assert chain_run.stdout.decode().count("accepted") == \
+        len(chain) + 60 + 2 * len(breaks)

@@ -354,7 +354,7 @@ def test_a_present_insert_or_an_absent_delete_returns_the_state(
         for v in range(u + 1, 30):
             if (u, v) not in st.edges:
                 assert st.without_edge(u, v) is st
-                assert st.without_edge(v, u, True) is st
+                assert st.without_edge(v, u, ()) is st
     assert builds == []
 
 
@@ -367,9 +367,9 @@ def test_derived_blocks_equal_blocks_built_from_scratch(monkeypatch):
     derived = {"ins": 0, "del": 0}
     real = decomposition._local_block
 
-    def checked(blk, e, deleted, stays_rigid=None):
-        got = real(blk, e, deleted, stays_rigid)
-        if got is not None and got.made and got.made[0].kind == "R":
+    def checked(blk, e, deleted, pairs=None, window=None):
+        got = real(blk, e, deleted, pairs, window)
+        if got is not None and got.rule == "rigid":
             derived["del" if deleted else "ins"] += 1
             fresh = _make_block(got.block.edges)
             assert got.block == fresh and got.block.tree == fresh.tree, \
@@ -407,15 +407,6 @@ def test_derived_blocks_equal_blocks_built_from_scratch(monkeypatch):
     assert derived["ins"] >= 50 and derived["del"] >= 50, derived
 
 
-def _rule(local) -> str:
-    """The local rule that built a block (`DecompositionState.derived`)."""
-    if not local.gone:
-        return "bundle"
-    if len(local.gone) == 2:
-        return "merge"
-    return "split" if len(local.made) == 2 else "rigid"
-
-
 def _ring_toggles(m):
     """Edges to toggle on a ring of m K4 gadgets: chords of the ring's
     cycle component, the real edge at each gadget's pair, an edge inside
@@ -438,8 +429,10 @@ def test_local_blocks_equal_blocks_built_from_scratch():
     and 16, spoke, rim, shared-edge and chord toggles on the block
     chain, toggles of ring chords, gadget edges and chords between
     gadgets on rings of 4 and 8 K4 gadgets, and edge toggles on a
-    triangulated 6x6 grid. Each rule builds at least 20 blocks."""
-    seen = dict.fromkeys(("bundle", "merge", "split", "rigid"), 0)
+    triangulated 6x6 grid. Each of the six rules, named on the state's
+    `derived`, builds at least 20 blocks."""
+    seen = dict.fromkeys(
+        ("bundle", "merge", "split", "rigid", "resplit", "fusion"), 0)
 
     def step(eng, e):
         change = eng.delete_edge if eng.graph.has_edge(*e) \
@@ -447,11 +440,11 @@ def test_local_blocks_equal_blocks_built_from_scratch():
         if change(*e).status != ACCEPTED or eng.decomp.derived is None:
             return
         local = eng.decomp.derived
-        seen[_rule(local)] += 1
+        seen[local.rule] += 1
         fresh = _make_block(local.block.edges)
         # dicts compare each adjacency tuple, and tuples their order
         assert local.block == fresh and local.block.tree == fresh.tree, \
-            (_rule(local), sorted(local.block.edges))
+            (local.rule, sorted(local.block.edges))
 
     for n in (8, 16):
         pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -485,10 +478,11 @@ def test_grid_changes_inside_the_rigid_component_search_no_pairs(
         monkeypatch):
     """On a triangulated 5x6 grid, deleting and re-inserting an interior
     edge away from the corners keeps the one rigid component rigid, so
-    no path search for the block's components runs; deleting 0-7 drops
-    vertex 0 to degree two, which makes {1, 6} a pair, so the search
-    runs. Either way the engine ends as a fresh engine loaded with its
-    edges."""
+    no path search for the block's components runs. Deleting 0-7 drops
+    vertex 0 to degree two, which makes {1, 6} a pair: the component
+    re-splits into a triangle and the rest, and re-inserting 0-7 fuses
+    them back, both by local rules, so no search runs either. Each time
+    the engine ends as a fresh engine loaded with its edges."""
     calls = []
     search = decomposition._triconnected_components
 
@@ -514,8 +508,12 @@ def test_grid_changes_inside_the_rigid_component_search_no_pairs(
         return made
 
     assert searches((eng.delete_edge, 8, 15), (eng.insert_edge, 8, 15)) == 0
-    assert searches((eng.delete_edge, 0, 7)) > 0
+    assert searches((eng.delete_edge, 0, 7)) == 0
+    assert eng.decomp.derived.rule == "resplit"
     assert eng.graph.is_separating_pair(1, 6)
+    assert searches((eng.insert_edge, 0, 7)) == 0
+    assert eng.decomp.derived.rule == "fusion"
+    assert not eng.graph.is_separating_pair(1, 6)
 
 
 # ------------------------------------------------------- the block builder

@@ -27,7 +27,7 @@ from dynplanar.oracle import (
 )
 from dynplanar.rotation import Embedding, euler_per_component
 from block_chain import block_chain, chain_toggles
-from reference_blocks import cut_vertices
+from reference_blocks import cut_vertices, reference_block
 
 K4_ORDER = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 K4_ORDER_0 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
@@ -635,20 +635,39 @@ def test_face_rule_agrees_with_the_connectivity_search(monkeypatch):
     """A rigid component less a real edge stays triconnected exactly
     when no third face holds a vertex of each face at the edge other
     than its ends: the verdict the engine reads off the stored faces
-    equals a cut-vertex search of the component less the edge."""
+    equals a cut-vertex search of the component less the edge. The
+    pairs the faces give are those the reference builder finds in the
+    component's skeleton less the edge, in order from the edge's lesser
+    end: the side of each pair that holds that end grows along them."""
     verdicts = {True: 0, False: 0}
-    rule = engine.stays_triconnected
+    rule = engine.pairs_without
+
+    def u_side(adj, u, pair):
+        seen, stack = {u, *pair}, [u]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return len(seen)
 
     def checked(emb, u, v):
         got = rule(emb, u, v)
         adj = {x: set(seq) for x, seq in emb.rot.items()}
         adj[u].discard(v)
         adj[v].discard(u)
-        assert got == _graph_three_connected(set(adj), adj), (emb, u, v)
-        verdicts[got] += 1
+        stays = _graph_three_connected(set(adj), adj)
+        assert (not got) == stays, (emb, u, v)
+        if got:
+            skeleton = frozenset(canonical_edge(x, y) for x in adj
+                                 for y in adj[x])
+            assert set(got) == reference_block(skeleton).pairs, (emb, u, v)
+            sides = [u_side(adj, u, p) for p in got]
+            assert sides == sorted(set(sides)), (emb, u, v, got)
+        verdicts[stays] += 1
         return got
 
-    monkeypatch.setattr(engine, "stays_triconnected", checked)
+    monkeypatch.setattr(engine, "pairs_without", checked)
     rigid_change_runs()
     assert min(verdicts.values()) >= 500, verdicts
 
@@ -793,18 +812,61 @@ def test_bundle_edges_and_cycle_chords_run_no_path_search(monkeypatch):
             assert calls == [] and local is not None, (kind, e)
             if kind == "shared":
                 made["bundle"] += 1
+                assert local.rule == "bundle"
                 assert local.gone == local.made == ()
                 assert eng.block_rots[name] is rot
                 assert sorted(x for x, seq in eng.graph_rot.items()
                               if seq is not graph_rot.get(x)) == list(e)
                 assert eng.graph_rot.keys() == graph_rot.keys()
             else:
-                made["split" if len(local.made) == 2 else "merge"] += 1
+                made[local.rule] += 1
             with monkeypatch.context() as patch:
                 patch.setattr(decomposition, "_triconnected_components",
                               search)
                 assert eng.dump() == build(42, sorted(eng.graph.edges)).dump()
     assert made == {"bundle": 4, "split": 19, "merge": 19}, made
+
+
+def test_wheel_spokes_and_rims_run_no_path_search(monkeypatch):
+    """On the block chain, deleting each wheel spoke and each rim edge
+    of a wheel breaks a rigid component into pieces, and re-inserting it
+    fuses them back: the resplit and fusion rules build those blocks,
+    so neither the path search nor the lowpoint search runs. After each
+    change the engine dumps as a fresh one loaded with its edges. The
+    cycles' edges, the other rim toggles, break their blocks, which are
+    built from their edges."""
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    search = decomposition._triconnected_components
+    lowpoint = decomposition._lowpoint
+    eng = build(42, block_chain()[0])
+    toggles = chain_toggles()
+    wheels = [e for e in toggles["spoke"] + toggles["rim"]
+              if eng.graph.level_between(*e) == 3]
+    monkeypatch.setattr(decomposition, "_triconnected_components",
+                        counting("search", search))
+    monkeypatch.setattr(decomposition, "_lowpoint",
+                        counting("lowpoint", lowpoint))
+    made = {"resplit": 0, "fusion": 0}
+    for e in wheels:
+        for change, rule in ((eng.delete_edge, "resplit"),
+                             (eng.insert_edge, "fusion")):
+            calls.clear()
+            assert change(*e).status == ACCEPTED
+            assert calls == [] and eng.decomp.derived.rule == rule, e
+            made[rule] += 1
+            with monkeypatch.context() as patch:
+                patch.setattr(decomposition, "_triconnected_components",
+                              search)
+                patch.setattr(decomposition, "_lowpoint", lowpoint)
+                assert eng.dump() == build(42, sorted(eng.graph.edges)).dump()
+    assert made == {"resplit": 29, "fusion": 29}, made
 
 
 def test_patched_block_rotations_equal_rebuilt_ones(monkeypatch):
@@ -823,8 +885,7 @@ def test_patched_block_rotations_equal_rebuilt_ones(monkeypatch):
 
     def spied(decomp, block_rots, base=None, at=None):
         local = decomp.derived
-        if base is not None and local is not None and local.made \
-                and local.made[0].kind == "R":
+        if base is not None and local is not None and local.rule == "rigid":
             if at is None:
                 cases["flip"] += 1
             else:

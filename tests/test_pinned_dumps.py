@@ -5,11 +5,12 @@ after every step of seeded change sequences. The sequences follow the
 criterion-1 corpus rule (delete a present edge with probability 0.45,
 else insert an absent pair), so the first are that corpus's seeds; one
 more churns rings of K4 gadgets, whose corridors cross up to four
-separating pairs. The last dumps at seeded points only, so that a dump
+separating pairs. One dumps at seeded points only, so that a dump
 follows none, one or many changes and reuses more or less of the memo
-the dump before it left. A change to rotations, colourings or names
-anywhere along them changes the digest; update it only for a change
-that means to alter dumps.
+the dump before it left. The last deletes and re-inserts, one at a
+time, edges whose deletion breaks a rigid component into pieces. A
+change to rotations, colourings or names anywhere along them changes
+the digest; update it only for a change that means to alter dumps.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import hashlib
 import itertools
 import random
 
-from block_chain import block_chain, triangulated_grid
+from block_chain import block_chain, chain_toggles, triangulated_grid
 from dynplanar.engine import Engine
 
 PINNED = {
@@ -37,6 +38,15 @@ K4_RING_CHURN = (
 SPARSE_DUMP_CHURN = (
     300,
     "b9c277ea7720769b23a381c313326ce240987a65722c0acea38053f4e329934d")
+
+# the interior edges of the triangulated 5x6 grid that end at a vertex of
+# degree three in its rigid component: at the corners 0 and 29, and at
+# the vertices of the corner pairs {4, 11} and {18, 25}
+GRID_DEGREE_THREE = ((0, 7), (22, 29), (4, 10), (4, 11), (10, 11),
+                     (18, 19), (18, 25), (19, 25))
+
+RIGID_RESPLITS = \
+    "3039f2e98a5128c830a2b4e1e4ab036ec905e6fee33055a42c1cc18e89ac88ef"
 
 
 def _record(h, out, eng: Engine) -> None:
@@ -107,6 +117,25 @@ def _sparse_dump_digest(steps: int) -> str:
     return h.hexdigest()
 
 
+def _resplit_digest() -> str:
+    """The block chain with each wheel spoke and each rim or cycle edge,
+    and the triangulated 5x6 grid with each edge of GRID_DEGREE_THREE,
+    deleted and re-inserted in turn: deletes that break a rigid
+    component into pieces and inserts that fuse them back."""
+    h = hashlib.sha256()
+    toggles = chain_toggles()
+    for n, start, edges in (
+            (42, block_chain()[0], toggles["spoke"] + toggles["rim"]),
+            (30, triangulated_grid(5, 6), GRID_DEGREE_THREE)):
+        eng = Engine(n)
+        for e in start:
+            eng.insert_edge(*e)
+        for e in edges:
+            _record(h, eng.delete_edge(*e), eng)
+            _record(h, eng.insert_edge(*e), eng)
+    return h.hexdigest()
+
+
 def test_dumps_match_pinned_digests():
     got = {name: _digest(*spec[:3]) for name, spec in PINNED.items()}
     assert got == {name: spec[3] for name, spec in PINNED.items()}
@@ -118,3 +147,7 @@ def test_k4_ring_churn_matches_pinned_digest():
 
 def test_sparse_dumps_match_pinned_digest():
     assert _sparse_dump_digest(SPARSE_DUMP_CHURN[0]) == SPARSE_DUMP_CHURN[1]
+
+
+def test_rigid_resplits_and_fusions_match_pinned_digest():
+    assert _resplit_digest() == RIGID_RESPLITS
