@@ -45,7 +45,7 @@ from .oracle import (
     static_planar,
     validate_rotation,
 )
-from .rotation import opened_at_least
+from .rotation import Embedding, opened_at_least
 
 DEFAULT_DOMAIN = 16
 
@@ -60,9 +60,11 @@ def check_state(eng: Engine) -> list[str]:
     vertices in two or more blocks, at any size, and bit-exact
     equivalence with the static oracle within its budget or the
     oracle's certificate past it; embedding validity of every component,
-    block, and the whole graph; every block rotation against a rebuild
-    from the component embeddings, and the graph rotation against a
-    rebuild from the block rotations; the stored pair-face entries,
+    block, and the whole graph; every component's faces and outer face,
+    which changes derive from their predecessors', against a whole trace
+    of its rotation; every block rotation against a rebuild from the
+    component embeddings, and the graph rotation against a rebuild from
+    the block rotations; the stored pair-face entries,
     which surgery reads, against a rebuild from each component's
     embedding, none missing and none for a component that is gone or
     has one pair;
@@ -107,6 +109,15 @@ def check_state(eng: Engine) -> list[str]:
             out.append(f"component {node}: {exc}")
         if not ok:
             out.append(f"component {node} fails rotation validation")
+            continue
+        try:
+            traced = Embedding(emb.rot)
+        except GraphError as exc:
+            out.append(f"component {node} cannot be traced: {exc}")
+            continue
+        if (emb.faces, emb.outer) != (traced.faces, traced.outer):
+            out.append(f"component {node}: stored faces differ from a "
+                       "whole trace")
     for name, rot in sorted(eng.block_rots.items()):
         blk = eng.decomp.block(name)
         try:

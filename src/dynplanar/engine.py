@@ -31,13 +31,14 @@ the rule's name (`Engine._embed`):
   a cycle from its content, the rigid piece of a resplit by projecting
   the old rigid component, and the fused component of a fusion by the
   corridor merge. Every other component keeps its embedding, and the
-  block is reassembled.
+  block is reassembled; the graph rotation is rewritten at the edge's
+  two ends and at the vertices where the block rotation moved.
 Every other created block is assembled by splicing its components'
 rotations, and a block of one component has its component's rotation.
 
 Planarity holds by construction: every component embedding is planar
-(a traced one passed V - E + F = 2, and an edit adds or removes one
-face with its edge), a 2-sum of planar schemes is planar, and genus
+(a built one passed V - E + F = 2 on its kept and traced faces, and an
+edit adds or removes one face with its edge), a 2-sum of planar schemes is planar, and genus
 adds over blocks. Euler's formula is walked only where blocks of two or
 more components are spliced; `cli.check_state` and the benchmark
 validate every rotation after every change.
@@ -68,7 +69,10 @@ the one place a deletion's successor state is decided, and handed to the
 decomposition state, which re-splits the component along them, or
 otherwise rebuilds the edge's block. A face split, or a deletion that
 leaves the component rigid, edits the stored embedding, retracing only
-the faces at the edge.
+the faces at the edge. A re-split's rigid piece and a fusion's fused
+component keep the faces of the old components that avoid the vertices
+whose rotation changed, and trace only the faces through those, so no
+change traces a whole embedding.
 
 A dump is formatted by value. Each block's four sections (spqr-tree,
 sr-embeddings, colourings, block-embedding) are kept as text: the
@@ -128,6 +132,7 @@ from .graph_core import (
 from .rotation import (
     Embedding,
     _orbit,
+    at_corner,
     crossing,
     cyclic_triple_query,
     euler_per_component,
@@ -384,12 +389,14 @@ class Engine:
         bottom and its right one bottom to top, top the vertex of colour
         0. Each is spliced into the rotation built so far at its left
         pair, as blocks are assembled, which lands it in the window face,
-        and pairs the corridor dissolves lose their virtual entries. Only
-        the fused rotation becomes an embedding, and u-v is drawn across
-        its one face that holds every window. A path of one rigid
-        component has no pairs and so no flip: a face split, which draws
-        u-v across the stored window face and retraces only the two faces
-        it makes.
+        and pairs the corridor dissolves lose their virtual entries. The
+        splices make the window faces one face, across which u-v is drawn,
+        at u's corner on the first window face and v's on the last. Only
+        then does the fused rotation become an embedding, which keeps the
+        faces of its rigid components off the window pairs and u and v and
+        traces the faces through them. A path of one rigid component has
+        no pairs and so no flip: a face split, which draws u-v across the
+        stored window face and retraces only the two faces it makes.
         """
         comps = path[::2]
         pairs = [nd[1] for nd in path[1::2]]
@@ -416,6 +423,7 @@ class Engine:
             return _partner(p, top(p))
 
         window_verts: set[Vertex] = set()
+        sources = []  # the rigid schemes spliced, each with its flip
         for i, nd in enumerate(comps):
             anchors = (set(pairs[i - 1]) if i > 0 else {u}) | \
                 (set(pairs[i]) if i < len(pairs) else {v})
@@ -432,9 +440,12 @@ class Engine:
             if pairs:
                 want = (bottom(pairs[0]), top(pairs[0])) if i == 0 \
                     else (top(pairs[i - 1]), bottom(pairs[i - 1]))
-                if crossing(bd, want) != want:
+                flip = crossing(bd, want) != want
+                if flip:
                     crot = {x: seq[::-1] for x, seq in crot.items()}
                     bd = bd[::-1]
+                if nd[0] == "R":
+                    sources.append((emb, flip))
                 assert crossing(bd, want) == want, \
                     "window face lost its seam orientation"
                 if 0 < i < len(comps) - 1:
@@ -445,16 +456,18 @@ class Engine:
                 _splice(rot, crot, *want)
             elif pairs:
                 rot = {x: list(seq) for x, seq in crot.items()}
-
+                rot[u] = at_corner(crot[u], u, v, bd)
         if pairs:
+            rot[v] = at_corner(crot[v], v, u, bd)  # on the last window face
             for p in pairs:
                 if p not in self.decomp.edges and \
                         len(block.tree[("P", p)]) == 2:
                     s, t = p
                     rot[s].remove(t)
                     rot[t].remove(s)
-            fused = Embedding(rot)
-            emb = fused.with_edge(u, v, fused.common_face(window_verts))
+            emb = Embedding._derived(
+                {x: tuple(seq) for x, seq in rot.items()},
+                pair_verts | {u, v}, sources)
         else:
             emb = self.comp_embs[comps[0]].with_edge(u, v, bd)
         # the two faces at u-v, each simple, so the edge borders two faces
@@ -484,7 +497,9 @@ class Engine:
         every other entry collapses into the bundle entry of the new pair
         whose far side it points at, read off the block's SPQR tree. When
         comp has the source's vertices and pairs, it is the source less
-        the deleted edge, whose two faces merge.
+        the deleted edge, whose two faces merge. Otherwise only the
+        deleted edge's ends and the old and new pairs' vertices change
+        their rotation, and only the faces through them are traced.
         """
         old = self.comp_embs[(source.kind, source.name)]
         if comp.vertices == source.vertices and comp.pairs == source.pairs:
@@ -492,11 +507,15 @@ class Engine:
         da, db = deleted
         ew = comp.real_edges | comp.pairs
         far = _far_sides(block, comp, comp.pairs - source.pairs)
-        rot: dict[Vertex, list] = {}
-        for x in sorted(comp.vertices):
+        # an entry that is no edge of comp is the deleted edge's, a real
+        # edge's that a new pair's bundle entry takes, or an old pair's
+        at = comp.vertices & {da, db, *(x for p in comp.pairs | source.pairs
+                                        for x in p)}
+        rot = {x: old.rot[x] for x in comp.vertices}
+        for x in at:
             # a bundle entry stands for a run of entries; it is the only
             # entry that can repeat, so runs merge on repeats
-            entries = rot[x] = []
+            entries = []
             for w in old.rot[x]:
                 if {x, w} == {da, db}:
                     continue
@@ -513,7 +532,8 @@ class Engine:
                 entries.pop()
             assert len(set(entries)) == len(entries), \
                 f"bundle segment split at vertex {x}"
-        return Embedding(rot)
+            rot[x] = tuple(entries)
+        return Embedding._derived(rot, at, [(old, False)])
 
     # --------------------------------------------------------------- commit
 
@@ -548,7 +568,8 @@ class Engine:
         graph_rot = self._assemble_graph(new_decomp, block_rots,
                                          self.graph_rot, at or None)
         step = 1 if deleted is None else -1
-        assert all(len(graph_rot[x]) == len(self.graph_rot[x]) + step
+        assert all(len(graph_rot[x]) == len(self.graph_rot[x])
+                   + (step if x in local.edge else 0)
                    for x in at), "patched rotation misses an edge"
 
         self.decomp = new_decomp
@@ -571,7 +592,10 @@ class Engine:
         of an insert or on the one rigid component the deletion's rule
         dropped. Only the rigid rule's edit, unless `canonical()`
         mirrors it, is patched at the edge's two ends; every other
-        derived block is reassembled."""
+        derived block is reassembled. For a split, merge, resplit or
+        fusion `at` is then the edge's two ends and the vertices whose
+        block rotation entry moved, or () when the block's name or
+        vertices changed."""
         local = new_decomp.derived
         comp_embs = dict(self.comp_embs)
         if local is None:
@@ -619,6 +643,15 @@ class Engine:
                 block_rots[blk.name] = self._assemble_block(
                     comp_embs, blk, self.block_rots.get(blk.name), at) \
                     if blk.name in affected else self.block_rots[blk.name]
+        if local is not None and local.rule != "rigid":
+            (old,) = new_decomp.replaced
+            blk = local.block
+            if old.name == blk.name and old.vertices == blk.vertices:
+                # the block was reassembled; the graph rotation follows
+                # it where an entry differs (mostly at changed pairs)
+                base, new = self.block_rots[old.name], block_rots[blk.name]
+                at = {*local.edge, *(x for x in blk.vertices
+                                     if new[x] != base[x])}
         return comp_embs, pair_faces, block_rots, at
 
     def _carry(self, new_decomp: DecompositionState, comp_embs: dict):

@@ -5,15 +5,19 @@ the orbits of the successor rule
 
     next(u -> v) = (v, clockwise-predecessor of u at v)
 
-traced in full when an embedding is built from a rotation scheme and
 kept as one tuple of boundaries, each in orbit orientation and least
-rotation. The trace starts each face at its least dart, so the tuple
-comes out sorted, the order in which dumps list faces. Only simple faces
-are kept; a tree has none. An embedding is a value: no method changes
-it. Its edits return a new embedding and retrace only the faces at the
-edge: deleting an edge merges its two faces, drawing one across a face
-splits that face, and the other boundaries are kept and the new ones
-inserted in order. A mirror image reverses every boundary.
+rotation, in sorted order, the order in which dumps list faces. Only
+simple faces are kept; a tree has none. An embedding built from a
+rotation scheme alone traces every face. One built from the rotations
+of other embeddings, changed at some vertices (`Embedding._derived`),
+keeps their faces that avoid those vertices, since an orbit steps by
+the rotation it arrives at, and traces only the orbits through them; a
+whole trace is the same routine with every vertex changed and no faces
+kept. An embedding is a value: no method changes it. Its edits return a
+new embedding and retrace only the faces at the edge: deleting an edge
+merges its two faces, drawing one across a face splits that face, and
+the other boundaries are kept and the new ones inserted in order. A
+mirror image reverses every boundary.
 
 A face's name is the lexicographically least ordered vertex triple that
 occurs on its boundary in orbit order. Names order faces only to pick
@@ -92,16 +96,13 @@ def crossing(bd, pair):
 
 # ---------------------------------------------------------------- face trace
 
-def _predecessors(rot):
-    """Per vertex, each neighbour's clockwise predecessor; GraphError on
-    a repeated entry or a loop."""
-    prev: dict[Vertex, dict[Vertex, Vertex]] = {}
-    for v, seq in rot.items():
-        tup = tuple(seq)
-        if len(tup) != len(set(tup)) or v in tup:
-            raise GraphError(f"malformed rotation at vertex {v}")
-        prev[v] = dict(zip(tup, tup[-1:] + tup[:-1]))
-    return prev
+def _predecessors(seq, v) -> dict[Vertex, Vertex]:
+    """Each neighbour's clockwise predecessor in v's rotation seq;
+    GraphError on a repeated entry or a loop."""
+    tup = tuple(seq)
+    if len(tup) != len(set(tup)) or v in tup:
+        raise GraphError(f"malformed rotation at vertex {v}")
+    return dict(zip(tup, tup[-1:] + tup[:-1]))
 
 
 def trace_orbits(rot):
@@ -110,14 +111,18 @@ def trace_orbits(rot):
     Darts are taken in sorted order, so a simple orbit starts at its
     least dart and the simple orbits come out sorted.
     """
-    prev = _predecessors(rot)
-    darts = sorted((u, v) for u, seq in rot.items() for v in seq)
-    for u, v in darts:
-        if v not in prev or u not in prev[v]:
-            raise GraphError(f"dart ({u},{v}) has no reverse incidence")
+    return _orbits(rot, rot)
+
+
+def _orbits(rot, at):
+    """The face orbits through the darts at the vertices `at`, each
+    once, normalized as `trace_orbits` gives them, in the order of their
+    least dart at `at`. GraphError on a repeated entry or a loop at a
+    vertex an orbit enters, or on a dart of an orbit with no reverse."""
+    prev: dict[Vertex, dict[Vertex, Vertex]] = {}
     orbits: list[tuple] = []
     seen: set[tuple] = set()
-    for u0, v0 in darts:
+    for u0, v0 in sorted((u, v) for u in at for v in rot[u]):
         if (u0, v0) in seen:
             continue
         cycle = []
@@ -125,11 +130,29 @@ def trace_orbits(rot):
         while True:
             cycle.append(u)
             seen.add((u, v))
-            u, v = v, prev[v][u]
-            if (u, v) == (u0, v0):
+            before = prev.get(v)
+            try:
+                if before is None:
+                    before = prev[v] = _predecessors(rot[v], v)
+                u, v = v, before[u]
+            except KeyError:
+                raise GraphError(
+                    f"dart ({u},{v}) has no reverse incidence") from None
+            if u == u0 and v == v0:
                 break
         orbits.append(least_rotation(cycle))
     return orbits
+
+
+def at_corner(seq, x, w, bd) -> tuple:
+    """x's rotation seq, a tuple, with the entry w entered at x's corner
+    on the face bd, which holds x: between the entries of its neighbours
+    on bd. GraphError when they are not adjacent in seq."""
+    i = bd.index(x)
+    j = seq.index(bd[(i + 1) % len(bd)])
+    if seq[(j + 1) % len(seq)] != bd[i - 1]:
+        raise GraphError(f"corner of {x} on {bd} disagrees with its rotation")
+    return seq[:j + 1] + (w,) + seq[j + 1:]
 
 
 def _orbit(rot, u, v) -> list:
@@ -211,13 +234,22 @@ def face_name(boundary) -> FaceId:
     return (b[0], y, z)
 
 
+def _least_named(faces):
+    """The least-named of sorted simple boundaries, None for none. A
+    boundary starts at its least vertex, as its name does, so only those
+    through the first one's least vertex are named."""
+    if not faces:
+        return None
+    return min(faces[:bisect_left(faces, (faces[0][0] + 1,))], key=face_name)
+
+
 def euler_per_component(rot) -> bool:
     """V - E + F = 2 for every connected component of the rotation scheme.
 
     Faces are only counted: each component's darts are walked once with
     a visited set, and every dart is checked for its reverse on the way.
     """
-    prev = _predecessors(rot)
+    prev = {v: _predecessors(seq, v) for v, seq in rot.items()}
     placed: set[Vertex] = set()
     seen: set[tuple] = set()
     ok = True
@@ -267,7 +299,30 @@ class Embedding:
     __slots__ = ("rot", "faces", "outer")
 
     def __init__(self, rot):
-        rot = self.rot = {v: tuple(seq) for v, seq in rot.items()}
+        """The embedding of a rotation scheme, every face traced."""
+        self._fill({v: tuple(seq) for v, seq in rot.items()}, None, ())
+
+    @classmethod
+    def _derived(cls, rot, at, sources=()) -> Embedding:
+        """The embedding of the rotation scheme rot, a dict of tuples,
+        whose rotations equal those of each (embedding, mirrored) pair
+        of `sources`, a mirrored one reversed, except at the vertices
+        `at`. An orbit steps by the rotation it arrives at, so a source
+        face that avoids `at` and whose vertices rot holds is a face of
+        rot, reversed for a mirrored source; only the orbits through the
+        darts at `at` are traced."""
+        emb = object.__new__(cls)
+        emb._fill(rot, at, sources)
+        return emb
+
+    def _fill(self, rot, at, sources) -> None:
+        """Set the slots for rot, tracing the orbits through the darts at
+        `at` (every orbit, by `trace_orbits`, when it is None) and keeping
+        the faces off `at` of the sources, as `_derived` says; the outer
+        face is the least-named one. GraphError unless rot is connected,
+        V - E + F = 2 on the kept and traced faces, and the traced
+        vertices have no repeated entry, no loop and no dart without its
+        reverse."""
         if not rot:
             raise GraphError("embedding needs at least one edge")
         seen = set()
@@ -278,18 +333,26 @@ class Embedding:
                 continue
             seen.add(x)
             stack.extend(rot[x])
-        if seen != set(rot):
+        if seen != rot.keys():
             raise GraphError("embedding rotation scheme is not connected")
-        orbits = trace_orbits(rot)
+        orbits = trace_orbits(rot) if at is None else _orbits(rot, at)
+        kept = []
+        off = rot.keys() - at if sources else ()
+        for src, mirrored in sources:
+            faces = [bd for bd in src.faces if off.issuperset(bd)]
+            kept += [least_rotation(bd[::-1]) for bd in faces] \
+                if mirrored else faces
         vs = len(rot)
         es = sum(len(seq) for seq in rot.values()) // 2
-        if vs - es + len(orbits) != 2:
+        fs = len(orbits) + len(kept)
+        if vs - es + fs != 2:
             raise GraphError(
-                f"rotation scheme is not planar: V-E+F = "
-                f"{vs}-{es}+{len(orbits)}")
-        self.faces = tuple(b for b in orbits
-                           if len(b) >= 3 and len(set(b)) == len(b))
-        self.outer = min(self.faces, key=face_name, default=None)
+                f"rotation scheme is not planar: V-E+F = {vs}-{es}+{fs}")
+        faces = kept + [b for b in orbits
+                        if len(b) >= 3 and len(set(b)) == len(b)]
+        self.rot = rot
+        self.faces = tuple(faces if at is None else sorted(faces))
+        self.outer = _least_named(self.faces)
 
     @classmethod
     def _made(cls, rot, faces, outer) -> Embedding:
@@ -335,7 +398,7 @@ class Embedding:
         faces = tuple(sorted(least_rotation(bd[::-1]) for bd in self.faces))
         return Embedding._made(
             {v: seq[::-1] for v, seq in self.rot.items()}, faces,
-            min(faces, key=face_name, default=None))
+            _least_named(faces))
 
     def without_edge(self, u: Vertex, v: Vertex) -> Embedding:
         """This embedding less its edge u-v, which must border two simple
@@ -364,16 +427,9 @@ class Embedding:
             raise GraphError(f"edge {u}-{v} cannot be added")
         if u not in bd or v not in bd:
             raise GraphError(f"face {bd} does not hold {u} and {v}")
-        k = len(bd)
         rot = dict(self.rot)
-        for x, other in ((u, v), (v, u)):
-            i = bd.index(x)
-            seq = rot[x]
-            j = seq.index(bd[(i + 1) % k])
-            if seq[(j + 1) % len(seq)] != bd[i - 1]:
-                raise GraphError(f"corner of {x} on {bd} disagrees with its "
-                                 f"rotation")
-            rot[x] = seq[:j + 1] + (other,) + seq[j + 1:]
+        rot[u] = at_corner(rot[u], u, v, bd)
+        rot[v] = at_corner(rot[v], v, u, bd)
         return self._replaced(rot, (bd,), (least_rotation(_orbit(rot, u, v)),
                                            least_rotation(_orbit(rot, v, u))))
 

@@ -21,6 +21,7 @@ from dynplanar.graph_core import (
     DomainError,
 )
 from dynplanar.oracle import PLANARITY_BUDGET, OracleBudgetError
+from dynplanar.rotation import Embedding
 
 K5_TRACE = [
     "add 0 1", "add 0 2", "add 0 3", "add 0 4", "add 1 2",
@@ -191,6 +192,29 @@ def test_check_state_flags_a_block_rotation_unlike_its_rebuild():
     eng.graph_rot = {**graph_rot, 8: (b, a, *rest)}
     assert "graph rotation differs from a rebuild" in check_state(eng)
     eng.graph_rot = graph_rot
+    assert check_state(eng) == []
+
+
+def test_check_state_flags_stored_faces_unlike_a_whole_trace():
+    """A component embedding whose faces or outer face are not those a
+    whole trace of its rotation gives is flagged; the rotation itself is
+    valid, so only the face check can see it."""
+    eng = Engine(30)
+    for a, b in [(i * 6 + j, (i + di) * 6 + j + dj) for i in range(5)
+                 for j in range(6) for di, dj in ((0, 1), (1, 0), (1, 1))
+                 if i + di < 5 and j + dj < 6]:
+        eng.insert_edge(a, b)
+    assert check_state(eng) == []
+    (node, emb), = [(nd, e) for nd, e in eng.comp_embs.items()
+                    if nd[0] == "R"]
+    comp_embs = eng.comp_embs
+    for faces, outer in ((emb.faces[1:], emb.outer),
+                         (emb.faces, emb.faces[-1])):
+        eng.comp_embs = {**comp_embs,
+                         node: Embedding._made(emb.rot, faces, outer)}
+        assert f"component {node}: stored faces differ from a whole " \
+            "trace" in check_state(eng)
+    eng.comp_embs = comp_embs
     assert check_state(eng) == []
 
 

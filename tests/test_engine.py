@@ -472,9 +472,10 @@ def test_rigid_embeddings_match_networkx_at_every_size(capsys):
 
 def test_surgery_builds_one_embedding_per_window(monkeypatch):
     """A corridor merge works on rotation schemes: cycle components and
-    mirrored components enter as rotations, so a corridor of two or more
-    components traces faces once, for the fused embedding; a face split
-    edits the stored embedding and traces no full embedding."""
+    mirrored components enter as rotations, and the fused embedding keeps
+    the faces of the rigid components off the window pairs and the new
+    edge, so no corridor traces a whole embedding; a face split edits
+    the stored embedding and traces none either."""
     traces = through_cycle = multi = 0
     per_window: list[tuple[bool, int]] = []
     trace = rotation.trace_orbits
@@ -501,7 +502,7 @@ def test_surgery_builds_one_embedding_per_window(monkeypatch):
         eng = Engine(12)
         for _ in range(150):
             churn_step(eng, rng)
-    assert set(per_window) == {(False, 0), (True, 1)}
+    assert set(per_window) == {(False, 0), (True, 0)}
     assert through_cycle >= 20 and multi >= 20
 
 
@@ -595,6 +596,73 @@ def test_stored_faces_are_the_traced_boundaries_in_order():
         assert eng.insert_edge(a, b).status == ACCEPTED
         check(eng)
     assert min(kinds.values()) >= 1000, kinds
+    # grid churn: each edge deleted is re-inserted later, so the graph
+    # stays planar, and re-splits and fusions derive their faces
+    rules = {"resplit": 0, "fusion": 0}
+    rng = random.Random(2)
+    gone: list = []
+    for _ in range(300):
+        if gone and (len(gone) >= 6 or rng.random() < 0.4):
+            e = gone.pop(rng.randrange(len(gone)))
+            assert eng.insert_edge(*e).status == ACCEPTED
+        else:
+            edges = sorted(eng.graph.edges)
+            e = edges[rng.randrange(len(edges))]
+            assert eng.delete_edge(*e).status == ACCEPTED
+            gone.append(e)
+        derived = eng.decomp.derived
+        if derived is not None and derived.rule in rules:
+            rules[derived.rule] += 1
+        check(eng)
+    assert min(rules.values()) >= 20, rules
+
+
+def test_resplits_and_fusions_trace_no_embedding(monkeypatch):
+    """On the triangulated 5x6 grid, deleting an edge at a corner of
+    degree three (0 or 29) re-splits the rigid component, leaving the
+    corner on a triangle at a new pair, and re-inserting it fuses them
+    back. The new rigid component keeps the faces of the old ones off
+    the vertices whose rotation changes, so neither change traces a
+    whole embedding; the block is reassembled, and the graph rotation
+    is written at no more than four vertices: the edge's two ends and
+    the pair's. After each change the engine dumps as a fresh engine
+    loaded with its edges. No other change of the grid, deleting and
+    re-inserting each edge, traces a whole embedding either."""
+    edges = grid_edges(5, 6)
+    eng = build(30, edges)
+    traces = 0
+    trace = rotation.trace_orbits
+
+    def counting(rot):
+        nonlocal traces
+        traces += 1
+        return trace(rot)
+
+    def written(before):
+        after = eng.graph_rot
+        return sum(after[x] is not before.get(x) for x in after) + \
+            sum(x not in after for x in before)
+
+    corner = [e for e in edges if 0 in e or 29 in e]
+    assert len(corner) == 6
+    made = {"resplit": 0, "fusion": 0}
+    for e in edges:
+        for change, rule in ((eng.delete_edge, "resplit"),
+                             (eng.insert_edge, "fusion")):
+            before = eng.graph_rot
+            with monkeypatch.context() as patch:
+                patch.setattr(rotation, "trace_orbits", counting)
+                assert change(*e).status == ACCEPTED
+            assert traces == 0, e
+            derived = eng.decomp.derived
+            if derived is None or derived.rule != rule:
+                assert e not in corner, e
+                continue
+            made[rule] += 1
+            if e in corner:
+                assert written(before) <= 4, (rule, e)
+                assert eng.dump() == build(30, sorted(eng.graph.edges)).dump()
+    assert made == {"resplit": 14, "fusion": 14}, made
 
 
 # ------------------------------------------------- face-local rigid changes

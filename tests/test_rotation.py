@@ -11,6 +11,7 @@ from dynplanar.oracle import validate_rotation
 from dynplanar.rotation import (
     Embedding,
     _serialize,
+    at_corner,
     cyclic_triple_query,
     euler_per_component,
     face_name,
@@ -193,6 +194,34 @@ def test_from_cycle() -> None:
     assert c5.outer == (0, 5, 1, 3, 2)
     assert c5.dump_lines()[-2:] == ["face 0 2 3 1 5",
                                     "face 0 5 1 3 2 outer"]
+
+
+def test_derived_embedding_keeps_the_faces_off_the_changed_vertices(
+) -> None:
+    """The 5-wheel with the rim chord 1-3 drawn across its rim face,
+    derived from the wheel or from its mirror marked mirrored, changes
+    the rotation at 1 and 3 alone: it keeps the faces that avoid them,
+    traces the others and equals the embedding traced in full. A derived
+    scheme that is not planar, not connected or has a dart without its
+    reverse raises, as a traced one does."""
+    w5 = Embedding(wheel_rot(5))
+    rim = w5.common_face({1, 2, 3, 4, 5})
+    rot = dict(w5.rot)
+    rot[1] = at_corner(rot[1], 1, 3, rim)
+    rot[3] = at_corner(rot[3], 3, 1, rim)
+    fresh = Embedding(rot)
+    for source in ((w5, False), (w5.flipped(), True)):
+        emb = Embedding._derived(rot, {1, 3}, [source])
+        assert (emb.rot, emb.faces, emb.outer) == \
+            (fresh.rot, fresh.faces, fresh.outer)
+        assert {bd for bd in emb.faces if 1 not in bd and 3 not in bd} \
+            == {bd for bd in w5.faces if 1 not in bd and 3 not in bd}
+    bad = [{**rot, 1: rot[1][::-1]},  # one vertex mirrored: genus 1
+           {**rot, 6: (7,), 7: (6,)},
+           {**rot, 3: tuple(w for w in rot[3] if w != 1)}]
+    for scheme in bad:
+        with pytest.raises(GraphError):
+            Embedding._derived(scheme, {1, 3}, [(w5, False)])
 
 
 # ---------------------------------------------------------------- queries
