@@ -14,43 +14,38 @@ accepted change:
      its blocks' rotations there less their virtual entries, the blocks
      in name order; a bridge gives the edge's other end.
 
-Each is the previous one patched: `Engine._commit` walks only the blocks
-the decomposition replaced and created, and the graph rotation is
-rewritten only at their vertices. The decomposition names the block a
-local rule built, the rule and what it changed, and the commit follows
-the rule's name (`Engine._embed`):
-- bundle (a real edge at a separating pair) changes no component, so
-  every embedding, colouring entry and block rotation is carried, and
-  the graph rotation is rewritten at the pair's two ends, where the
-  bundle entry turns real or virtual;
-- rigid, an edge inside one rigid component, is an edit of its
-  embedding at the edge's two ends; unless `canonical()` mirrors the
-  edit, the block rotation and the graph rotation are rewritten at
-  those two vertices alone;
-- split, merge, resplit and fusion embed the components the rule made:
-  a cycle from its content, the rigid piece of a resplit by projecting
-  the old rigid component, and the fused component of a fusion by the
-  corridor merge. Every other component keeps its embedding, and the
-  block is reassembled; the graph rotation is rewritten at the edge's
-  two ends and at the vertices where the block rotation moved.
-Every other created block is assembled by splicing its components'
-rotations, and a block of one component has its component's rotation.
+Each is the previous one patched. A change is the components it dropped
+and made, each with its block: those a local rule names
+(`DecompositionState.derived`), or else those of the replaced and
+created blocks whose content key the other side lacks. `Engine._commit`
+walks that one list, and each relation follows one rule:
+- components: every other component keeps its embedding; a made cycle
+  derives its own, and a made rigid component is built by surgery from
+  its one source;
+- block rotations: a created block that dropped and made nothing and
+  kept its pairs (a bundle edge at a pair) keeps its rotation; one whose
+  one made rigid component replaces a dropped one of the same node and
+  pairs (an edge inside a rigid component), unless `canonical()`
+  mirrors the edit, is patched at the edge's two ends; every other one
+  is assembled by splicing its components' rotations, and a block of
+  one component has its component's rotation;
+- graph rotation: when every created block keeps the name and vertices
+  of a replaced one, it is rewritten at the edge's two ends and at the
+  vertices whose block rotation entry moved, else at every vertex of the
+  replaced and created blocks.
 
 Planarity holds by construction: every component embedding is planar
 (a built one passed V - E + F = 2 on its kept and traced faces, and an
-edit adds or removes one face with its edge), a 2-sum of planar schemes is planar, and genus
-adds over blocks. Euler's formula is walked only where blocks of two or
-more components are spliced; `cli.check_state` and the benchmark
-validate every rotation after every change.
+edit adds or removes one face with its edge), a 2-sum of planar
+schemes is planar, and genus adds over blocks. Euler's formula is
+walked only where blocks of two or more components are spliced;
+`cli.check_state` and the benchmark validate every rotation after every
+change.
 
-One rule, in `Engine._commit`, decides each new component's embedding:
-a component whose block the change kept, that a local rule left alone,
-or whose content key is unchanged carries it; a new cycle derives its
-unique rotation scheme from content; a rigid component whose content key
-the predecessor lacks is built by surgery and canonicalised. An insert
+A made rigid component is built by surgery and canonicalised. An insert
 builds it by merging the corridor of the one window whose two endpoints
-it holds; a delete projects the one old rigid component whose vertex set
-contains it (a deletion merges only cycles). A corridor merge is the
+it holds; a delete projects the one dropped rigid component whose vertex
+set contains it (a deletion merges only cycles). A corridor merge is the
 splice that assembles blocks, applied along the window path to rotation
 schemes once the stored two-colouring has fixed each one's flip: the
 colours are read off the pair-face entries of the components along the
@@ -58,9 +53,10 @@ path, which also name each inner component's window face. A face split
 is the corridor of one rigid component, which has no pairs and so no
 flip. A projection reads the far side of each new pair off the new
 block's SPQR tree. The gate returns the windows, so deciding, deriving
-the new tree and building walk the state once. Carrying by content key
-makes the whole state a pure function of the edge set, which the
-decomposition state holds.
+the new tree and building walk the state once. Each component's
+embedding is canonical, and a component keeps its embedding only while
+its content key is unchanged, so the whole state is a pure function of
+the edge set, which the decomposition state holds.
 
 A change inside one rigid component is decided and applied on the faces
 at its edge. The separating pairs the component has without a deleted
@@ -177,6 +173,26 @@ def _content_key(comp: TriComp) -> ContentKey:
 
 def _embedding_key(emb: Embedding) -> ContentKey:
     return (emb.vertices, emb.edge_set())
+
+
+def _dropped_and_made(decomp: DecompositionState) -> tuple[list, list]:
+    """The components the change to `decomp` dropped and made, each with
+    its block: those the local rule names (`decomp.derived`), or, when
+    the blocks were built from their edges, the components of the
+    replaced and created blocks whose content key the other side lacks.
+    A component has three or more vertices and blocks share at most one,
+    so a content key of a replaced block is found only there."""
+    local = decomp.derived
+    if local is not None:
+        (old,) = decomp.replaced
+        return [(old, c) for c in local.gone], \
+            [(local.block, c) for c in local.made]
+    was = {_content_key(c): (blk, c)
+           for blk in decomp.replaced for c in blk.comps}
+    now = {_content_key(c): (blk, c)
+           for blk in decomp.created for c in blk.comps}
+    return [bc for key, bc in was.items() if key not in now], \
+        [bc for key, bc in now.items() if key not in was]
 
 
 def _partner(pair: Edge, x: Vertex) -> Vertex:
@@ -334,7 +350,7 @@ class Engine:
         )
         assert (INSERT, change.before_level, change.after_level) \
             not in IMPOSSIBLE_TYPES, change
-        self._commit(new_decomp, windows)
+        self._commit(new_decomp, canonical_edge(a, b), windows)
         return ChangeOutcome(ACCEPTED, change)
 
     def delete_edge(self, a: Vertex, b: Vertex) -> ChangeOutcome:
@@ -349,7 +365,7 @@ class Engine:
         )
         assert (DELETE, change.before_level, change.after_level) \
             not in IMPOSSIBLE_TYPES, change
-        self._commit(new_decomp, deleted=canonical_edge(a, b))
+        self._commit(new_decomp, canonical_edge(a, b))
         return ChangeOutcome(ACCEPTED, change)
 
     def _without(self, a: Vertex, b: Vertex) -> DecompositionState:
@@ -470,18 +486,21 @@ class Engine:
                 pair_verts | {u, v}, sources)
         else:
             emb = self.comp_embs[comps[0]].with_edge(u, v, bd)
-        # the two faces at u-v, each simple, so the edge borders two faces
-        f1, f2 = _orbit(emb.rot, u, v), _orbit(emb.rot, v, u)
-        side_a, side_b = set(f1), set(f2)
-        assert len(side_a) == len(f1) and len(side_b) == len(f2), \
-            "the new edge must border two faces"
-        assert side_a | side_b == window_verts and side_a & side_b == {u, v}, \
-            "the new edge must split the window faces into two arcs"
-        tops = {x for x in pair_verts if colours[x] == 0}
-        bots = pair_verts - tops
-        assert (tops <= side_a and bots <= side_b) or \
-            (tops <= side_b and bots <= side_a), \
-            "colour classes must split across the new edge"
+        if __debug__:
+            # the two faces at u-v, each simple, so the edge borders two
+            # faces
+            f1, f2 = _orbit(emb.rot, u, v), _orbit(emb.rot, v, u)
+            side_a, side_b = set(f1), set(f2)
+            assert len(side_a) == len(f1) and len(side_b) == len(f2), \
+                "the new edge must border two faces"
+            assert side_a | side_b == window_verts and \
+                side_a & side_b == {u, v}, \
+                "the new edge must split the window faces into two arcs"
+            tops = {x for x in pair_verts if colours[x] == 0}
+            bots = pair_verts - tops
+            assert (tops <= side_a and bots <= side_b) or \
+                (tops <= side_b and bots <= side_a), \
+                "colour classes must split across the new edge"
         return emb
 
     # ----------------------------------------------------- deletion surgery
@@ -537,158 +556,101 @@ class Engine:
 
     # --------------------------------------------------------------- commit
 
-    def _commit(self, new_decomp: DecompositionState, windows=(),
-                deleted: Edge | None = None) -> None:
-        """Install the new state, deciding where each component's
-        embedding comes from: carried when its block is kept or its
-        content key is unchanged, derived from content for a new cycle,
-        and for a rigid component the predecessor lacks, built by surgery
-        from its one source and canonicalised. That source is the window
-        whose two endpoints it holds, or the old rigid component that
-        contains it. Only the blocks the new state replaced and created
-        are walked: every stored relation is a copy of the old one with
-        their entries patched. Only the components given a new embedding
-        or new pairs get new pair-face entries, and only created blocks
-        whose shape changed get new rotations.
+    def _commit(self, new_decomp: DecompositionState, edge: Edge,
+                windows=None) -> None:
+        """Install `new_decomp`, this state with `edge` inserted across
+        the gate's `windows`, or deleted when `windows` is None.
 
-        A block a local rule built (`new_decomp.derived`) is patched by
-        what the rule changed, as its name says. A bundle edge changes no
-        component: every embedding, entry and block rotation is carried,
-        and the graph rotation is patched at the pair's two ends, which
-        gain or lose the entry as a real one. The other rules go through
-        `_embed`."""
-        local = new_decomp.derived
-        if local is not None and local.rule == "bundle":
-            assert not windows, "a bundle edge crossed a window"
-            comp_embs, pair_faces = self.comp_embs, self.pair_faces
-            block_rots, at = self.block_rots, local.edge
-        else:
-            comp_embs, pair_faces, block_rots, at = self._embed(
-                new_decomp, windows, deleted)
+        The change is the components it dropped and made, each with its
+        block (`_dropped_and_made`); every other component keeps its
+        embedding. A made cycle derives its embedding from content. A
+        made rigid component is built by surgery from its one source and
+        canonicalised: the window whose two ends it holds, or the dropped
+        rigid component that contains it. Only components given a new
+        embedding or new pairs get new pair-face entries.
+
+        A created block keeps its rotation when it dropped and made
+        nothing and kept its pairs. It is patched at the edge's two ends
+        when its one made rigid component replaces a dropped one of the
+        same node and pairs and `canonical()` kept the edit; otherwise it
+        is assembled. When every created block keeps the name and
+        vertices of a replaced one, the graph rotation is written at the
+        edge's ends and at the vertices whose block rotation entry moved;
+        otherwise at every vertex of the replaced and created blocks."""
+        gone, made = _dropped_and_made(new_decomp)
+        comp_embs = dict(self.comp_embs)
+        for _, c in gone:
+            del comp_embs[c.kind, c.name]
+        rigid = []
+        for blk, c in made:
+            if c.kind == "S":
+                # canonical as derived: at degree 2 a flip serialises the
+                # same
+                comp_embs[c.kind, c.name] = _cycle_embedding(c)
+            else:
+                rigid.append((blk, c))
+        assert windows is None or len(rigid) == len(windows), \
+            "a window fused other than one component"
+        edits = set()  # the made rigid components `canonical()` kept
+        for blk, c in self._ordered(rigid):
+            if windows is not None:
+                found = [w for w in windows if {w[1], w[2]} <= c.vertices]
+            else:
+                found = [s for _, s in gone
+                         if s.kind == "R" and c.vertices <= s.vertices]
+            assert len(found) == 1, f"no one source for component {c.name}"
+            emb = self._project_rigid(found[0], c, blk, edge) \
+                if windows is None else self._merge_corridor(*found[0])
+            assert _embedding_key(emb) == _content_key(c), \
+                f"surgery built another component than {c.name}"
+            comp_embs[c.kind, c.name] = canon = emb.canonical()
+            if canon is emb:
+                edits.add(c.name)
+        # a change that dropped and made nothing gives no component a new
+        # embedding or new pairs
+        pair_faces = update_colouring(
+            self.pair_faces, new_decomp, comp_embs, self.comp_embs) \
+            if gone or made else self.pair_faces
+
+        old = {blk.name: blk for blk in new_decomp.replaced}
+        at = set(edge) if all(
+            blk.name in old and old[blk.name].vertices == blk.vertices
+            for blk in new_decomp.created) else None
+        block_rots = dict(self.block_rots)
+        for blk in new_decomp.replaced:
+            block_rots.pop(blk.name, None)
+        for blk in new_decomp.created:
+            if blk.is_bridge:
+                continue
+            was, base = old.get(blk.name), self.block_rots.get(blk.name)
+            dropped = [c for b, c in gone if b.name == blk.name]
+            making = [c for b, c in made if b is blk]
+            if was is not None and not dropped and not making \
+                    and was.pairs == blk.pairs:
+                rot = base
+            elif len(dropped) == len(making) == 1 and \
+                    making[0].name in edits and \
+                    (dropped[0].kind, dropped[0].name, dropped[0].pairs) == \
+                    (making[0].kind, making[0].name, making[0].pairs):
+                rot = self._assemble_block(comp_embs, blk, base, edge)
+            else:
+                rot = self._assemble_block(comp_embs, blk)
+                if at is not None:
+                    at.update(x for x in blk.vertices if rot[x] != base[x])
+            block_rots[blk.name] = rot
         graph_rot = self._assemble_graph(new_decomp, block_rots,
-                                         self.graph_rot, at or None)
-        step = 1 if deleted is None else -1
-        assert all(len(graph_rot[x]) == len(self.graph_rot[x])
-                   + (step if x in local.edge else 0)
-                   for x in at), "patched rotation misses an edge"
+                                         self.graph_rot, at)
+        step = 1 if windows is not None else -1
+        assert at is None or all(
+            len(graph_rot.get(x, ())) == len(self.graph_rot[x])
+            + (step if x in edge else 0) for x in at), \
+            "patched rotation misses an edge"
 
         self.decomp = new_decomp
         self.comp_embs = comp_embs
         self.pair_faces = pair_faces
         self.block_rots = block_rots
         self.graph_rot = graph_rot
-
-    def _embed(self, new_decomp: DecompositionState, windows,
-               deleted: Edge | None):
-        """The component embeddings, pair-face entries and block
-        rotations of `new_decomp`, patched from this engine's, and the
-        vertices `at` at which alone the graph rotation changes, or ()
-        to rewrite it at the replaced and created blocks' vertices.
-
-        A block built from its edges carries what `_carry` finds by
-        content key. A block a local rule built carries every component
-        the rule left alone, by identity, and embeds those it made: a
-        cycle from content, a rigid component by surgery on the window
-        of an insert or on the one rigid component the deletion's rule
-        dropped. Only the rigid rule's edit, unless `canonical()`
-        mirrors it, is patched at the edge's two ends; every other
-        derived block is reassembled. For a split, merge, resplit or
-        fusion `at` is then the edge's two ends and the vertices whose
-        block rotation entry moved, or () when the block's name or
-        vertices changed."""
-        local = new_decomp.derived
-        comp_embs = dict(self.comp_embs)
-        if local is None:
-            created, affected = self._carry(new_decomp, comp_embs)
-        else:
-            created, affected = [], {local.block.name}
-            for c in local.gone:
-                del comp_embs[(c.kind, c.name)]
-            for c in local.made:
-                if c.kind == "S":
-                    comp_embs[(c.kind, c.name)] = _cycle_embedding(c)
-                else:
-                    created.append((local.block, c))
-
-        if deleted is None:
-            assert len(created) == len(windows), \
-                "a window fused other than one component"
-        else:  # only the deleted edge's block is replaced
-            (old,) = new_decomp.replaced
-            rigid = [c for c in (old.comps if local is None else local.gone)
-                     if c.kind == "R"]
-        at = ()  # the vertices a rigid edit alone rewrites
-        for blk, c in self._ordered(created):
-            if deleted is None:
-                found = [w for w in windows if {w[1], w[2]} <= c.vertices]
-            else:
-                found = [s for s in rigid if c.vertices <= s.vertices]
-            assert len(found) == 1, f"no one source for component {c.name}"
-            emb = self._merge_corridor(*found[0]) if deleted is None \
-                else self._project_rigid(found[0], c, blk, deleted)
-            assert _embedding_key(emb) == _content_key(c), \
-                f"surgery built another component than {c.name}"
-            comp_embs[(c.kind, c.name)] = canon = emb.canonical()
-            if local is not None and local.rule == "rigid" and canon is emb:
-                # an edit rewrites the edge's two ends; a mirror, all
-                at = local.edge
-        pair_faces = update_colouring(
-            self.pair_faces, new_decomp, comp_embs, self.comp_embs)
-
-        block_rots = dict(self.block_rots)
-        for blk in new_decomp.replaced:
-            block_rots.pop(blk.name, None)
-        for blk in new_decomp.created:
-            if not blk.is_bridge:
-                block_rots[blk.name] = self._assemble_block(
-                    comp_embs, blk, self.block_rots.get(blk.name), at) \
-                    if blk.name in affected else self.block_rots[blk.name]
-        if local is not None and local.rule != "rigid":
-            (old,) = new_decomp.replaced
-            blk = local.block
-            if old.name == blk.name and old.vertices == blk.vertices:
-                # the block was reassembled; the graph rotation follows
-                # it where an entry differs (mostly at changed pairs)
-                base, new = self.block_rots[old.name], block_rots[blk.name]
-                at = {*local.edge, *(x for x in blk.vertices
-                                     if new[x] != base[x])}
-        return comp_embs, pair_faces, block_rots, at
-
-    def _carry(self, new_decomp: DecompositionState, comp_embs: dict):
-        """Patch comp_embs for the replaced and created blocks: carry the
-        embedding of every component whose content key a replaced block
-        holds and derive every new cycle's. Returns the rigid components
-        left for surgery, each with its block, and the names of the
-        created blocks whose shape changed."""
-        # a component has three or more vertices and blocks share at most
-        # one, so a component of a replaced block is found only there
-        old_blocks = {blk.name: blk for blk in new_decomp.replaced}
-        carried = {
-            _content_key(c): self.comp_embs[(c.kind, c.name)]
-            for blk in new_decomp.replaced for c in blk.comps
-        }
-        for blk in new_decomp.replaced:
-            for c in blk.comps:
-                del comp_embs[(c.kind, c.name)]
-        created: list[tuple[Block, TriComp]] = []
-        affected = set()
-        for blk in new_decomp.created:
-            old = old_blocks.get(blk.name)
-            if old is None or old.pairs != blk.pairs or \
-                    {c.content_key() for c in old.comps} != \
-                    {c.content_key() for c in blk.comps}:
-                affected.add(blk.name)
-            for c in blk.comps:
-                key = _content_key(c)
-                if key in carried:
-                    comp_embs[(c.kind, c.name)] = carried[key]
-                elif c.kind == "S":
-                    # canonical as derived: at degree 2 a flip serialises
-                    # the same
-                    comp_embs[(c.kind, c.name)] = _cycle_embedding(c)
-                else:
-                    created.append((blk, c))
-        return created, affected
 
     # ------------------------------------------------------------- assembly
 
@@ -698,9 +660,10 @@ class Engine:
         """Splice the component embeddings into one block rotation, in
         the order `_splices` gives. A block of one component has its
         component's rotation, shared, not copied. Given the vertices
-        `at`, the only ones at which the block's components changed, it
-        is `base`, the rotation of the block it was derived from,
-        rewritten there by `_block_entry`.
+        `at`, the ends of the edge that the block's one made rigid
+        component gained or lost against the dropped one it replaces, of
+        the same node and pairs, it is `base`, the replaced block's
+        rotation, rewritten there by `_block_entry`.
 
         Every component rotation is an `Embedding`'s, which is planar:
         a traced one passed V - E + F = 2, and an edit keeps it (a face
@@ -760,9 +723,12 @@ class Engine:
         real entries of its blocks' rotations there (`_real_entries`),
         concatenated in block-name order; the others have none. Given
         `base`, the rotation of the state `decomp` was patched from, it
-        is a copy of `base` written only at the vertices `at`, by default
-        those of the blocks `decomp` replaced or created; without one,
-        it is written at every vertex.
+        is a copy of `base` written only at the vertices `at`: when every
+        created block keeps the name and vertices of a replaced one, the
+        changed edge's ends and the vertices whose block rotation entry
+        moved, and by default every vertex of the blocks `decomp`
+        replaced or created. Without `base`, it is written at every
+        vertex.
 
         Each block read at all its vertices (every block without `base`,
         the created ones with it and no `at`) must give two entries per
@@ -770,8 +736,9 @@ class Engine:
         reverse and no repeated entry (an embedding's rotation does, and
         Euler's walk checks a spliced one), so that is a degree check at
         each vertex of the block. The other blocks passed when they were
-        created, and a patch checks the degree at the two vertices it
-        writes, so every written vertex has as many entries as edges.
+        created, and `_commit` checks the degree at each vertex of a
+        given `at`, so every written vertex has as many entries as
+        edges.
         Euler's formula holds for the whole rotation because it holds
         for each block rotation and genus adds over blocks, so it is not
         checked here."""

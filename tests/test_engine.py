@@ -947,14 +947,14 @@ def test_patched_block_rotations_equal_rebuilt_ones(monkeypatch):
     on a pair vertex of the block, and rebuild the derived blocks whose
     component `canonical()` mirrors; each case must occur. A commit's
     graph assembly after a derived change tells the cases apart: it
-    patches the edge's two ends, or the whole block after a mirror."""
+    writes the edge's two ends, or more after a mirror."""
     cases = {"off pair": 0, "pair vertex": 0, "flip": 0}
     assemble_graph = Engine._assemble_graph
 
     def spied(decomp, block_rots, base=None, at=None):
         local = decomp.derived
         if base is not None and local is not None and local.rule == "rigid":
-            if at is None:
+            if at is None or len(at) > 2:
                 cases["flip"] += 1
             else:
                 comp = local.made[0]
@@ -995,6 +995,78 @@ def test_patched_block_rotations_equal_rebuilt_ones(monkeypatch):
             check(eng)
     assert min(cases.values()) >= 40, cases
 
+
+
+def test_graph_rotation_is_written_where_a_block_rotation_moved():
+    """Seeded churn at domains 12 to 30. Every change that keeps each
+    block's name and vertices replaces `graph_rot` entries, by identity,
+    only at the edge's two ends and at the vertices whose block rotation
+    entry changed by value: a mirrored rigid edit writes where its
+    component's rotation reversed, not across the whole block."""
+    kept = mirrored = 0
+    for n in (12, 16, 20, 24, 30):
+        for seed in range(4):
+            rng = random.Random(300 * n + seed)
+            eng = Engine(n)
+            for _ in range(200):
+                decomp, graph_rot = eng.decomp, eng.graph_rot
+                block_rots = eng.block_rots
+                churn_step(eng, rng)
+                new = eng.decomp
+                if new is decomp:
+                    continue  # rejected, or no change
+                was = {blk.name: blk.vertices for blk in new.replaced}
+                if any(was.get(blk.name) != blk.vertices
+                       for blk in new.created):
+                    continue
+                (e,) = decomp.edges ^ new.edges
+                moved = {x for blk in new.created for x in blk.vertices
+                         if eng.block_rots[blk.name][x]
+                         != block_rots[blk.name][x]}
+                written = {x for x in graph_rot.keys() | eng.graph_rot.keys()
+                           if eng.graph_rot.get(x) is not graph_rot.get(x)}
+                assert written <= set(e) | moved, (n, seed, e)
+                kept += 1
+                mirrored += new.derived is not None and \
+                    new.derived.rule == "rigid" and not written <= set(e)
+    assert kept >= 1000 and mirrored >= 10, (kept, mirrored)
+
+
+def test_blocks_built_from_their_edges_commit_as_derived_ones(monkeypatch):
+    """The same seeded churn on two engines, the second of which builds
+    every block from its edges (`decomposition._local_block` answers
+    None), so that its commit finds what each change dropped and made
+    by content key. After every step both give the same status and
+    change type, and their `dump()` and `graph_rot` are equal; each of
+    the six local rules builds blocks in the first."""
+    rules = dict.fromkeys(
+        ("bundle", "merge", "split", "rigid", "resplit", "fusion"), 0)
+    for n in (10, 14, 20):
+        for seed in range(3):
+            rng = random.Random(2700 * n + seed)
+            derived, built = Engine(n), Engine(n)
+            for _ in range(150):
+                edges = sorted(derived.graph.edges)
+                if edges and rng.random() < 0.3:
+                    change, e = "delete_edge", edges[rng.randrange(len(edges))]
+                else:
+                    a = rng.randrange(n)
+                    e = (a, (a + rng.randint(1, 5)) % n)
+                    if derived.graph.has_edge(*e):
+                        continue
+                    change = "insert_edge"
+                out = getattr(derived, change)(*e)
+                with monkeypatch.context() as patch:
+                    patch.setattr(decomposition, "_local_block",
+                                  lambda *args: None)
+                    assert getattr(built, change)(*e) == out, (n, seed, e)
+                    assert built.decomp.derived is None
+                assert built.dump() == derived.dump(), (n, seed, e)
+                assert built.graph_rot == derived.graph_rot
+                local = derived.decomp.derived
+                if out.status == ACCEPTED and local is not None:
+                    rules[local.rule] += 1
+    assert min(rules.values()) >= 5, rules
 
 # --------------------------------------------------------------- cost bound
 
